@@ -9,19 +9,12 @@ rational plane curves.
 """
 
 from .engine import (
-    CacheConflictError,
     InsertionKey,
-    MemoCache,
     Reconstructor,
     closed_4pt_deg0,
     closed_4pt_deg1,
     e_cut,
-    enumerate_nonzero,
     forced_degree,
-    gw,
-    gw_at,
-    shared_reconstructor,
-    wdvv_residual,
 )
 from .golden import (
     GoldenRow,
@@ -31,7 +24,7 @@ from .golden import (
     mults_from_insertions,
     verify,
 )
-from .records import GWRecord, RecordError, parse_rational, render_rational
+from .records import GWRecord, RecordError, parse_rational
 from .ring import (
     DivisorStep,
     QRingElem,
@@ -54,12 +47,10 @@ from .ring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CacheConflictError",
     "DivisorStep",
     "GWRecord",
     "GoldenRow",
     "InsertionKey",
-    "MemoCache",
     "QRingElem",
     "RecordError",
     "Reconstructor",
@@ -74,24 +65,18 @@ __all__ = [
     "closed_4pt_deg1",
     "divisor_generation_check",
     "e_cut",
-    "enumerate_nonzero",
     "forced_degree",
     "golden_rows",
-    "gw",
-    "gw_at",
     "insertions_from_mults",
     "mults_from_insertions",
     "pairing_inverse",
     "parse_rational",
     "qmul",
     "qreduce",
-    "render_rational",
-    "shared_reconstructor",
     "specialize",
     "three_point",
     "two_point",
     "validate_target",
     "verify",
-    "wdvv_residual",
     "__version__",
 ]

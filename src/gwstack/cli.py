@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .engine import Reconstructor
 from .golden import TABLE_ORDERS, mults_from_insertions, verify
-from .records import GWRecord, RecordError, load_records, render_rational, save_records
+from .records import GWRecord, RecordError, load_records, save_records
 from .ring import TargetData, build_p1b, divisor_generation_check, specialize
 
 EXIT_OK = 0
@@ -206,7 +206,11 @@ def _preload_cache(rec: Reconstructor, path):
     """
     if path is None or not os.path.exists(path):
         return []
-    engines = {rec.td.power_basis: rec}
+    return _preload_records(path, {rec.td.power_basis: rec})
+
+
+def _preload_records(path, engines: dict[int, Reconstructor]) -> list[GWRecord]:
+    """Preload each record of ``path`` into ``engines[b]``, adding engines as needed."""
     pairs = load_records(path)
     for lineno, recd in pairs:
         eng = engines.get(recd.b)
@@ -248,7 +252,7 @@ def _cmd_compute(args) -> int:
             value = rec.gw_at(ins, args.degree)
     except ValueError as exc:  # degenerate 2-point problem at degree 0
         args.parser.error(str(exc))
-    print(render_rational(value))
+    print(value)
     _store_cache(rec, path, loaded)
     return EXIT_OK
 
@@ -287,7 +291,7 @@ def _cmd_table(args) -> int:
                         "b": b,
                         "d": key.d,
                         "insertions": list(key.insertions),
-                        "value": render_rational(value),
+                        "value": str(value),
                     },
                     separators=(",", ":"),
                 )
@@ -300,7 +304,7 @@ def _cmd_table(args) -> int:
         labelled.sort(key=lambda t: (t[0], t[1]))
         if args.format == "tsv":
             for d, mults, value in labelled:
-                cols = (str(d), ",".join(map(str, mults)), render_rational(value))
+                cols = (str(d), ",".join(map(str, mults)), str(value))
                 print("\t".join(cols))
         else:
             names = [
@@ -308,7 +312,7 @@ def _cmd_table(args) -> int:
             ]
             width = max(map(len, names), default=0)
             for name, (_, _, value) in zip(names, labelled):
-                print(f"{name:<{width}} = {render_rational(value)}")
+                print(f"{name:<{width}} = {value!s}")
     _store_cache(rec, path, loaded)
     return EXIT_OK
 
@@ -341,7 +345,7 @@ def _cmd_ring(args) -> int:
     lam = _parse_lambda(args)
     td = _target_for(b)
     ring = specialize(td, lam)
-    print(f"ring {td.id} at q = {render_rational(ring.lam)}")
+    print(f"ring {td.id} at q = {ring.lam!s}")
     names = td.basis_names
     for i in range(td.basis_size):
         for j in range(i, td.basis_size):
@@ -360,33 +364,26 @@ def _render_combo(td: TargetData, vec) -> str:
             continue
         name = td.basis_names[l]
         if l == td.fundamental_index:
-            terms.append(render_rational(c))
+            terms.append(str(c))
         elif c == 1:
             terms.append(name)
         else:
-            terms.append(f"{render_rational(c)} {name}")
+            terms.append(f"{c!s} {name}")
     return " + ".join(terms) if terms else "0"
 
 
 def _cmd_cache(args) -> int:
-    pairs = load_records(args.path)
-    engines: dict[int, Reconstructor] = {}
-    for lineno, recd in pairs:
-        eng = engines.get(recd.b)
-        if eng is None:
-            eng = Reconstructor(_target_for(recd.b))
-            engines[recd.b] = eng
-        try:
-            eng.preload([(recd.d, recd.insertions, recd.value)])
-        except ValueError as exc:
-            raise _FileFailure(f"{args.path}:{lineno}: {exc}") from None
+    loaded = _preload_records(args.path, {})
     if args.emit:
         ordered = sorted(
-            (recd for _, recd in pairs),
-            key=lambda r: (r.b, r.d, len(r.insertions), r.insertions),
+            loaded, key=lambda r: (r.b, r.d, len(r.insertions), r.insertions)
         )
         for recd in ordered:
             print(recd.render())
     else:
-        print(f"{len(pairs)} records ok")
+        print(f"{len(loaded)} records ok")
     return EXIT_OK
+
+
+if __name__ == "__main__":
+    entry()

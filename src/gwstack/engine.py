@@ -22,7 +22,6 @@ memo is keyed on the sorted insertion tuple alone.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -51,44 +50,6 @@ class InsertionKey:
     @property
     def n(self) -> int:
         return len(self.insertions)
-
-
-class CacheConflictError(ValueError):
-    """A memo key was re-bound to a different value."""
-
-
-class MemoCache:
-    """Invariant memo keyed on sorted insertion tuples.
-
-    The curve degree is not part of the key: each multiset admits at
-    most one degree with a nonzero invariant, forced by the degree
-    axiom.  Inserting an existing key with a different value raises,
-    which turns silent inconsistencies into loud ones.
-    """
-
-    def __init__(self) -> None:
-        self._values: dict[tuple[int, ...], Fraction] = {}
-
-    def get(self, key: tuple[int, ...]) -> Optional[Fraction]:
-        return self._values.get(key)
-
-    def put(self, key: tuple[int, ...], value: Fraction) -> None:
-        old = self._values.get(key)
-        if old is None:
-            self._values[key] = value
-        elif old != value:
-            raise CacheConflictError(
-                f"key {key} already holds {old}, refusing to store {value}"
-            )
-
-    def items(self):
-        return self._values.items()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key) -> bool:
-        return key in self._values
 
 
 def forced_degree(td: TargetData, insertions) -> Optional[int]:
@@ -164,7 +125,7 @@ class Reconstructor:
             raise ValueError(f"unknown donor policy {donor_policy!r}")
         self.td = td
         self.donor_policy = donor_policy
-        self.cache = MemoCache()
+        self.cache: dict[tuple[int, ...], Fraction] = {}
         ginv = pairing_inverse(td)
         size = td.basis_size
         self._pairs = tuple(
@@ -290,8 +251,9 @@ class Reconstructor:
         """Seed the memo from ``(d, insertions, value)`` triples.
 
         Every entry is validated: the degree must be the forced one,
-        and 2- or 3-point entries must agree with the built-in
-        structure constants (they are checked, not stored).
+        2- or 3-point entries must agree with the built-in structure
+        constants (they are checked, not stored), and a key already in
+        the memo must not be re-bound to a different value.
         """
         for d, insertions, value in entries:
             ins = self._normalize(insertions)
@@ -304,7 +266,11 @@ class Reconstructor:
             elif len(ins) == 3:
                 known = three_point(self.td, *ins, d)
             else:
-                self.cache.put(ins, value)
+                old = self.cache.setdefault(ins, value)
+                if old != value:
+                    raise ValueError(
+                        f"key {ins} already holds {old}, refusing to store {value}"
+                    )
                 continue
             if known != value:
                 raise ValueError(
@@ -352,7 +318,7 @@ class Reconstructor:
         value = self.cache.get(ins)
         if value is None:
             value = self._reduce(ins, d)
-            self.cache.put(ins, value)
+            self.cache[ins] = value
         return value
 
     def _rank(self, k: int):
@@ -460,35 +426,3 @@ def _bounded_multisets(
         for tail in _bounded_multisets(n - 1, v, hi, rest):
             yield (v,) + tail
 
-
-# -- shared per-target engines ------------------------------------------------
-
-_SHARED: "weakref.WeakKeyDictionary[TargetData, Reconstructor]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def shared_reconstructor(td: TargetData) -> Reconstructor:
-    rec = _SHARED.get(td)
-    if rec is None:
-        rec = Reconstructor(td)
-        _SHARED[td] = rec
-    return rec
-
-
-def gw(td: TargetData, insertions) -> Fraction:
-    return shared_reconstructor(td).gw(insertions)
-
-
-def gw_at(td: TargetData, insertions, d: int) -> Fraction:
-    return shared_reconstructor(td).gw_at(insertions, d)
-
-
-def wdvv_residual(
-    td: TargetData, g1: int, g2: int, g3: int, g4: int, deltas=(), beta3: int = 0
-) -> Fraction:
-    return shared_reconstructor(td).wdvv_residual(g1, g2, g3, g4, deltas, beta3)
-
-
-def enumerate_nonzero(td: TargetData, **kwargs):
-    return shared_reconstructor(td).enumerate_nonzero(**kwargs)

@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Optional
 
 from .engine import InsertionKey, Reconstructor
-from .records import RecordError, iter_record_lines, parse_rational, render_rational
+from .records import RecordError, iter_record_lines, parse_rational
 from .ring import build_p1b
 
 _DATA_NAME = "p1b_tables.dat"
@@ -183,8 +183,8 @@ class VerifyReport:
                     "the engine disagrees with itself"
                 )
             lines.append(
-                f"  {r.row.label()}: table {render_rational(r.row.value)}, "
-                f"engine {render_rational(r.computed)} ({note})"
+                f"  {r.row.label()}: table {r.row.value!s}, "
+                f"engine {r.computed!s} ({note})"
             )
         for key in self.missing:
             lines.append(
@@ -193,7 +193,7 @@ class VerifyReport:
         for key, value in self.extra:
             lines.append(
                 f"  enumeration found an untabulated nonzero invariant "
-                f"{key.insertions} at degree {key.d} = {render_rational(value)}"
+                f"{key.insertions} at degree {key.d} = {value!s}"
             )
         return "\n".join(lines)
 

@@ -10,7 +10,9 @@ comparison of their contents.
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,7 +27,7 @@ class RecordError(ValueError):
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical ``p`` or ``p/q`` literal.
 
-    Rejects anything that :func:`render_rational` would not produce.
+    Rejects anything that ``str`` of a ``Fraction`` would not produce.
     """
     m = _RATIONAL.match(text)
     if m is None:
@@ -35,10 +37,6 @@ def parse_rational(text: str) -> Fraction:
     if gcd(abs(num), den) != 1:
         raise RecordError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
-
-
-def render_rational(value: Fraction) -> str:
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class GWRecord:
 
     def render(self) -> str:
         ks = ",".join(str(k) for k in self.insertions)
-        return f"{self.b} {self.d} {ks} {render_rational(self.value)}"
+        return f"{self.b} {self.d} {ks} {self.value!s}"
 
     @classmethod
     def parse(cls, line: str) -> "GWRecord":
@@ -115,13 +113,20 @@ def load_records(path: str) -> list[tuple[int, GWRecord]]:
 
 
 def save_records(path: str, records) -> None:
-    """Write records one per line in a fixed sort order."""
+    """Write records one per line in a fixed sort order.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one step, so a failed write leaves the old file
+    as it was.
+    """
     ordered = sorted(records, key=lambda r: (r.b, r.d, len(r.insertions), r.insertions))
-    lines = [rec.render() for rec in ordered]
+    text = "".join(rec.render() + "\n" for rec in ordered)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines))
-            if lines:
-                handle.write("\n")
+        with open(tmp, "w", encoding="ascii") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):
+            os.remove(tmp)
         raise RecordError(f"cannot write {path}: {exc}") from None

@@ -25,6 +25,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -60,8 +61,8 @@ class TargetData:
 
     ``power_basis`` is set to b for targets whose basis class k is the
     k-th power of a single degree-lowest generator subject to the
-    relation b * a^(b+1) = q; it unlocks the exponent-arithmetic fast
-    paths and the multiplicity-vector file formats.  ``None`` otherwise.
+    relation b * a^(b+1) = q; it unlocks enumeration over exponents and
+    the multiplicity-vector file formats.  ``None`` otherwise.
     """
 
     id: str
@@ -397,47 +398,38 @@ def basis_product_via_pairing(
     """Product of basis classes i and j by pairing contraction.
 
     Returns the nonzero terms as ``(q_degree, basis_index, coeff)``
-    triples, computed from the 3-point constants alone:
+    triples sorted by degree, then index, computed from the 3-point
+    constants alone:
     a_i * a_j = sum_d q^d sum_{k,l} <a_i, a_j, a_k>_d g^{kl} a_l.
     """
-    ginv = pairing_inverse(td)
-    size = td.basis_size
-    degrees = sorted({key[3] for key in td.base3})
-    out = []
-    for d in degrees:
-        for l in range(size):
-            c = sum(
-                (three_point(td, i, j, k, d) * ginv[k][l] for k in range(size)),
-                ZERO,
-            )
-            if c:
-                out.append((d, l, c))
-    return tuple(out)
+    if not (0 <= i < td.basis_size and 0 <= j < td.basis_size):
+        raise ValueError(f"basis index out of range for {td.id}: {(i, j)}")
+    return _basis_products(td)[i][j]
 
 
 def _basis_products(td: TargetData):
-    """Full basis product table, cached per target.
+    """Full basis product table by pairing contraction, cached per target.
 
-    On targets with a power basis the product is exponent addition
-    followed by :func:`qreduce`; elsewhere it is pairing contraction.
-    The two routes agree wherever both apply (tested).
+    One pass over the stored 3-point constants: each entry contributes
+    to the product of every ordered pair it contains, through the
+    nonzero entries of one row of the inverse pairing.
     """
     cached = _PRODUCT_CACHE.get(td)
     if cached is not None:
         return cached
+    ginv_rows = [[(l, g) for l, g in enumerate(row) if g] for row in pairing_inverse(td)]
     size = td.basis_size
-    b = td.power_basis
-    table = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if b is not None:
-                s, r = qreduce(b, i + j)
-                row.append(((s, r, Fraction(1, b**s)),))
-            else:
-                row.append(basis_product_via_pairing(td, i, j))
-        table.append(tuple(row))
-    table = tuple(table)
+    terms = [[{} for _ in range(size)] for _ in range(size)]
+    for key, val in td.base3.items():
+        d = key[3]
+        for i, j, k in set(permutations(key[:3])):
+            acc = terms[i][j]
+            for l, g in ginv_rows[k]:
+                acc[d, l] = acc.get((d, l), ZERO) + val * g
+    table = tuple(
+        tuple(tuple((d, l, c) for (d, l), c in sorted(acc.items()) if c) for acc in row)
+        for row in terms
+    )
     _PRODUCT_CACHE[td] = table
     return table
 
@@ -551,7 +543,7 @@ def validate_target(td: TargetData) -> None:
         for j in range(size):
             if td.pairing[i][j] != td.pairing[j][i]:
                 raise ValueError("pairing matrix is not symmetric")
-    ginv = pairing_inverse(td)  # raises if singular
+    pairing_inverse(td)  # raises if singular
     for div in td.divisor_indices:
         if div == fund or not 0 <= div < size:
             raise ValueError(f"bad divisor index {div}")
@@ -607,29 +599,25 @@ def validate_target(td: TargetData) -> None:
                 )
 
     # Factorization coverage and the single-term property.
-    degrees = sorted({key[3] for key in td.base3} | {0})
+    table = _basis_products(td)
     for t in range(size):
         if t == fund or t in td.divisor_indices:
             continue
         step = td.divisor_factorization.get(t)
         if step is None:
             raise ValueError(f"basis class {t} has no divisor factorization")
-        if step.divisor not in td.divisor_indices or not step.coeff:
+        if (
+            step.divisor not in td.divisor_indices
+            or not 0 <= step.partner < size
+            or not step.coeff
+        ):
             raise ValueError(f"bad factorization record for class {t}")
-        for d in degrees:
-            for l in range(size):
-                c = sum(
-                    (
-                        three_point(td, step.partner, step.divisor, k, d) * ginv[k][l]
-                        for k in range(size)
-                    ),
-                    ZERO,
-                )
-                want = step.coeff if (d == step.shift and l == t) else ZERO
-                if c != want:
-                    raise ValueError(
-                        f"factorization of class {t} is not single-term at degree {d}"
-                    )
+        got = table[step.partner][step.divisor]
+        if got != ((step.shift, t, step.coeff),):
+            raise ValueError(
+                f"factorization of class {t} is not the single-term product "
+                f"{(step.shift, t, step.coeff)}: {got}"
+            )
 
 
 def _drop_one(values: tuple[int, ...], item: int):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -284,6 +287,18 @@ class TestCache:
 
 
 class TestUsage:
+    def test_module_entry_point(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["compute", "--b", "3", "--insertions", "1,1,2,2"]
+        done = subprocess.run(
+            [sys.executable, "-m", "gwstack.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (done.returncode, done.stdout) == (0, "-1/9\n")
+
     def test_no_arguments(self, run):
         assert run()[0] == 2
 

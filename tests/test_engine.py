@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwstack import (
-    CacheConflictError,
     InsertionKey,
-    MemoCache,
     Reconstructor,
     build_p1b,
     build_p2,
@@ -37,20 +35,6 @@ class TestInsertionKey:
 
 
 class TestMemoCache:
-    def test_idempotent_put(self):
-        cache = MemoCache()
-        cache.put((1, 1, 2, 2), F(-1, 9))
-        cache.put((1, 1, 2, 2), F(-1, 9))
-        assert cache.get((1, 1, 2, 2)) == F(-1, 9)
-        assert len(cache) == 1
-        assert (1, 1, 2, 2) in cache
-
-    def test_conflicting_put_raises(self):
-        cache = MemoCache()
-        cache.put((1, 1, 2, 2), F(-1, 9))
-        with pytest.raises(CacheConflictError):
-            cache.put((1, 1, 2, 2), F(-1, 8))
-
     def test_zero_values_are_cached(self):
         rec = Reconstructor(build_p1b(3))
         assert rec.gw((0, 2, 2, 2)) == 0  # forced degree 0, killed by the identity
@@ -302,6 +286,17 @@ class TestPreload:
         rec = Reconstructor(build_p1b(3))
         rec.preload([(0, (1, 1, 2, 2), F(7))])
         assert rec.gw((1, 1, 2, 2)) == 7
+
+    def test_repeated_entry_is_idempotent(self):
+        rec = Reconstructor(build_p1b(3))
+        rec.preload([(0, (1, 1, 2, 2), F(-1, 9)), (0, (2, 1, 2, 1), F(-1, 9))])
+        assert rec.cache == {(1, 1, 2, 2): F(-1, 9)}
+
+    def test_conflicting_entries_raise(self):
+        rec = Reconstructor(build_p1b(3))
+        with pytest.raises(ValueError, match="refusing to store -1/8"):
+            rec.preload([(0, (1, 1, 2, 2), F(-1, 9)), (0, (1, 1, 2, 2), F(-1, 8))])
+        assert rec.cache == {(1, 1, 2, 2): F(-1, 9)}
 
     def test_degree_mismatch_rejected(self):
         rec = Reconstructor(build_p1b(3))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from gwstack.records import (
     RecordError,
     load_records,
     parse_rational,
-    render_rational,
     save_records,
 )
 
@@ -20,9 +20,9 @@ class TestRational:
         assert parse_rational("-1/9") == Fraction(-1, 9)
         assert parse_rational("0") == 0
         assert parse_rational("5663/5038848") == Fraction(5663, 5038848)
-        assert render_rational(Fraction(-1, 4)) == "-1/4"
-        assert render_rational(Fraction(0)) == "0"
-        assert render_rational(Fraction(12)) == "12"
+        assert str(Fraction(-1, 4)) == "-1/4"
+        assert str(Fraction(0)) == "0"
+        assert str(Fraction(12)) == "12"
 
     @pytest.mark.parametrize(
         "bad",
@@ -34,7 +34,7 @@ class TestRational:
 
     @given(st.fractions())
     def test_round_trip(self, value):
-        assert parse_rational(render_rational(value)) == value
+        assert parse_rational(str(value)) == value
 
 
 class TestGWRecord:
@@ -93,6 +93,20 @@ class TestRecordFiles:
         path.write_text("# fine\n2 0 1,1,1,1 -2/8\n")
         with pytest.raises(RecordError, match=r"values\.rec:2"):
             load_records(str(path))
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "values.rec"
+        save_records(str(path), [GWRecord(2, 0, (1, 1, 1, 1), Fraction(-1, 4))])
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(RecordError, match="cannot write"):
+            save_records(str(path), [GWRecord(3, 0, (1, 1, 2, 2), Fraction(-1, 9))])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["values.rec"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(RecordError, match="cannot read"):

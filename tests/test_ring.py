@@ -23,7 +23,6 @@ from gwstack import (
     two_point,
     validate_target,
 )
-from gwstack.ring import _basis_products
 
 F = Fraction
 
@@ -165,11 +164,18 @@ class TestValidateTarget:
 
     def test_catches_multi_term_factorization(self):
         td = build_p1b(3)
-        steps = dict(td.divisor_factorization)
-        steps[2] = DivisorStep(partner=2, divisor=3, shift=1, coeff=F(1, 3))
-        broken = dataclasses.replace(td, divisor_factorization=steps)
-        with pytest.raises(ValueError, match="single-term"):
-            validate_target(broken)
+        # The true record for a^2 is x * x = (q/3) a^2; each of these
+        # gets one field wrong.
+        for wrong in (
+            DivisorStep(partner=2, divisor=3, shift=1, coeff=F(1, 3)),
+            DivisorStep(partner=3, divisor=3, shift=0, coeff=F(1, 3)),
+            DivisorStep(partner=3, divisor=3, shift=1, coeff=F(1, 2)),
+        ):
+            steps = dict(td.divisor_factorization)
+            steps[2] = wrong
+            broken = dataclasses.replace(td, divisor_factorization=steps)
+            with pytest.raises(ValueError, match="single-term"):
+                validate_target(broken)
 
 
 class TestPairingInverse:
@@ -234,6 +240,20 @@ class TestQMul:
         td = build_p2()
         h2 = basis_element(td, 2)
         assert qmul(td, h2, h2) == QRingElem(((), (F(0), F(1)), ()))  # q h
+        by_hand = {
+            (0, 0): ((0, 0, 1),),  # 1 * 1 = 1
+            (0, 1): ((0, 1, 1),),  # 1 * h = h
+            (0, 2): ((0, 2, 1),),  # 1 * h^2 = h^2
+            (1, 1): ((0, 2, 1),),  # h * h = h^2
+            (1, 2): ((1, 0, 1),),  # h * h^2 = q
+            (2, 2): ((1, 1, 1),),  # h^2 * h^2 = q h
+        }
+        for (i, j), terms in by_hand.items():
+            assert basis_product_via_pairing(td, i, j) == terms
+            assert basis_product_via_pairing(td, j, i) == terms
+        for bad in ((-1, 0), (0, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                basis_product_via_pairing(td, *bad)
 
     def test_identity(self):
         for td in (build_p1b(4), build_p2()):
@@ -246,15 +266,15 @@ class TestQMul:
         with pytest.raises(ValueError, match="basis-size"):
             qmul(build_p1b(2), QRingElem.basis(3, 0), QRingElem.basis(4, 0))
 
-    @pytest.mark.parametrize("b", range(1, 9))
+    @pytest.mark.parametrize("b", range(1, 13))
     def test_power_route_matches_pairing_route(self, b):
+        # Exponent addition in Q[q][a] / (b a^(b+1) - q) against the
+        # product contracted from the 3-point constants.
         td = build_p1b(b)
-        table = _basis_products(td)
         for i in range(td.basis_size):
             for j in range(td.basis_size):
-                assert tuple(sorted(table[i][j])) == tuple(
-                    sorted(basis_product_via_pairing(td, i, j))
-                )
+                s, r = qreduce(b, i + j)
+                assert basis_product_via_pairing(td, i, j) == ((s, r, F(1, b**s)),)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 4])
     def test_associative_and_commutative_over_q(self, b):

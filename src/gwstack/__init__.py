@@ -14,7 +14,6 @@ from .engine import (
     closed_4pt_deg0,
     closed_4pt_deg1,
     e_cut,
-    forced_degree,
 )
 from .golden import (
     GoldenRow,
@@ -27,15 +26,14 @@ from .golden import (
 from .records import GWRecord, RecordError, parse_rational
 from .ring import (
     DivisorStep,
+    Grading,
     QRingElem,
     SpecializedRing,
     TargetData,
     basis_element,
-    basis_product_via_pairing,
     build_p1b,
     build_p2,
     divisor_generation_check,
-    pairing_inverse,
     qmul,
     qreduce,
     specialize,
@@ -50,6 +48,7 @@ __all__ = [
     "DivisorStep",
     "GWRecord",
     "GoldenRow",
+    "Grading",
     "InsertionKey",
     "QRingElem",
     "RecordError",
@@ -58,18 +57,15 @@ __all__ = [
     "TargetData",
     "VerifyReport",
     "basis_element",
-    "basis_product_via_pairing",
     "build_p1b",
     "build_p2",
     "closed_4pt_deg0",
     "closed_4pt_deg1",
     "divisor_generation_check",
     "e_cut",
-    "forced_degree",
     "golden_rows",
     "insertions_from_mults",
     "mults_from_insertions",
-    "pairing_inverse",
     "parse_rational",
     "qmul",
     "qreduce",

@@ -86,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also enumerate divisor insertions (requires --max-n, --max-d, jsonl)",
     )
     table.add_argument(
-        "--include-fundamental",
-        action="store_true",
-        help="also enumerate identity insertions (requires --max-n, --max-d, jsonl)",
-    )
-    table.add_argument(
         "--format",
         choices=("human", "tsv", "jsonl"),
         default="human",
@@ -259,17 +254,16 @@ def _cmd_compute(args) -> int:
 
 def _cmd_table(args) -> int:
     b = _check_order(args)
-    include = args.include_divisor or args.include_fundamental
-    if include:
+    if args.include_divisor:
         if args.max_n is None or args.max_d is None:
             args.parser.error(
-                "--include-divisor/--include-fundamental make the support "
-                "infinite; both --max-n and --max-d are required"
+                "--include-divisor makes the support infinite; both --max-n "
+                "and --max-d are required"
             )
         if args.format != "jsonl":
             args.parser.error(
-                "divisor and identity insertions have no multiplicity-vector "
-                "rendering; use --format jsonl"
+                "divisor insertions have no multiplicity-vector rendering; "
+                "use --format jsonl"
             )
     rec = Reconstructor(_target_for(b))
     path = _cache_path(args)
@@ -279,7 +273,6 @@ def _cmd_table(args) -> int:
             max_n=args.max_n,
             max_d=args.max_d,
             include_divisor=args.include_divisor,
-            include_fundamental=args.include_fundamental,
         )
     )
     if args.format == "jsonl":

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, Optional
 
-from .ring import TargetData, ZERO, pairing_inverse, three_point, two_point
+from .ring import TargetData, ZERO, three_point, two_point
 
 _DONOR_POLICIES = ("next_largest", "smallest")
 
@@ -50,23 +49,6 @@ class InsertionKey:
     @property
     def n(self) -> int:
         return len(self.insertions)
-
-
-def forced_degree(td: TargetData, insertions) -> Optional[int]:
-    """The unique curve degree allowed by the degree axiom, if any.
-
-    Returns ``None`` when no nonnegative integer degree satisfies
-    sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3); every invariant with such
-    insertions vanishes.
-    """
-    ins = tuple(insertions)
-    if len(ins) < 2:
-        raise ValueError("at least two insertions are required")
-    total = sum((td.orbdeg[k] for k in ins), start=Fraction(0))
-    d = (total - 2 * td.dim - 2 * (len(ins) - 3)) / (2 * td.c1_degree)
-    if d.denominator == 1 and d >= 0:
-        return int(d)
-    return None
 
 
 def e_cut(b: int, l: int) -> int:
@@ -126,7 +108,7 @@ class Reconstructor:
         self.td = td
         self.donor_policy = donor_policy
         self.cache: dict[tuple[int, ...], Fraction] = {}
-        ginv = pairing_inverse(td)
+        ginv = td.pairing_inverse
         size = td.basis_size
         self._pairs = tuple(
             (i, j, ginv[i][j])
@@ -134,38 +116,14 @@ class Reconstructor:
             for j in range(size)
             if ginv[i][j]
         )
-        # Integer degree bookkeeping: with W clearing all denominators,
-        # sum(w) = A d + B + W(n - 3) where w_k = orbdeg_k W / 2.
-        scale = 1
-        for f in td.orbdeg:
-            scale = lcm(scale, (f / 2).denominator)
-        scale = lcm(scale, td.c1_degree.denominator, td.dim.denominator)
-        self._W = scale
-        self._w = tuple(int(f * scale / 2) for f in td.orbdeg)
-        self._A = int(td.c1_degree * scale)
-        self._B = int(td.dim * scale)
-
-    # -- degree forcing ------------------------------------------------------
-
-    def _forced_wsum(self, wsum: int, n: int) -> Optional[int]:
-        d, r = divmod(wsum - self._B - self._W * (n - 3), self._A)
-        if r or d < 0:
-            return None
-        return d
-
-    def forced(self, insertions) -> Optional[int]:
-        """Integer-arithmetic version of :func:`forced_degree`."""
-        ins = tuple(insertions)
-        if len(ins) < 2:
-            raise ValueError("at least two insertions are required")
-        return self._forced_wsum(sum(self._w[k] for k in ins), len(ins))
+        self._degree = td.grading.degree  # bound once: _wdvv_sum's inner loop
 
     # -- public evaluation ---------------------------------------------------
 
     def gw(self, insertions) -> Fraction:
         """The invariant at the degree forced by the insertions (else 0)."""
         ins = self._normalize(insertions)
-        d = self.forced(ins)
+        d = self.td.grading.forced(ins)
         if d is None:
             return ZERO
         return self._eval(ins, d)
@@ -173,7 +131,7 @@ class Reconstructor:
     def gw_at(self, insertions, d: int) -> Fraction:
         """The invariant at an explicit degree; 0 unless d is forced."""
         ins = self._normalize(insertions)
-        if d != self.forced(ins):
+        if d != self.td.grading.forced(ins):
             return ZERO
         return self._eval(ins, d)
 
@@ -201,35 +159,34 @@ class Reconstructor:
         max_n: Optional[int] = None,
         max_d: Optional[int] = None,
         include_divisor: bool = False,
-        include_fundamental: bool = False,
     ) -> Iterator[tuple[InsertionKey, Fraction]]:
         """All nonzero invariants with more than three insertions.
 
-        Without the include flags only twisted non-divisor insertions
-        (exponents 1..b-1) are considered; the support is then finite
-        and fully enumerated even with no caps.  Allowing divisor or
-        identity insertions makes the search space infinite, so both
-        ``max_n`` and ``max_d`` become mandatory.
+        Only non-identity insertions are considered: by the identity
+        axiom every invariant with n >= 4 and an identity insertion is
+        0.  Without ``include_divisor`` only the twisted classes
+        (exponents 1..b-1) are used; the support is then finite and
+        fully enumerated even with no caps.  Allowing divisor insertions
+        makes the search space infinite, so both ``max_n`` and ``max_d``
+        become mandatory.
         """
         td = self.td
         b = td.power_basis
         if b is None:
             raise ValueError(f"{td.id} has no power basis to enumerate over")
-        include = include_divisor or include_fundamental
-        if include and (max_n is None or max_d is None):
+        if include_divisor and (max_n is None or max_d is None):
             raise ValueError(
-                "max_n and max_d are required when divisor or identity "
-                "insertions are included"
+                "max_n and max_d are required when divisor insertions are included"
             )
-        lo = 0 if include_fundamental else 1
         hi = b if include_divisor else b - 1
-        if hi < lo:
+        if hi < 1:
             return
+        grading = td.grading
         d = 0
         while True:
             if max_d is not None and d > max_d:
                 return
-            if include:
+            if include_divisor:
                 n_cap = max_n
             else:
                 n_cap = 2 * b - d * (b + 1)
@@ -238,8 +195,10 @@ class Reconstructor:
                 if max_n is not None:
                     n_cap = min(n_cap, max_n)
             for n in range(4, n_cap + 1):
-                total = d * (b + 1) + b * (n - 2)
-                for key in _bounded_multisets(n, lo, hi, total):
+                # On a power basis weights[k] == k, so this is the
+                # exponent sum the degree axiom forces.
+                total = grading.c1 * d + grading.dim + grading.scale * (n - 3)
+                for key in _bounded_multisets(n, 1, hi, total):
                     value = self._eval(key, d)
                     if value:
                         yield InsertionKey(td.id, d, key), value
@@ -257,7 +216,7 @@ class Reconstructor:
         """
         for d, insertions, value in entries:
             ins = self._normalize(insertions)
-            if self.forced(ins) != d:
+            if self.td.grading.forced(ins) != d:
                 raise ValueError(
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
@@ -282,7 +241,7 @@ class Reconstructor:
         """The memo contents as sorted ``(d, insertions, value)`` triples."""
         out = []
         for ins, value in self.cache.items():
-            d = self.forced(ins)
+            d = self.td.grading.forced(ins)
             assert d is not None  # only forced keys are ever stored
             out.append((d, ins, value))
         out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
@@ -376,7 +335,8 @@ class Reconstructor:
         evaluated.  ``skip_full`` omits the A = deltas split, which is
         the term the pivot reduction solves for.
         """
-        w = self._w
+        w = self.td.grading.weights
+        degree = self._degree
         total = ZERO
         m = len(deltas)
         full = (1 << m) - 1
@@ -392,10 +352,10 @@ class Reconstructor:
             nl = 3 + len(left_extra)
             nr = 3 + len(right_extra)
             for i, j, g in self._pairs:
-                d1 = self._forced_wsum(lw + w[i], nl)
+                d1 = degree(lw + w[i], nl)
                 if d1 is None or d1 > beta3:
                     continue
-                if self._forced_wsum(rw + w[j], nr) != beta3 - d1:
+                if degree(rw + w[j], nr) != beta3 - d1:
                     continue
                 left = self._eval(tuple(sorted((x1, x2, *left_extra, i))), d1)
                 if not left:

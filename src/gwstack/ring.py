@@ -22,10 +22,11 @@ appears anywhere in this package.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
@@ -51,13 +52,49 @@ class DivisorStep:
     coeff: Fraction
 
 
+@dataclass(frozen=True, slots=True)
+class Grading:
+    """The degree axiom of one target in integer arithmetic.
+
+    A nonzero n-point invariant at degree d has insertion degrees with
+    sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3).  With ``scale`` clearing
+    every denominator, ``weights[k]`` is orbdeg_k * scale / 2, ``c1``
+    and ``dim`` are the scaled c1 degree and dimension, and the axiom
+    reads sum(weights) = c1 d + dim + scale (n - 3).
+    """
+
+    weights: tuple[int, ...]
+    scale: int
+    c1: int
+    dim: int
+
+    def degree(self, wsum: int, n: int) -> Optional[int]:
+        """The degree forced on n insertions of total weight ``wsum``.
+
+        ``None`` when no nonnegative integer degree satisfies the axiom.
+        """
+        d, r = divmod(wsum - self.dim - self.scale * (n - 3), self.c1)
+        if r or d < 0:
+            return None
+        return d
+
+    def forced(self, insertions) -> Optional[int]:
+        """The unique curve degree allowed for these insertions, if any."""
+        ins = tuple(insertions)
+        if len(ins) < 2:
+            raise ValueError("at least two insertions are required")
+        return self.degree(sum(self.weights[k] for k in ins), len(ins))
+
+
 @dataclass(frozen=True, eq=False)
 class TargetData:
     """Finite description of one target geometry.
 
     Instances are immutable by convention (the mapping fields are never
-    mutated after construction) and compare by identity, which lets the
-    module-level caches key on the object itself.
+    mutated after construction) and compare by identity, since the
+    mapping fields are not hashable.  The data derived from the fields
+    (``grading``, ``pairing_inverse``, ``products``) is computed on
+    first use and kept on the instance.
 
     ``power_basis`` is set to b for targets whose basis class k is the
     k-th power of a single degree-lowest generator subject to the
@@ -83,6 +120,51 @@ class TargetData:
     def basis_size(self) -> int:
         return len(self.orbdeg)
 
+    @cached_property
+    def grading(self) -> Grading:
+        """The degree axiom in integer form."""
+        scale = 1
+        for f in self.orbdeg:
+            scale = lcm(scale, (f / 2).denominator)
+        scale = lcm(scale, self.c1_degree.denominator, self.dim.denominator)
+        return Grading(
+            weights=tuple(int(f * scale / 2) for f in self.orbdeg),
+            scale=scale,
+            c1=int(self.c1_degree * scale),
+            dim=int(self.dim * scale),
+        )
+
+    @cached_property
+    def pairing_inverse(self) -> Matrix:
+        """Inverse of the intersection pairing."""
+        return _invert(self.pairing)
+
+    @cached_property
+    def products(self) -> tuple:
+        """Basis product table by pairing contraction.
+
+        ``products[i][j]`` holds the nonzero terms of a_i * a_j as
+        ``(q_degree, basis_index, coeff)`` triples sorted by degree,
+        then index, computed from the 3-point constants alone:
+        a_i * a_j = sum_d q^d sum_{k,l} <a_i, a_j, a_k>_d g^{kl} a_l.
+        One pass over the stored constants: each entry contributes to
+        the product of every ordered pair it contains, through the
+        nonzero entries of one row of the inverse pairing.
+        """
+        ginv_rows = [[(l, g) for l, g in enumerate(row) if g] for row in self.pairing_inverse]
+        size = self.basis_size
+        terms = [[{} for _ in range(size)] for _ in range(size)]
+        for key, val in self.base3.items():
+            d = key[3]
+            for i, j, k in set(permutations(key[:3])):
+                acc = terms[i][j]
+                for l, g in ginv_rows[k]:
+                    acc[d, l] = acc.get((d, l), ZERO) + val * g
+        return tuple(
+            tuple(tuple((d, l, c) for (d, l), c in sorted(acc.items()) if c) for acc in row)
+            for row in terms
+        )
+
 
 @dataclass(frozen=True)
 class QRingElem:
@@ -101,38 +183,12 @@ class QRingElem:
         )
 
     @staticmethod
-    def zero(size: int) -> "QRingElem":
-        return QRingElem(((),) * size)
-
-    @staticmethod
     def basis(size: int, index: int) -> "QRingElem":
         if not 0 <= index < size:
             raise ValueError(f"basis index {index} out of range for size {size}")
         rows = [()] * size
         rows[index] = (ONE,)
         return QRingElem(tuple(rows))
-
-    def is_zero(self) -> bool:
-        return all(not p for p in self.coeffs)
-
-    def __add__(self, other: "QRingElem") -> "QRingElem":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("basis-size mismatch")
-        return QRingElem(
-            tuple(_poly_add(p, q) for p, q in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "QRingElem") -> "QRingElem":
-        return self + other.scale(-ONE)
-
-    def scale(self, c) -> "QRingElem":
-        c = Fraction(c)
-        return QRingElem(tuple(_poly_scale(p, c) for p in self.coeffs))
-
-    def at(self, lam) -> tuple[Fraction, ...]:
-        """Evaluate q := lam, returning a plain coefficient vector."""
-        lam = Fraction(lam)
-        return tuple(_poly_eval(p, lam) for p in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -208,13 +264,6 @@ def _poly_mul(p, q):
         for j, bb in enumerate(q):
             out[i + j] += a * bb
     return _poly_trim(out)
-
-
-def _poly_eval(p, lam: Fraction) -> Fraction:
-    acc = ZERO
-    for a in reversed(p):
-        acc = acc * lam + a
-    return acc
 
 
 # -- target constructors -----------------------------------------------------
@@ -333,14 +382,7 @@ def build_p2() -> TargetData:
     return td
 
 
-# -- pairing inversion and the basis product table ---------------------------
-
-_INVERSE_CACHE: "weakref.WeakKeyDictionary[TargetData, Matrix]" = (
-    weakref.WeakKeyDictionary()
-)
-_PRODUCT_CACHE: "weakref.WeakKeyDictionary[TargetData, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
+# -- pairing inversion and structure constants -------------------------------
 
 
 def _invert(matrix: Matrix) -> Matrix:
@@ -363,15 +405,6 @@ def _invert(matrix: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def pairing_inverse(td: TargetData) -> Matrix:
-    """Inverse of the intersection pairing, cached per target."""
-    cached = _INVERSE_CACHE.get(td)
-    if cached is None:
-        cached = _invert(td.pairing)
-        _INVERSE_CACHE[td] = cached
-    return cached
-
-
 def three_point(td: TargetData, i: int, j: int, k: int, d: int) -> Fraction:
     """Structure constant <a_i, a_j, a_k>_d; zero when absent."""
     if d < 0:
@@ -392,48 +425,6 @@ def two_point(td: TargetData, i: int, j: int, d: int) -> Fraction:
     return td.base2.get(key, ZERO)
 
 
-def basis_product_via_pairing(
-    td: TargetData, i: int, j: int
-) -> tuple[tuple[int, int, Fraction], ...]:
-    """Product of basis classes i and j by pairing contraction.
-
-    Returns the nonzero terms as ``(q_degree, basis_index, coeff)``
-    triples sorted by degree, then index, computed from the 3-point
-    constants alone:
-    a_i * a_j = sum_d q^d sum_{k,l} <a_i, a_j, a_k>_d g^{kl} a_l.
-    """
-    if not (0 <= i < td.basis_size and 0 <= j < td.basis_size):
-        raise ValueError(f"basis index out of range for {td.id}: {(i, j)}")
-    return _basis_products(td)[i][j]
-
-
-def _basis_products(td: TargetData):
-    """Full basis product table by pairing contraction, cached per target.
-
-    One pass over the stored 3-point constants: each entry contributes
-    to the product of every ordered pair it contains, through the
-    nonzero entries of one row of the inverse pairing.
-    """
-    cached = _PRODUCT_CACHE.get(td)
-    if cached is not None:
-        return cached
-    ginv_rows = [[(l, g) for l, g in enumerate(row) if g] for row in pairing_inverse(td)]
-    size = td.basis_size
-    terms = [[{} for _ in range(size)] for _ in range(size)]
-    for key, val in td.base3.items():
-        d = key[3]
-        for i, j, k in set(permutations(key[:3])):
-            acc = terms[i][j]
-            for l, g in ginv_rows[k]:
-                acc[d, l] = acc.get((d, l), ZERO) + val * g
-    table = tuple(
-        tuple(tuple((d, l, c) for (d, l), c in sorted(acc.items()) if c) for acc in row)
-        for row in terms
-    )
-    _PRODUCT_CACHE[td] = table
-    return table
-
-
 def basis_element(td: TargetData, index: int) -> QRingElem:
     return QRingElem.basis(td.basis_size, index)
 
@@ -443,7 +434,7 @@ def qmul(td: TargetData, u: QRingElem, v: QRingElem) -> QRingElem:
     size = td.basis_size
     if len(u.coeffs) != size or len(v.coeffs) != size:
         raise ValueError("basis-size mismatch")
-    table = _basis_products(td)
+    table = td.products
     acc: list[tuple[Fraction, ...]] = [()] * size
     for r, pr in enumerate(u.coeffs):
         if not pr:
@@ -463,7 +454,7 @@ def qmul(td: TargetData, u: QRingElem, v: QRingElem) -> QRingElem:
 def specialize(td: TargetData, lam) -> SpecializedRing:
     """The ring with q set to ``lam`` (0 gives orbifold cohomology)."""
     lam = Fraction(lam)
-    table = _basis_products(td)
+    table = td.products
     size = td.basis_size
     mult = []
     for i in range(size):
@@ -543,30 +534,27 @@ def validate_target(td: TargetData) -> None:
         for j in range(size):
             if td.pairing[i][j] != td.pairing[j][i]:
                 raise ValueError("pairing matrix is not symmetric")
-    pairing_inverse(td)  # raises if singular
+    td.pairing_inverse  # raises if singular
     for div in td.divisor_indices:
         if div == fund or not 0 <= div < size:
             raise ValueError(f"bad divisor index {div}")
         if div not in td.divisor_degree or td.divisor_degree[div] <= 0:
             raise ValueError(f"divisor {div} needs a positive degree")
 
-    # Degree homogeneity: a nonzero n-point constant at degree d forces
-    # sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3).
+    # Degree homogeneity: every stored constant sits at its forced degree.
     for (i, j, k, d), val in td.base3.items():
         if not val:
             raise ValueError("zero entries must be omitted from base3")
         if d < 0 or not (0 <= i <= j <= k < size):
             raise ValueError(f"bad base3 key {(i, j, k, d)}")
-        total = td.orbdeg[i] + td.orbdeg[j] + td.orbdeg[k]
-        if total != 2 * d * td.c1_degree + 2 * td.dim:
+        if td.grading.forced((i, j, k)) != d:
             raise ValueError(f"base3 entry {(i, j, k, d)} violates the degree axiom")
     for (i, j, d), val in td.base2.items():
         if not val:
             raise ValueError("zero entries must be omitted from base2")
         if d < 1 or not (0 <= i <= j < size):
             raise ValueError(f"bad base2 key {(i, j, d)}")
-        total = td.orbdeg[i] + td.orbdeg[j]
-        if total != 2 * d * td.c1_degree + 2 * td.dim - 2:
+        if td.grading.forced((i, j)) != d:
             raise ValueError(f"base2 entry {(i, j, d)} violates the degree axiom")
 
     # The identity pairs classes at degree 0 and does nothing else.
@@ -583,14 +571,14 @@ def validate_target(td: TargetData) -> None:
     for div in td.divisor_indices:
         weight = td.divisor_degree[div]
         for (i, j, k, d), val in td.base3.items():
-            if d < 1:
+            if d < 1 or div not in (i, j, k):
                 continue
-            for rest in _drop_one((i, j, k), div):
-                expected = d * weight * td.base2.get(rest + (d,), ZERO)
-                if val != expected:
-                    raise ValueError(
-                        f"base3 entry {(i, j, k, d)} disagrees with the divisor axiom"
-                    )
+            rest = [i, j, k]
+            rest.remove(div)
+            if val != d * weight * td.base2.get((*rest, d), ZERO):
+                raise ValueError(
+                    f"base3 entry {(i, j, k, d)} disagrees with the divisor axiom"
+                )
         for (i, j, d), val in td.base2.items():
             key = tuple(sorted((i, j, div))) + (d,)
             if td.base3.get(key, ZERO) != d * weight * val:
@@ -599,7 +587,7 @@ def validate_target(td: TargetData) -> None:
                 )
 
     # Factorization coverage and the single-term property.
-    table = _basis_products(td)
+    table = td.products
     for t in range(size):
         if t == fund or t in td.divisor_indices:
             continue
@@ -619,15 +607,3 @@ def validate_target(td: TargetData) -> None:
                 f"{(step.shift, t, step.coeff)}: {got}"
             )
 
-
-def _drop_one(values: tuple[int, ...], item: int):
-    """Yield the tuple with one occurrence of ``item`` removed, if present."""
-    out = []
-    seen = False
-    for v in values:
-        if v == item and not seen:
-            seen = True
-            continue
-        out.append(v)
-    if seen:
-        yield tuple(sorted(out))

@@ -109,20 +109,14 @@ class TestTable:
         assert len(rows) == 2
 
     def test_include_flags_demand_caps_and_jsonl(self, run):
-        assert run("table", "--b", "2", "--include-divisor")[0] == 2
-        assert (
-            run(
-                "table",
-                "--b",
-                "2",
-                "--include-divisor",
-                "--max-n",
-                "4",
-                "--max-d",
-                "1",
-            )[0]
-            == 2
-        )  # human format cannot render divisor insertions
+        for argv in (
+            "table --b 2 --include-divisor",
+            # the human format cannot render divisor insertions
+            "table --b 2 --include-divisor --max-n 4 --max-d 1",
+            # identity insertions add no nonzero row, so there is no flag
+            "table --b 2 --include-fundamental --max-n 4 --max-d 1 --format jsonl",
+        ):
+            assert run(*argv.split())[0] == 2, argv
 
     def test_empty_table_for_b1(self, run):
         assert run("table", "--b", "1") == (0, "", "")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwstack import (
+    Grading,
     InsertionKey,
     Reconstructor,
     build_p1b,
@@ -14,9 +15,9 @@ from gwstack import (
     closed_4pt_deg0,
     closed_4pt_deg1,
     e_cut,
-    forced_degree,
 )
 from gwstack.engine import _bounded_multisets
+from reference import forced_degree
 
 F = Fraction
 
@@ -44,23 +45,30 @@ class TestMemoCache:
 class TestForcedDegree:
     def test_examples(self):
         td5 = build_p1b(5)
-        assert forced_degree(td5, (4, 4, 4, 4)) == 1
-        assert forced_degree(td5, (4,) * 10) == 0
-        assert forced_degree(td5, (2, 4)) == 1
-        assert forced_degree(td5, (1, 1)) is None
-        assert forced_degree(build_p2(), (2,) * 5) == 2
-        assert forced_degree(build_p1b(3), (0, 0)) == 0
+        assert td5.grading == Grading(weights=(0, 1, 2, 3, 4, 5), scale=5, c1=6, dim=5)
+        assert td5.grading.forced((4, 4, 4, 4)) == 1
+        assert td5.grading.forced((4,) * 10) == 0
+        assert td5.grading.forced((2, 4)) == 1
+        assert td5.grading.forced((1, 1)) is None
+        p2 = build_p2()
+        assert p2.grading == Grading(weights=(0, 1, 2), scale=1, c1=3, dim=2)
+        assert p2.grading.forced((2,) * 5) == 2
+        assert build_p1b(3).grading.forced((0, 0)) == 0
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            forced_degree(build_p1b(3), (1,))
+            build_p1b(3).grading.forced((1,))
 
     @settings(max_examples=200)
-    @given(st.integers(1, 8), st.lists(st.integers(0, 8), min_size=2, max_size=9))
+    @given(
+        st.one_of(st.none(), st.integers(1, 8)),
+        st.lists(st.integers(0, 8), min_size=2, max_size=9),
+    )
     def test_integer_path_matches_rational_path(self, b, raw):
-        td = build_p1b(b)
-        ins = tuple(k % (b + 1) for k in raw)
-        assert Reconstructor(td).forced(ins) == forced_degree(td, ins)
+        # b = None draws P^2, whose basis is not a power basis.
+        td = build_p2() if b is None else build_p1b(b)
+        ins = tuple(k % td.basis_size for k in raw)
+        assert td.grading.forced(ins) == forced_degree(td, ins)
 
 
 class TestClosedForms:
@@ -267,14 +275,6 @@ class TestEnumerate:
             InsertionKey("P(1,2)", 0, (1, 1, 1, 1)): F(-1, 4),
             InsertionKey("P(1,2)", 1, (1, 2, 2, 2)): F(1, 8),
         }
-
-    def test_include_fundamental_adds_nothing_nonzero(self, engines):
-        rows = dict(
-            engines.p1b(2).enumerate_nonzero(
-                max_n=5, max_d=1, include_fundamental=True
-            )
-        )
-        assert rows == {InsertionKey("P(1,2)", 0, (1, 1, 1, 1)): F(-1, 4)}
 
     def test_needs_power_basis(self, engines):
         with pytest.raises(ValueError, match="power basis"):

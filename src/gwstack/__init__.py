@@ -37,8 +37,6 @@ from .ring import (
     qmul,
     qreduce,
     specialize,
-    three_point,
-    two_point,
     validate_target,
 )
 
@@ -70,8 +68,6 @@ __all__ = [
     "qmul",
     "qreduce",
     "specialize",
-    "three_point",
-    "two_point",
     "validate_target",
     "verify",
     "__version__",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .ring import TargetData, ZERO, three_point, two_point
+from .ring import TargetData, ZERO
 
 _DONOR_POLICIES = ("next_largest", "smallest")
 
@@ -221,9 +221,9 @@ class Reconstructor:
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
             if len(ins) == 2:
-                known = two_point(self.td, ins[0], ins[1], d) if d else None
+                known = self.td.base2.get(ins + (d,), ZERO) if d else None
             elif len(ins) == 3:
-                known = three_point(self.td, *ins, d)
+                known = self.td.base3.get(ins + (d,), ZERO)
             else:
                 old = self.cache.setdefault(ins, value)
                 if old != value:
@@ -271,9 +271,9 @@ class Reconstructor:
                 raise ValueError(
                     "the 2-point invariant at degree 0 is degenerate"
                 )
-            return two_point(self.td, ins[0], ins[1], d)
+            return self.td.base2.get(ins + (d,), ZERO)
         if n == 3:
-            return three_point(self.td, ins[0], ins[1], ins[2], d)
+            return self.td.base3.get(ins + (d,), ZERO)
         value = self.cache.get(ins)
         if value is None:
             value = self._reduce(ins, d)

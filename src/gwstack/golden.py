@@ -21,7 +21,7 @@ from typing import Optional
 
 from .engine import InsertionKey, Reconstructor
 from .records import RecordError, iter_record_lines, parse_rational
-from .ring import build_p1b
+from .ring import TargetData, build_p1b
 
 _DATA_NAME = "p1b_tables.dat"
 _DATA_SHA256 = "0ba2a34964544be2e83518459645a57a3af16b4bd4533e2ddb4379af45b1433c"
@@ -76,7 +76,8 @@ class GoldenRow:
         return f"N_{self.d}({','.join(str(k) for k in self.mults)})"
 
 
-def _parse_row(payload: str) -> GoldenRow:
+def _parse_row(payload: str, targets: dict[int, TargetData]) -> GoldenRow:
+    """Parse one row; ``targets`` keeps the P(1,b) that checks its degree."""
     fields = payload.split()
     if len(fields) != 4:
         raise RecordError(f"expected 4 fields, got {len(fields)}")
@@ -95,8 +96,10 @@ def _parse_row(payload: str) -> GoldenRow:
     row = GoldenRow(b, d, mults, value)
     if row.n <= 3:
         raise RecordError(f"row {row.label()} has too few insertions")
-    weighted = sum(i * k for i, k in enumerate(mults, start=1))
-    if weighted != d * (b + 1) + b * (row.n - 2):
+    td = targets.get(b)
+    if td is None:
+        td = targets[b] = build_p1b(b)
+    if td.grading.forced(row.insertions()) != d:
         raise RecordError(f"row {row.label()} violates the degree axiom")
     return row
 
@@ -112,9 +115,10 @@ def _load_tables() -> dict[int, tuple[GoldenRow, ...]]:
         )
     grouped: dict[int, list[GoldenRow]] = {}
     seen = set()
+    targets: dict[int, TargetData] = {}
     for lineno, payload in iter_record_lines(blob.decode("ascii")):
         try:
-            row = _parse_row(payload)
+            row = _parse_row(payload, targets)
         except (RecordError, ValueError) as exc:
             raise RecordError(f"{_DATA_NAME}:{lineno}: {exc}") from None
         if (row.b, row.mults) in seen:

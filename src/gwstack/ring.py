@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -178,17 +178,12 @@ class QRingElem:
     coeffs: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", tuple(_poly_trim(p) for p in self.coeffs)
-        )
-
-    @staticmethod
-    def basis(size: int, index: int) -> "QRingElem":
-        if not 0 <= index < size:
-            raise ValueError(f"basis index {index} out of range for size {size}")
-        rows = [()] * size
-        rows[index] = (ONE,)
-        return QRingElem(tuple(rows))
+        trimmed = []
+        for p in map(list, self.coeffs):
+            while p and not p[-1]:
+                p.pop()
+            trimmed.append(tuple(p))
+        object.__setattr__(self, "coeffs", tuple(trimmed))
 
 
 @dataclass(frozen=True)
@@ -203,67 +198,6 @@ class SpecializedRing:
 
     lam: Fraction
     mult_table: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    @property
-    def basis_size(self) -> int:
-        return len(self.mult_table)
-
-    def mult(
-        self, u: Sequence[Fraction], v: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        m = self.basis_size
-        if len(u) != m or len(v) != m:
-            raise ValueError("basis-size mismatch")
-        out = [ZERO] * m
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                for l, t in enumerate(self.mult_table[i][j]):
-                    if t:
-                        out[l] += c * t
-        return tuple(out)
-
-
-# -- polynomial helpers (dense, ascending powers of q) ----------------------
-
-
-def _poly_trim(p: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = list(p)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return _poly_trim(
-        [
-            (p[k] if k < len(p) else ZERO) + (q[k] if k < len(q) else ZERO)
-            for k in range(n)
-        ]
-    )
-
-
-def _poly_scale(p, c: Fraction):
-    if not c:
-        return ()
-    return tuple(c * a for a in p)
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, bb in enumerate(q):
-            out[i + j] += a * bb
-    return _poly_trim(out)
 
 
 # -- target constructors -----------------------------------------------------
@@ -405,50 +339,42 @@ def _invert(matrix: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def three_point(td: TargetData, i: int, j: int, k: int, d: int) -> Fraction:
-    """Structure constant <a_i, a_j, a_k>_d; zero when absent."""
-    if d < 0:
-        return ZERO
-    key = tuple(sorted((i, j, k))) + (d,)
-    return td.base3.get(key, ZERO)
-
-
-def two_point(td: TargetData, i: int, j: int, d: int) -> Fraction:
-    """Structure constant <a_i, a_j>_d for d >= 1; zero when absent.
-
-    Degree zero is rejected: the 2-point bracket at degree 0 is the
-    (unstable) pairing and never enters the recursion through here.
-    """
-    if d < 1:
-        raise ValueError(f"2-point constants require d >= 1, got {d}")
-    key = tuple(sorted((i, j))) + (d,)
-    return td.base2.get(key, ZERO)
-
-
 def basis_element(td: TargetData, index: int) -> QRingElem:
-    return QRingElem.basis(td.basis_size, index)
+    size = td.basis_size
+    if not 0 <= index < size:
+        raise ValueError(f"basis index {index} out of range for size {size}")
+    rows = [()] * size
+    rows[index] = (ONE,)
+    return QRingElem(tuple(rows))
 
 
 def qmul(td: TargetData, u: QRingElem, v: QRingElem) -> QRingElem:
-    """Product in the small quantum ring over Q[q]."""
+    """Product in the small quantum ring over Q[q].
+
+    Each term c q^dq a_l of a_r * a_s adds q^dq c u_r v_s to a_l's list.
+    """
     size = td.basis_size
     if len(u.coeffs) != size or len(v.coeffs) != size:
         raise ValueError("basis-size mismatch")
     table = td.products
-    acc: list[tuple[Fraction, ...]] = [()] * size
+    acc: list[list[Fraction]] = [[] for _ in range(size)]
     for r, pr in enumerate(u.coeffs):
         if not pr:
             continue
         for s, ps in enumerate(v.coeffs):
             if not ps:
                 continue
-            conv = _poly_mul(pr, ps)
             for dq, l, c in table[r][s]:
-                term = _poly_scale(conv, c)
-                if dq:
-                    term = (ZERO,) * dq + term
-                acc[l] = _poly_add(acc[l], term)
-    return QRingElem(tuple(acc))
+                out = acc[l]
+                short = dq + len(pr) + len(ps) - 1 - len(out)
+                if short > 0:
+                    out.extend([ZERO] * short)
+                for e, a in enumerate(pr, dq):
+                    if a:
+                        ca = c * a
+                        for f, bb in enumerate(ps, e):
+                            out[f] += ca * bb
+    return QRingElem(tuple(map(tuple, acc)))
 
 
 def specialize(td: TargetData, lam) -> SpecializedRing:
@@ -475,12 +401,21 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
     divisor classes, over exact rationals, and reports whether it fills
     the whole ring.
     """
-    ring = specialize(td, lam)
+    lam = Fraction(lam)
+    table = td.products
     size = td.basis_size
+
+    def times(vec: list[Fraction], div: int) -> list[Fraction]:
+        out = [ZERO] * size
+        for i, a in enumerate(vec):
+            if a:
+                for dq, l, c in table[i][div]:
+                    out[l] += a * c * lam**dq
+        return out
 
     rows: list[tuple[int, list[Fraction]]] = []  # (pivot column, unit-pivot row)
 
-    def add(vec: Sequence[Fraction]) -> bool:
+    def add(vec: list[Fraction]) -> bool:
         w = list(vec)
         for piv, row in rows:
             c = w[piv]
@@ -492,15 +427,15 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
                 return True
         return False
 
-    unit = lambda k: tuple(ONE if i == k else ZERO for i in range(size))
-    start = unit(td.fundamental_index)
+    start = [ZERO] * size
+    start[td.fundamental_index] = ONE
     add(start)
     frontier = [start]
     while frontier and len(rows) < size:
         fresh = []
         for vec in frontier:
             for div in td.divisor_indices:
-                prod = ring.mult(vec, unit(div))
+                prod = times(vec, div)
                 if add(prod):
                     fresh.append(prod)
         frontier = fresh

@@ -21,6 +21,17 @@ def run(capsys):
     return invoke
 
 
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail the test if any target gets built."""
+
+    def refuse(b):
+        raise AssertionError(f"built P(1,{b})")
+
+    monkeypatch.setattr(cli, "build_p1b", refuse)
+    cli._target_for.cache_clear()
+
+
 class TestCompute:
     def test_forced_degree(self, run):
         code, out, err = run("compute", "--b", "3", "--insertions", "1,1,2,2")
@@ -52,6 +63,18 @@ class TestCompute:
         assert run("compute", "--b", "3", "--insertions", "1,x")[0] == 2
         assert run("compute", "--b", "3", "--insertions", "1,1", "--degree=-1")[0] == 2
         assert run("compute", "--b", "3", "--insertions", "0,0")[0] == 2  # degenerate
+
+    def test_oversized_order_fails_before_building(self, run, no_build):
+        too_big = str(cli._MAX_ORDER + 1)
+        for argv in (
+            ("compute", "--b", "100000", "--insertions", "1,1"),
+            ("compute", "--b", too_big, "--insertions", "1,1"),
+            ("table", "--b", too_big),
+            ("ring", "--b", too_big, "--lambda", "1"),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, ""), argv
+            assert f"--b must lie in [1, {cli._MAX_ORDER}]" in err
 
 
 class TestTable:
@@ -230,6 +253,17 @@ class TestCache:
         assert code == 3
         assert "lowest terms" in err
         assert "memo.rec:1" in err
+
+    def test_rejects_oversized_order_before_building(self, run, tmp_path, no_build):
+        path = tmp_path / "memo.rec"
+        for text, line in (
+            ("100000 1 1,100000 1/100000\n", 1),
+            ("3 0 1,1,2,2 -1/9\n100000 1 1,100000 1/100000\n", 2),
+        ):
+            path.write_text(text)
+            code, out, err = run("cache", "--path", str(path))
+            assert (code, out) == (3, "")
+            assert f"memo.rec:{line}: b must be at most {cli._MAX_ORDER}" in err
 
     def test_rejects_wrong_degree(self, run, tmp_path):
         path = tmp_path / "memo.rec"

@@ -87,14 +87,15 @@ class TestDataFileGuards:
             "1 0 2 1/2",  # b below 2
             "3 0 2,2,1 -1/9",  # wrong vector length
             "3 0 2,2 0",  # zero value
-            "3 0 2,1 -1/9",  # degree axiom violated
+            "3 0 2,1 -1/9",  # three insertions, off its degree too
+            "3 1 2,2 -1/9",  # degree axiom violated
             "3 1 1,1 1/27",  # too few insertions
             "3 0 2,2 -2/18",  # not lowest terms
         ],
     )
     def test_bad_rows_rejected(self, payload):
         with pytest.raises((RecordError, ValueError)):
-            _parse_row(payload)
+            _parse_row(payload, {})
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gwstack import (
     DivisorStep,
     QRingElem,
+    Reconstructor,
     TargetData,
     basis_element,
     build_p1b,
@@ -17,8 +18,6 @@ from gwstack import (
     qmul,
     qreduce,
     specialize,
-    three_point,
-    two_point,
     validate_target,
 )
 
@@ -67,17 +66,17 @@ class TestBuildP1b:
 
     def test_structure_constants(self):
         td = build_p1b(3)
-        assert three_point(td, 1, 1, 1, 0) == F(1, 3)
-        assert three_point(td, 2, 2, 3, 1) == F(1, 9)
-        assert three_point(td, 3, 2, 2, 1) == F(1, 9)  # order-insensitive
-        assert three_point(td, 1, 1, 1, 1) == 0
-        assert three_point(td, 1, 1, 2, 0) == 0
-        assert two_point(build_p1b(5), 2, 4, 1) == F(1, 5)
-        assert two_point(build_p1b(5), 2, 3, 1) == 0
-
-    def test_two_point_rejects_degree_zero(self):
-        with pytest.raises(ValueError):
-            two_point(build_p1b(3), 1, 2, 0)
+        assert td.base3 == {
+            (0, 0, 3, 0): F(1, 3),
+            (0, 1, 2, 0): F(1, 3),
+            (1, 1, 1, 0): F(1, 3),
+            (1, 3, 3, 1): F(1, 9),
+            (2, 2, 3, 1): F(1, 9),
+        }
+        assert td.base2 == {(1, 3, 1): F(1, 3), (2, 2, 1): F(1, 3)}
+        assert Reconstructor(td).gw((3, 2, 2)) == F(1, 9)  # order-insensitive
+        assert build_p1b(5).base2[(2, 4, 1)] == F(1, 5)
+        assert (2, 3, 1) not in build_p1b(5).base2
 
     def test_factorizations(self):
         td = build_p1b(4)
@@ -90,8 +89,8 @@ class TestBuildP1b:
         td = build_p1b(1)
         assert td.basis_size == 2
         assert td.pairing[0][1] == 1
-        assert three_point(td, 1, 1, 1, 1) == 1
-        assert two_point(td, 1, 1, 1) == 1
+        assert td.base3[(1, 1, 1, 1)] == 1
+        assert td.base2[(1, 1, 1)] == 1
         assert td.divisor_factorization == {}
 
     def test_rejects_nonpositive_order(self):
@@ -109,8 +108,8 @@ class TestBuildP2:
         assert td.divisor_indices == (1,)
         assert td.divisor_degree[1] == 1
         assert td.power_basis is None
-        assert three_point(td, 1, 2, 2, 1) == 1
-        assert two_point(td, 2, 2, 1) == 1
+        assert td.base3[(1, 2, 2, 1)] == 1
+        assert td.base2[(2, 2, 1)] == 1
         assert td.divisor_factorization[2] == DivisorStep(1, 1, 0, F(1))
 
 
@@ -210,6 +209,25 @@ class TestQRingElem:
     def test_normalization(self):
         assert QRingElem(((F(1), F(0)), ())) == QRingElem(((F(1),), ()))
 
+    def test_basis_element(self):
+        td = build_p1b(2)
+        assert basis_element(td, 1) == QRingElem(((), (F(1),), ()))
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                basis_element(td, bad)
+
+
+def _target(b):
+    return build_p2() if b is None else build_p1b(b)
+
+
+@st.composite
+def _ring_elements(draw, size, count):
+    """Elements whose coefficients are q-polynomials, zeros included."""
+    coeff = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4))
+    polys = st.lists(coeff, max_size=4).map(tuple)
+    return [QRingElem(tuple(draw(polys) for _ in range(size))) for _ in range(count)]
+
 
 class TestQMul:
     def test_p12_examples(self):
@@ -247,7 +265,7 @@ class TestQMul:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="basis-size"):
-            qmul(build_p1b(2), QRingElem.basis(3, 0), QRingElem.basis(4, 0))
+            qmul(build_p1b(2), basis_element(build_p1b(2), 0), basis_element(build_p1b(3), 0))
 
     @pytest.mark.parametrize("b", range(1, 13))
     def test_power_route_matches_pairing_route(self, b):
@@ -269,6 +287,29 @@ class TestQMul:
                 for w in elems:
                     assert qmul(td, qmul(td, u, v), w) == qmul(td, u, qmul(td, v, w))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 4, 5, None]), st.data())
+    def test_ring_laws_on_polynomial_coefficients(self, b, data):
+        td = _target(b)
+        u, v, w = data.draw(_ring_elements(td.basis_size, 3))
+        one = basis_element(td, td.fundamental_index)
+        assert qmul(td, one, u) == u == qmul(td, u, one)
+        assert qmul(td, u, v) == qmul(td, v, u)
+        assert qmul(td, qmul(td, u, v), w) == qmul(td, u, qmul(td, v, w))
+
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_divisor_powers_match_closed_form(self, b):
+        # x^k = a^(kb) = (q/b)^s a^r with kb = s(b+1) + r.
+        td = build_p1b(b)
+        x = basis_element(td, b)
+        power = x
+        for k in range(1, b + 2):
+            s, r = divmod(k * b, b + 1)
+            coeffs = [()] * (b + 1)
+            coeffs[r] = (F(0),) * s + (F(1, b**s),)
+            assert power == QRingElem(tuple(coeffs)), k
+            power = qmul(td, power, x)
+
 
 class TestSpecialize:
     def test_p2_at_one(self):
@@ -280,18 +321,6 @@ class TestSpecialize:
         ring = specialize(build_p1b(3), 0)
         assert ring.mult_table[1][2] == (0, 0, 0, F(1))  # a^1 a^2 = x
         assert ring.mult_table[2][3] == (0, 0, 0, 0)  # a^2 x = 0 at q = 0
-
-    def test_mult_is_bilinear_lookup(self):
-        ring = specialize(build_p1b(2), F(2))
-        u = (F(0), F(1), F(1))  # a^1 + x
-        v = (F(0), F(0), F(1))  # x
-        # (a^1 + x) * x = (q/2) 1 + (q/2) a^1 at q = 2
-        assert ring.mult(u, v) == (F(1), F(1), F(0))
-
-    def test_size_mismatch(self):
-        ring = specialize(build_p1b(2), 1)
-        with pytest.raises(ValueError):
-            ring.mult((F(1),), (F(1), F(0), F(0)))
 
     @settings(max_examples=40)
     @given(
@@ -305,12 +334,12 @@ class TestSpecialize:
         td = build_p1b(b)
         size = td.basis_size
         i, j, k = i % size, j % size, k % size
-        ring = specialize(td, lam)
-        unit = lambda t: tuple(F(1) if s == t else F(0) for s in range(size))
-        left = ring.mult(ring.mult(unit(i), unit(j)), unit(k))
-        right = ring.mult(unit(i), ring.mult(unit(j), unit(k)))
+        table = specialize(td, lam).mult_table
+        # (a_i a_j) a_k and a_i (a_j a_k), expanded through the table rows.
+        left = tuple(sum(table[i][j][l] * table[l][k][m] for l in range(size)) for m in range(size))
+        right = tuple(sum(table[j][k][l] * table[i][l][m] for l in range(size)) for m in range(size))
         assert left == right
-        assert ring.mult(unit(i), unit(j)) == ring.mult(unit(j), unit(i))
+        assert table[i][j] == table[j][i]
 
 
 class TestDivisorGeneration:

@@ -43,6 +43,12 @@ EXIT_FILE = 3
 # 0.7-1.2 s at b = 200 and about 4 s at b = 400.
 _MAX_ORDER = 100
 
+# Largest b whose full twisted support `table` enumerates when --max-n is
+# not given, checked before any target is built.  On one Xeon core the
+# full support takes about 1.4 s at b = 12 and 16 s at b = 16, and the
+# cost roughly doubles per step of b.
+_MAX_TABLE_ORDER = 16
+
 
 @lru_cache(maxsize=None)
 def _target_for(b: int) -> TargetData:
@@ -79,7 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="tabulate all nonzero invariants with more than 3 insertions"
     )
     table.add_argument("--b", type=int, required=True, help=f"target order, 1 <= b <= {_MAX_ORDER}")
-    table.add_argument("--max-n", type=int, default=None, help="cap on insertion count")
+    table.add_argument(
+        "--max-n",
+        type=int,
+        default=None,
+        help=f"cap on insertion count (required for b > {_MAX_TABLE_ORDER})",
+    )
     table.add_argument("--max-d", type=int, default=None, help="cap on curve degree")
     table.add_argument(
         "--include-divisor",
@@ -269,6 +280,11 @@ def _cmd_table(args) -> int:
                 "divisor insertions have no multiplicity-vector rendering; "
                 "use --format jsonl"
             )
+    if args.max_n is None and b > _MAX_TABLE_ORDER:
+        args.parser.error(
+            f"the full support is tabulated for b <= {_MAX_TABLE_ORDER} only, "
+            f"got {b}; give --max-n to cap the insertion count"
+        )
     rec = Reconstructor(_target_for(b))
     path = _cache_path(args)
     loaded = _preload_cache(rec, path)

@@ -18,12 +18,24 @@ Degrees are never searched: an n-point invariant vanishes unless the
 insertion degrees force sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3) for a
 nonnegative integer d, and that unique d travels with each key.  The
 memo is keyed on the sorted insertion tuple alone.
+
+A WDVV side splits the remaining insertions between its two factors.
+Insertions repeat (P^2's N_d has 3d - 1 copies of the point class), so
+the splits are walked as multisets: a count a_k of the m_k copies of
+each class goes left, and the term is weighted by prod C(m_k, a_k),
+which gives prod (m_k + 1) splits instead of 2^m subsets.  The nonzero
+inverse-pairing entries (i, j) are bucketed by the weight of i modulo
+the scaled c1, so each split visits only the entries whose left factor
+has an integer degree.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 from typing import Iterable, Iterator, Optional
 
 from .ring import TargetData, ZERO
@@ -108,15 +120,19 @@ class Reconstructor:
         self.td = td
         self.donor_policy = donor_policy
         self.cache: dict[tuple[int, ...], Fraction] = {}
+        grading = td.grading
         ginv = td.pairing_inverse
         size = td.basis_size
-        self._pairs = tuple(
-            (i, j, ginv[i][j])
-            for i in range(size)
-            for j in range(size)
-            if ginv[i][j]
-        )
-        self._degree = td.grading.degree  # bound once: _wdvv_sum's inner loop
+        # Nonzero inverse-pairing entries (i, j, g), bucketed by
+        # weights[i] mod c1: a left factor has an integer degree only
+        # for the i of one bucket.
+        self._buckets: dict[int, list[tuple[int, int, Fraction]]] = {}
+        for i in range(size):
+            for j in range(size):
+                if ginv[i][j]:
+                    residue = grading.weights[i] % grading.c1
+                    self._buckets.setdefault(residue, []).append((i, j, ginv[i][j]))
+        self._degree = grading.degree  # bound once: _wdvv_sum's inner loop
 
     # -- public evaluation ---------------------------------------------------
 
@@ -287,13 +303,30 @@ class Reconstructor:
         td = self.td
         if td.fundamental_index in ins:
             return ZERO
-        for div in td.divisor_indices:
-            if div in ins:
-                rest = list(ins)
-                rest.remove(div)
-                if d == 0:
-                    return ZERO
-                return d * td.divisor_degree[div] * self._eval(tuple(rest), d)
+        # Divisor axiom, one divisor per pass of a loop rather than per
+        # recursion level, so a long run of divisors costs no stack.  The
+        # strip stops at three insertions or at a memoized key; every key
+        # passed on the way is then memoized, innermost first.
+        stripped = []
+        key = ins
+        while True:
+            div = next((v for v in td.divisor_indices if v in key), None)
+            if div is None:
+                break
+            if d == 0:
+                return ZERO
+            stripped.append((key, d * td.divisor_degree[div]))
+            rest = list(key)
+            rest.remove(div)
+            key = tuple(rest)
+            if len(key) == 3 or key in self.cache:
+                break
+        if stripped:
+            value = self._eval(key, d)
+            for outer, factor in reversed(stripped):
+                value = factor * value
+                self.cache[outer] = value
+            return value
         ranked = sorted(ins, key=self._rank, reverse=True)
         pivot = ranked[0]
         step = td.divisor_factorization[pivot]
@@ -329,29 +362,50 @@ class Reconstructor:
         y1, y2), contracted through the inverse pairing, over all
         degree splits d1 + d2 = beta3.
 
+        Splits that differ only in which copy of a repeated insertion
+        goes left give the same term, so the walk is over multisets:
+        with m_k copies of class k in ``deltas``, a split is a count
+        vector a (0 <= a_k <= m_k copies of k on the left), and its term
+        carries the weight prod C(m_k, a_k), the number of subsets of
+        ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
+        than 2^m.
+
         Each factor vanishes unless its degree is the forced one, so
-        at most one degree split survives per (A, i, j); the integer
-        filters reject everything else before any invariant is
-        evaluated.  ``skip_full`` omits the A = deltas split, which is
-        the term the pivot reduction solves for.
+        at most one degree split survives per (A, i, j).  Per split only
+        the inverse-pairing bucket whose ``i`` gives the left factor an
+        integer degree is visited; the remaining integer filters reject
+        everything else before any invariant is evaluated.
+        ``skip_full`` omits the split a = m (A = deltas), which is the
+        term the pivot reduction solves for.
         """
-        w = self.td.grading.weights
+        grading = self.td.grading
+        w = grading.weights
         degree = self._degree
-        total = ZERO
-        m = len(deltas)
-        full = (1 << m) - 1
+        counts = Counter(deltas)
+        kinds = tuple(counts)
+        mults = tuple(counts.values())
         base_left = w[x1] + w[x2]
-        base_right = w[y1] + w[y2]
-        for bits in range(full + 1):
-            if skip_full and bits == full:
+        base_right = w[y1] + w[y2] + sum(w[k] for k in deltas)
+        total = ZERO
+        for split in product(*(range(mk + 1) for mk in mults)):
+            if skip_full and split == mults:
                 continue
-            left_extra = [deltas[p] for p in range(m) if bits >> p & 1]
-            right_extra = [deltas[p] for p in range(m) if not bits >> p & 1]
-            lw = base_left + sum(w[k] for k in left_extra)
-            rw = base_right + sum(w[k] for k in right_extra)
+            multiplicity = prod(map(comb, mults, split))
+            left_extra = [k for k, ak in zip(kinds, split) for _ in range(ak)]
+            right_extra = [
+                k for k, mk, ak in zip(kinds, mults, split) for _ in range(mk - ak)
+            ]
+            left_weight = sum(w[k] for k in left_extra)
+            lw = base_left + left_weight
+            rw = base_right - left_weight
             nl = 3 + len(left_extra)
             nr = 3 + len(right_extra)
-            for i, j, g in self._pairs:
+            # Only w[i] == dim + scale (nl - 3) - lw (mod c1) gives the
+            # left factor an integer degree.
+            bucket = self._buckets.get(
+                (grading.dim + grading.scale * (nl - 3) - lw) % grading.c1, ()
+            )
+            for i, j, g in bucket:
                 d1 = degree(lw + w[i], nl)
                 if d1 is None or d1 > beta3:
                     continue
@@ -365,7 +419,7 @@ class Reconstructor:
                 )
                 if not right:
                     continue
-                total += g * left * right
+                total += multiplicity * g * left * right
         return total
 
 

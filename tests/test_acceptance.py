@@ -235,16 +235,16 @@ def _rational_curve_counts(max_d: int) -> dict[int, int]:
 
 def test_criterion_7_plane_curve_counts(engines):
     t0 = time.monotonic()
-    oracle = _rational_curve_counts(6)
-    assert oracle == {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304, 6: 26312976}
+    oracle = _rational_curve_counts(25)
+    assert [oracle[d] for d in range(1, 7)] == [1, 1, 12, 620, 87304, 26312976]
     rec = engines.p2()
     for d, count in oracle.items():
         assert rec.gw((2,) * (3 * d - 1)) == count
     elapsed = time.monotonic() - t0
     assert elapsed < 10, f"plane-curve check took {elapsed:.1f}s"
     print(
-        f"criterion 7 PASS: degrees 1..6 count {tuple(oracle.values())} "
-        f"rational curves in {elapsed:.2f}s"
+        f"criterion 7 PASS: the counts N_1..N_25 of rational plane curves "
+        f"match Kontsevich's recursion in {elapsed:.2f}s"
     )
 
 

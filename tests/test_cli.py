@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-from gwstack import cli
+from gwstack import cli, closed_4pt_deg0, closed_4pt_deg1
+from gwstack.golden import mults_from_insertions
 
 
 @pytest.fixture
@@ -140,6 +142,40 @@ class TestTable:
             "table --b 2 --include-fundamental --max-n 4 --max-d 1 --format jsonl",
         ):
             assert run(*argv.split())[0] == 2, argv
+
+    def test_full_support_cap_fails_before_building(self, run, no_build):
+        too_big = str(cli._MAX_TABLE_ORDER + 1)
+        for argv in (
+            ("table", "--b", too_big),
+            ("table", "--b", too_big, "--max-d", "1", "--format", "tsv"),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (2, ""), argv
+            assert f"b <= {cli._MAX_TABLE_ORDER} only" in err
+
+    def test_max_n_lifts_full_support_cap(self, run):
+        b = cli._MAX_TABLE_ORDER + 1
+        code, out, _ = run("table", "--b", str(b), "--max-n", "4", "--format", "tsv")
+        assert code == 0
+        # Four twisted exponents sum to 2b at degree 0 and to 3b + 1 at
+        # degree 1; both have closed forms, and no higher degree fits.
+        expected = []
+        for ks in itertools.combinations_with_replacement(range(1, b), 4):
+            if sum(ks) == 2 * b:
+                d, value = 0, closed_4pt_deg0(b, *ks)
+            elif sum(ks) == 3 * b + 1:
+                d, value = 1, closed_4pt_deg1(b, *ks)
+            else:
+                continue
+            if value:
+                mults = ",".join(map(str, mults_from_insertions(b, ks)))
+                expected.append(f"{d}\t{mults}\t{value}")
+        assert sorted(out.splitlines()) == sorted(expected)
+
+    def test_full_support_at_b12(self, run):
+        code, out, _ = run("table", "--b", "12", "--format", "tsv")
+        assert code == 0
+        assert len(out.splitlines()) == 1331
 
     def test_empty_table_for_b1(self, run):
         assert run("table", "--b", "1") == (0, "", "")

@@ -17,7 +17,7 @@ from gwstack import (
     e_cut,
 )
 from gwstack.engine import _bounded_multisets
-from reference import forced_degree
+from reference import forced_degree, wdvv_side
 
 F = Fraction
 
@@ -120,6 +120,20 @@ class TestGw:
         rec = engines.p1b(5)
         assert rec.gw(key + (5,)) == F(1, 5) * rec.gw(key)
 
+    def test_long_divisor_runs(self):
+        # Each divisor x of P(1,2) comes out as d deg(x) = 1/2 at d = 1,
+        # down to the 3-point constant <a^1, x, x>_1.  3000 divisors are
+        # far past the interpreter's recursion limit; the second call
+        # stops stripping at the first call's memoized key.
+        td = build_p1b(2)
+        rec = Reconstructor(td)
+        base = td.base3[(1, 2, 2, 1)]
+        for n in (600, 3000):
+            assert rec.gw((1,) + (2,) * n) == F(1, 2) ** (n - 2) * base
+        assert len(rec.cache) == 3000 - 2
+        for ins, value in rec.cache.items():
+            assert value == F(1, 2) ** (len(ins) - 3) * base
+
     def test_identity_insertion_kills(self, engines):
         assert engines.p1b(3).gw((0, 1, 1, 2)) == 0
         assert engines.p1b(5).gw((0, 4, 4, 4, 4)) == 0
@@ -199,12 +213,42 @@ class TestWdvvResidual:
             rec.wdvv_residual(1, 1, 9, 1, (), 0)
 
 
+class TestWdvvSum:
+    @pytest.mark.parametrize("b", [2, 3, 4, 5, 6, None], ids=lambda b: b or "P2")
+    def test_matches_subset_walk(self, engines, b):
+        # Few distinct classes among up to eight deltas, so most of the
+        # 2^m subsets collapse onto one multiset split.  Both sides can
+        # be nonzero only at the total degree beta3 with
+        # sum(weights) = c1 beta3 + dim + scale m, so draws without an
+        # integer beta3 are skipped.
+        rec = engines.p2() if b is None else engines.p1b(b)
+        td = rec.td
+        w = td.grading.weights
+        rng = random.Random(20261018 + (b or 0))
+        checked = nonzero = 0
+        while checked < 12:
+            fixed = [rng.randrange(1, td.basis_size) for _ in range(4)]
+            pool = [rng.randrange(1, td.basis_size) for _ in range(2)]
+            deltas = tuple(rng.choice(pool) for _ in range(rng.randint(3, 8)))
+            beta3 = td.grading.degree(sum(w[k] for k in fixed + list(deltas)), len(deltas) + 3)
+            if beta3 is None:
+                continue
+            checked += 1
+            for skip_full in (False, True):
+                value = rec._wdvv_sum(*fixed, deltas, beta3, skip_full=skip_full)
+                assert value == wdvv_side(rec, *fixed, deltas, beta3, skip_full), (
+                    fixed, deltas, beta3, skip_full
+                )
+                nonzero += value != 0
+        assert nonzero >= 6
+
+
 class TestDonorPolicy:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             Reconstructor(build_p1b(3), donor_policy="widest")
 
-    @pytest.mark.parametrize("b", [2, 3, 4])
+    @pytest.mark.parametrize("b", range(2, 11))
     def test_policies_agree(self, b):
         td = build_p1b(b)
         default = Reconstructor(td)

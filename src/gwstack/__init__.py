@@ -8,13 +8,7 @@ the projective plane, where it reproduces the classical counts of
 rational plane curves.
 """
 
-from .engine import (
-    InsertionKey,
-    Reconstructor,
-    closed_4pt_deg0,
-    closed_4pt_deg1,
-    e_cut,
-)
+from .engine import InsertionKey, Reconstructor
 from .golden import (
     GoldenRow,
     VerifyReport,
@@ -35,7 +29,6 @@ from .ring import (
     build_p2,
     divisor_generation_check,
     qmul,
-    qreduce,
     specialize,
     validate_target,
 )
@@ -57,16 +50,12 @@ __all__ = [
     "basis_element",
     "build_p1b",
     "build_p2",
-    "closed_4pt_deg0",
-    "closed_4pt_deg1",
     "divisor_generation_check",
-    "e_cut",
     "golden_rows",
     "insertions_from_mults",
     "mults_from_insertions",
     "parse_rational",
     "qmul",
-    "qreduce",
     "specialize",
     "validate_target",
     "verify",

@@ -49,6 +49,11 @@ _MAX_ORDER = 100
 # cost roughly doubles per step of b.
 _MAX_TABLE_ORDER = 16
 
+# Longest --lambda text passed to Fraction().  Fraction() also parses
+# exponent notation, and "1e10000000" costs it about 10 s, so exponents
+# are rejected as well; both checks come before Fraction() is called.
+_MAX_LAMBDA_LENGTH = 100
+
 
 @lru_cache(maxsize=None)
 def _target_for(b: int) -> TargetData:
@@ -193,6 +198,12 @@ def _parse_insertions(args, b: int) -> tuple[int, ...]:
 
 
 def _parse_lambda(args) -> Fraction:
+    if len(args.lam) > _MAX_LAMBDA_LENGTH:
+        args.parser.error(
+            f"--lambda must be at most {_MAX_LAMBDA_LENGTH} characters, got {len(args.lam)}"
+        )
+    if "e" in args.lam.lower():
+        args.parser.error(f"--lambda takes no exponent notation, got {args.lam!r}")
     try:
         return Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
@@ -269,6 +280,9 @@ def _cmd_compute(args) -> int:
 
 def _cmd_table(args) -> int:
     b = _check_order(args)
+    for flag, cap in (("--max-n", args.max_n), ("--max-d", args.max_d)):
+        if cap is not None and cap < 0:
+            args.parser.error(f"{flag} must be nonnegative, got {cap}")
     if args.include_divisor:
         if args.max_n is None or args.max_d is None:
             args.parser.error(

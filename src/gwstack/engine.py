@@ -63,47 +63,6 @@ class InsertionKey:
         return len(self.insertions)
 
 
-def e_cut(b: int, l: int) -> int:
-    """1 when a twisted pair of exponent sum l pairs below the relation cutoff."""
-    if b < 1:
-        raise ValueError(f"b must be positive, got {b}")
-    if l < 0:
-        raise ValueError(f"exponent sum must be nonnegative, got {l}")
-    return 0 if l > b else 1
-
-
-def closed_4pt_deg0(b: int, k1: int, k2: int, k3: int, k4: int) -> Fraction:
-    """Closed form for degree-0 4-point invariants of P(1,b).
-
-    Requires 1 <= k_i <= b - 1 and k1 + k2 + k3 + k4 = 2b.  The sum
-    runs over the six unordered index pairs.
-    """
-    ks = (k1, k2, k3, k4)
-    if any(k < 1 or k > b - 1 for k in ks):
-        raise ValueError(f"exponents must lie in [1, {b - 1}]: {ks}")
-    if sum(ks) != 2 * b:
-        raise ValueError(f"exponents must sum to {2 * b}: {ks}")
-    acc = 0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            l = ks[i] + ks[j]
-            acc += (b - l) * e_cut(b, l)
-    return Fraction(acc - b, 2 * b * b)
-
-
-def closed_4pt_deg1(b: int, k1: int, k2: int, k3: int, k4: int) -> Fraction:
-    """Closed form for degree-1 4-point invariants of P(1,b): 1/b^3.
-
-    Requires 1 <= k_i <= b and k1 + k2 + k3 + k4 = 3b + 1.
-    """
-    ks = (k1, k2, k3, k4)
-    if any(k < 1 or k > b for k in ks):
-        raise ValueError(f"exponents must lie in [1, {b}]: {ks}")
-    if sum(ks) != 3 * b + 1:
-        raise ValueError(f"exponents must sum to {3 * b + 1}: {ks}")
-    return Fraction(1, b**3)
-
-
 class Reconstructor:
     """Evaluates genus-zero invariants of one target, memoized.
 

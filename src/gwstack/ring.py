@@ -2,9 +2,11 @@
 
 A target geometry enters this package as a :class:`TargetData`: a graded
 basis of (orbifold) cohomology classes, the intersection pairing, the
-2- and 3-point genus-zero structure constants at each curve degree, and
-one divisor factorization per basis class that is neither the identity
-nor a divisor.  Two constructors are built in,
+divisor classes with their degrees, and the 2- and 3-point genus-zero
+structure constants at each curve degree.  Everything else is derived
+from these, including the divisor factorization of each basis class
+that is neither the identity nor a divisor, which the reconstruction
+engine pivots on.  Two constructors are built in,
 
 * :func:`build_p1b` -- the weighted projective line P(1,b), whose
   orbifold cohomology has basis 1, a, a^2, ..., a^(b-1), x where a
@@ -39,11 +41,11 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 class DivisorStep:
     """A single-term divisor factorization of one basis class.
 
-    Records that <a_partner, a_divisor, *>_shift = coeff * a_target as a
-    class-valued 2-point bracket, i.e. pairing the left side against the
-    full basis and contracting with the inverse pairing returns exactly
-    one term.  The reconstruction engine pivots on these records, so the
-    single-term property is checked at construction time.
+    Records that a_partner * a_divisor = coeff q^shift a_target in the
+    small quantum ring, i.e. the product table entry
+    ``products[partner][divisor]`` is the single term
+    ``(shift, target, coeff)``.  The reconstruction engine pivots on
+    these records; :attr:`TargetData.divisor_factorization` finds them.
     """
 
     partner: int
@@ -93,8 +95,10 @@ class TargetData:
     Instances are immutable by convention (the mapping fields are never
     mutated after construction) and compare by identity, since the
     mapping fields are not hashable.  The data derived from the fields
-    (``grading``, ``pairing_inverse``, ``products``) is computed on
-    first use and kept on the instance.
+    (``divisor_indices``, ``grading``, ``pairing_inverse``, ``products``,
+    ``divisor_factorization``) is computed on first use and kept on the
+    instance.  ``divisor_degree`` maps each divisor class to its degree;
+    its keys, in order, are ``divisor_indices``.
 
     ``power_basis`` is set to b for targets whose basis class k is the
     k-th power of a single degree-lowest generator subject to the
@@ -107,18 +111,20 @@ class TargetData:
     dim: Fraction
     c1_degree: Fraction
     fundamental_index: int
-    divisor_indices: tuple[int, ...]
     divisor_degree: Mapping[int, Fraction]
     pairing: Matrix
     base3: Mapping[tuple[int, int, int, int], Fraction]
     base2: Mapping[tuple[int, int, int], Fraction]
-    divisor_factorization: Mapping[int, DivisorStep]
     basis_names: tuple[str, ...]
     power_basis: Optional[int] = None
 
     @property
     def basis_size(self) -> int:
         return len(self.orbdeg)
+
+    @cached_property
+    def divisor_indices(self) -> tuple[int, ...]:
+        return tuple(self.divisor_degree)
 
     @cached_property
     def grading(self) -> Grading:
@@ -165,6 +171,37 @@ class TargetData:
             for row in terms
         )
 
+    @cached_property
+    def divisor_factorization(self) -> dict[int, DivisorStep]:
+        """The divisor factorization of each class that is neither the
+        identity nor a divisor.
+
+        Class t gets the first (divisor, partner) pair, divisors in
+        ``divisor_indices`` order and partners by index, whose product
+        ``products[partner][divisor]`` is a single term on t.  A class
+        with no such pair means the divisors do not generate the ring
+        in this way, and the First Reconstruction Theorem's hypothesis
+        fails; ``ValueError`` names the class.
+        """
+        steps: dict[int, DivisorStep] = {}
+        for div in self.divisor_indices:
+            for partner, terms in enumerate(self.products):
+                if len(terms[div]) == 1:
+                    shift, t, coeff = terms[div][0]
+                    steps.setdefault(t, DivisorStep(partner, div, shift, coeff))
+        out = {}
+        for t in range(self.basis_size):
+            if t == self.fundamental_index or t in self.divisor_degree:
+                continue
+            if t not in steps:
+                raise ValueError(
+                    f"basis class {t} is not a single-term product of a divisor "
+                    f"and a basis class, so the divisors do not generate the "
+                    f"ring; see divisor_generation_check"
+                )
+            out[t] = steps[t]
+        return out
+
 
 @dataclass(frozen=True)
 class QRingElem:
@@ -203,19 +240,6 @@ class SpecializedRing:
 # -- target constructors -----------------------------------------------------
 
 
-def qreduce(b: int, k: int) -> tuple[int, int]:
-    """Reduce a generator power: a^k = (q/b)^s a^r with k = s(b+1) + r.
-
-    Returns ``(s, r)`` with 0 <= r <= b.  This is the normal form of the
-    relation b a^(b+1) = q in Q[q][a].
-    """
-    if b < 1:
-        raise ValueError(f"b must be positive, got {b}")
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    return divmod(k, b + 1)[0], k % (b + 1)
-
-
 def build_p1b(b: int) -> TargetData:
     """Target datum for the weighted projective line P(1,b).
 
@@ -229,7 +253,7 @@ def build_p1b(b: int) -> TargetData:
 
     and the pairing is eta(a^i, a^j) = 1/b when i + j = b.  Every
     twisted class a^t with 1 <= t <= b - 1 factors through the divisor:
-    <a^(t+1), x, *>_1 = (1/b) a^t.
+    a^(t+1) * x = (q/b) a^t.
     """
     if b < 1:
         raise ValueError(f"b must be positive, got {b}")
@@ -254,10 +278,6 @@ def build_p1b(b: int) -> TargetData:
         for j in range(i, size)
         if i + j == b + 1
     }
-    steps = {
-        t: DivisorStep(partner=t + 1, divisor=b, shift=1, coeff=inv_b)
-        for t in range(1, b)
-    }
     names = ("1",) + tuple(f"a^{k}" for k in range(1, b)) + ("x",)
     td = TargetData(
         id=f"P(1,{b})",
@@ -265,12 +285,10 @@ def build_p1b(b: int) -> TargetData:
         dim=Fraction(1),
         c1_degree=Fraction(b + 1, b),
         fundamental_index=0,
-        divisor_indices=(b,),
         divisor_degree={b: inv_b},
         pairing=pairing,
         base3=base3,
         base2=base2,
-        divisor_factorization=steps,
         basis_names=names,
         power_basis=b,
     )
@@ -284,7 +302,7 @@ def build_p2() -> TargetData:
     Basis 1, h, h^2 with h the hyperplane class; the only quantum
     corrections below the reconstruction threshold are
     <h^2, h^2, h>_1 = 1 and <h^2, h^2>_1 = 1 (one line through two
-    points), and h^2 factors as <h, h, *>_0 = h^2.
+    points), and h^2 factors as h * h = h^2.
     """
     orbdeg = (Fraction(0), Fraction(2), Fraction(4))
     pairing = tuple(
@@ -296,19 +314,16 @@ def build_p2() -> TargetData:
         (1, 2, 2, 1): ONE,
     }
     base2 = {(2, 2, 1): ONE}
-    steps = {2: DivisorStep(partner=1, divisor=1, shift=0, coeff=ONE)}
     td = TargetData(
         id="P2",
         orbdeg=orbdeg,
         dim=Fraction(2),
         c1_degree=Fraction(3),
         fundamental_index=0,
-        divisor_indices=(1,),
         divisor_degree={1: ONE},
         pairing=pairing,
         base3=base3,
         base2=base2,
-        divisor_factorization=steps,
         basis_names=("1", "h", "h^2"),
         power_basis=None,
     )
@@ -451,9 +466,9 @@ def validate_target(td: TargetData) -> None:
     Raises ``ValueError`` on the first violation.  Everything here is a
     structural axiom the reconstruction engine relies on: degree
     homogeneity of every stored constant, the identity acting through
-    the pairing, divisor constants matching the 2-point data, and each
-    divisor factorization reproducing exactly one basis class under
-    pairing contraction.
+    the pairing, divisor constants matching the 2-point data, and a
+    divisor factorization for every class that is neither the identity
+    nor a divisor (see :attr:`TargetData.divisor_factorization`).
     """
     size = td.basis_size
     fund = td.fundamental_index
@@ -473,7 +488,7 @@ def validate_target(td: TargetData) -> None:
     for div in td.divisor_indices:
         if div == fund or not 0 <= div < size:
             raise ValueError(f"bad divisor index {div}")
-        if div not in td.divisor_degree or td.divisor_degree[div] <= 0:
+        if td.divisor_degree[div] <= 0:
             raise ValueError(f"divisor {div} needs a positive degree")
 
     # Degree homogeneity: every stored constant sits at its forced degree.
@@ -521,24 +536,4 @@ def validate_target(td: TargetData) -> None:
                     f"base2 entry {(i, j, d)} disagrees with the divisor axiom"
                 )
 
-    # Factorization coverage and the single-term property.
-    table = td.products
-    for t in range(size):
-        if t == fund or t in td.divisor_indices:
-            continue
-        step = td.divisor_factorization.get(t)
-        if step is None:
-            raise ValueError(f"basis class {t} has no divisor factorization")
-        if (
-            step.divisor not in td.divisor_indices
-            or not 0 <= step.partner < size
-            or not step.coeff
-        ):
-            raise ValueError(f"bad factorization record for class {t}")
-        got = table[step.partner][step.divisor]
-        if got != ((step.shift, t, step.coeff),):
-            raise ValueError(
-                f"factorization of class {t} is not the single-term product "
-                f"{(step.shift, t, step.coeff)}: {got}"
-            )
-
+    td.divisor_factorization  # raises if a class has no divisor factorization

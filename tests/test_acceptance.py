@@ -18,17 +18,14 @@ from gwstack import (
     basis_element,
     build_p1b,
     build_p2,
-    closed_4pt_deg0,
-    closed_4pt_deg1,
     divisor_generation_check,
     golden_rows,
     qmul,
-    qreduce,
     specialize,
     verify,
 )
 from gwstack.golden import ROW_COUNTS
-from reference import forced_degree
+from reference import closed_4pt_deg0, closed_4pt_deg1, forced_degree, qreduce
 
 F = Fraction
 

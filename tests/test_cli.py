@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from gwstack import cli, closed_4pt_deg0, closed_4pt_deg1
+from gwstack import cli
 from gwstack.golden import mults_from_insertions
+from reference import closed_4pt_deg0, closed_4pt_deg1
 
 
 @pytest.fixture
@@ -140,6 +142,9 @@ class TestTable:
             "table --b 2 --include-divisor --max-n 4 --max-d 1",
             # identity insertions add no nonzero row, so there is no flag
             "table --b 2 --include-fundamental --max-n 4 --max-d 1 --format jsonl",
+            # negative caps printed an empty table with exit 0
+            "table --b 3 --max-n -1",
+            "table --b 3 --max-d -1",
         ):
             assert run(*argv.split())[0] == 2, argv
 
@@ -251,6 +256,14 @@ class TestRing:
     def test_malformed_lambda(self, run):
         assert run("ring", "--b", "2", "--lambda", "sqrt2")[0] == 2
         assert run("ring", "--b", "2", "--lambda", "1/0")[0] == 2
+        # Exponent notation and overlong text are refused before Fraction()
+        # is called; 1e5000 crashed with exit 1 while printing and
+        # 1e10000000 spent seconds inside Fraction().
+        assert run("ring", "--b", "2", "--lambda=1e5000")[0] == 2
+        assert run("ring", "--b", "2", "--lambda", "1" * 1000)[0] == 2
+        t0 = time.monotonic()
+        assert run("ring", "--b", "2", "--lambda=1e10000000")[0] == 2
+        assert time.monotonic() - t0 < 1
 
 
 class TestCache:

@@ -12,12 +12,9 @@ from gwstack import (
     Reconstructor,
     build_p1b,
     build_p2,
-    closed_4pt_deg0,
-    closed_4pt_deg1,
-    e_cut,
 )
 from gwstack.engine import _bounded_multisets
-from reference import forced_degree, wdvv_side
+from reference import closed_4pt_deg0, closed_4pt_deg1, e_cut, forced_degree, wdvv_side
 
 F = Fraction
 

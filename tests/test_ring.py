@@ -16,10 +16,10 @@ from gwstack import (
     build_p2,
     divisor_generation_check,
     qmul,
-    qreduce,
     specialize,
     validate_target,
 )
+from reference import qreduce
 
 F = Fraction
 
@@ -79,11 +79,14 @@ class TestBuildP1b:
         assert (2, 3, 1) not in build_p1b(5).base2
 
     def test_factorizations(self):
-        td = build_p1b(4)
-        assert set(td.divisor_factorization) == {1, 2, 3}
-        assert td.divisor_factorization[2] == DivisorStep(
-            partner=3, divisor=4, shift=1, coeff=F(1, 4)
-        )
+        # a^(t+1) * x = (q/b) a^t on P(1,b), and h * h = h^2 on P^2.
+        for b in range(1, 101):
+            td = build_p1b(b)
+            assert td.divisor_factorization == {
+                t: DivisorStep(partner=t + 1, divisor=b, shift=1, coeff=F(1, b))
+                for t in range(1, b)
+            }, b
+        assert build_p2().divisor_factorization == {2: DivisorStep(1, 1, 0, F(1))}
 
     def test_b1_degenerates_to_projective_line(self):
         td = build_p1b(1)
@@ -153,27 +156,17 @@ class TestValidateTarget:
             validate_target(broken)
 
     def test_catches_missing_factorization(self):
+        # The orbifold cohomology ring of P(1,3): at q = 0 no class a^t is
+        # a single-term product with x, so the divisor does not generate
+        # it, while the small quantum ring at q = 1 is generated.
         td = build_p1b(3)
-        steps = dict(td.divisor_factorization)
-        del steps[2]
-        broken = dataclasses.replace(td, divisor_factorization=steps)
-        with pytest.raises(ValueError, match="no divisor factorization"):
-            validate_target(broken)
-
-    def test_catches_multi_term_factorization(self):
-        td = build_p1b(3)
-        # The true record for a^2 is x * x = (q/3) a^2; each of these
-        # gets one field wrong.
-        for wrong in (
-            DivisorStep(partner=2, divisor=3, shift=1, coeff=F(1, 3)),
-            DivisorStep(partner=3, divisor=3, shift=0, coeff=F(1, 3)),
-            DivisorStep(partner=3, divisor=3, shift=1, coeff=F(1, 2)),
-        ):
-            steps = dict(td.divisor_factorization)
-            steps[2] = wrong
-            broken = dataclasses.replace(td, divisor_factorization=steps)
-            with pytest.raises(ValueError, match="single-term"):
-                validate_target(broken)
+        classical = dataclasses.replace(
+            td, base3={k: v for k, v in td.base3.items() if k[3] == 0}, base2={}
+        )
+        with pytest.raises(ValueError, match="class 1 .*divisor_generation_check"):
+            validate_target(classical)
+        assert divisor_generation_check(classical, 0) is False
+        assert divisor_generation_check(td, 1) is True
 
 
 class TestPairingInverse:

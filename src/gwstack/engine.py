@@ -17,13 +17,22 @@ which WDVV associativity is the only nontrivial step:
 Degrees are never searched: an n-point invariant vanishes unless the
 insertion degrees force sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3) for a
 nonnegative integer d, and that unique d travels with each key.  The
-memo is keyed on the sorted insertion tuple alone.
+memo is therefore keyed on the insertion multiset alone, packed into
+one int: class k's count sits in the FIELD-bit field at bit FIELD * k,
+so adding or removing an insertion is an integer add.  A key holds at
+most 2^FIELD - 1 insertions, which rules out carries between fields;
+longer inputs are rejected.  Sorted insertion tuples appear only where
+keys enter or leave: ``gw``/``gw_at``/``preload`` input, the pivot
+choice on a memo miss, ``enumerate_nonzero`` rows and ``snapshot()``.
 
 A WDVV side splits the remaining insertions between its two factors.
 Insertions repeat (P^2's N_d has 3d - 1 copies of the point class), so
 the splits are walked as multisets: a count a_k of the m_k copies of
 each class goes left, and the term is weighted by prod C(m_k, a_k),
-which gives prod (m_k + 1) splits instead of 2^m subsets.  The nonzero
+which gives prod (m_k + 1) splits instead of 2^m subsets.  Each
+split's packed key, weight sum, size and multiplicity are folded from
+per-class options once per side, so a factor's key is one integer add
+away from the split's.  The nonzero
 inverse-pairing entries (i, j) are bucketed by the weight of i modulo
 the scaled c1, so each split visits only the entries whose left factor
 has an integer degree.
@@ -34,13 +43,37 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, prod
+from itertools import chain
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .ring import TargetData, ZERO
 
 _DONOR_POLICIES = ("next_largest", "smallest")
+
+_FIELD = 16  # bits per class in a packed key
+_MASK = (1 << _FIELD) - 1
+_MAX_INSERTIONS = _MASK  # one field's largest count
+
+
+def _pack(insertions) -> int:
+    """The count vector of ``insertions`` as one int, class k's count in
+    bits [FIELD k, FIELD (k + 1))."""
+    code = 0
+    for k in insertions:
+        code += 1 << (_FIELD * k)
+    return code
+
+
+def _unpack(code: int) -> tuple[int, ...]:
+    """The sorted insertion tuple whose count vector ``code`` packs."""
+    out: list[int] = []
+    k = 0
+    while code:
+        out += [k] * (code & _MASK)
+        code >>= _FIELD
+        k += 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -71,6 +104,10 @@ class Reconstructor:
     second-largest orbifold degree, ``"smallest"`` the smallest one.
     Any valid policy yields the same values; running both is a useful
     consistency check.
+
+    ``cache`` is the memo of n >= 4 invariants, zeros included, keyed
+    by packed count vectors (see the module docstring); ``snapshot()``
+    gives its contents with sorted insertion tuples.
     """
 
     def __init__(self, td: TargetData, donor_policy: str = "next_largest") -> None:
@@ -78,10 +115,18 @@ class Reconstructor:
             raise ValueError(f"unknown donor policy {donor_policy!r}")
         self.td = td
         self.donor_policy = donor_policy
-        self.cache: dict[tuple[int, ...], Fraction] = {}
+        self.cache: dict[int, Fraction] = {}
         grading = td.grading
         ginv = td.pairing_inverse
         size = td.basis_size
+        self._unit = tuple(1 << (_FIELD * k) for k in range(size))
+        # The 2- and 3-point constants by packed key.  Only entries at
+        # their forced degree can ever be read, so the key omits d.
+        self._constants = {
+            _pack(key[:-1]): value
+            for key, value in chain(td.base3.items(), td.base2.items())
+            if grading.forced(key[:-1]) == key[-1]
+        }
         # Nonzero inverse-pairing entries (i, j, g), bucketed by
         # weights[i] mod c1: a left factor has an integer degree only
         # for the i of one bucket.
@@ -101,14 +146,14 @@ class Reconstructor:
         d = self.td.grading.forced(ins)
         if d is None:
             return ZERO
-        return self._eval(ins, d)
+        return self._eval(_pack(ins), len(ins), d)
 
     def gw_at(self, insertions, d: int) -> Fraction:
         """The invariant at an explicit degree; 0 unless d is forced."""
         ins = self._normalize(insertions)
         if d != self.td.grading.forced(ins):
             return ZERO
-        return self._eval(ins, d)
+        return self._eval(_pack(ins), len(ins), d)
 
     def wdvv_residual(
         self, g1: int, g2: int, g3: int, g4: int, deltas=(), beta3: int = 0
@@ -174,7 +219,7 @@ class Reconstructor:
                 # exponent sum the degree axiom forces.
                 total = grading.c1 * d + grading.dim + grading.scale * (n - 3)
                 for key in _bounded_multisets(n, 1, hi, total):
-                    value = self._eval(key, d)
+                    value = self._eval(_pack(key), n, d)
                     if value:
                         yield InsertionKey(td.id, d, key), value
             d += 1
@@ -195,12 +240,13 @@ class Reconstructor:
                 raise ValueError(
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
+            code = _pack(ins)
             if len(ins) == 2:
-                known = self.td.base2.get(ins + (d,), ZERO) if d else None
+                known = self._constants.get(code, ZERO) if d else None
             elif len(ins) == 3:
-                known = self.td.base3.get(ins + (d,), ZERO)
+                known = self._constants.get(code, ZERO)
             else:
-                old = self.cache.setdefault(ins, value)
+                old = self.cache.setdefault(code, value)
                 if old != value:
                     raise ValueError(
                         f"key {ins} already holds {old}, refusing to store {value}"
@@ -215,7 +261,8 @@ class Reconstructor:
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
         """The memo contents as sorted ``(d, insertions, value)`` triples."""
         out = []
-        for ins, value in self.cache.items():
+        for code, value in self.cache.items():
+            ins = _unpack(code)
             d = self.td.grading.forced(ins)
             assert d is not None  # only forced keys are ever stored
             out.append((d, ins, value))
@@ -232,6 +279,10 @@ class Reconstructor:
         return ins
 
     def _check_indices(self, indices) -> None:
+        if len(indices) > _MAX_INSERTIONS:
+            raise ValueError(
+                f"at most {_MAX_INSERTIONS} insertions are supported, got {len(indices)}"
+            )
         size = self.td.basis_size
         for k in indices:
             if not 0 <= k < size:
@@ -239,54 +290,50 @@ class Reconstructor:
                     f"basis index {k} out of range for {self.td.id}"
                 )
 
-    def _eval(self, ins: tuple[int, ...], d: int) -> Fraction:
-        n = len(ins)
-        if n == 2:
-            if d == 0:
-                raise ValueError(
-                    "the 2-point invariant at degree 0 is degenerate"
-                )
-            return self.td.base2.get(ins + (d,), ZERO)
-        if n == 3:
-            return self.td.base3.get(ins + (d,), ZERO)
-        value = self.cache.get(ins)
-        if value is None:
-            value = self._reduce(ins, d)
-            self.cache[ins] = value
-        return value
+    def _eval(self, code: int, n: int, d: int) -> Fraction:
+        if n > 3:
+            value = self.cache.get(code)
+            if value is None:
+                value = self._reduce(code, n, d)
+                self.cache[code] = value
+            return value
+        if n == 2 and d == 0:
+            raise ValueError("the 2-point invariant at degree 0 is degenerate")
+        return self._constants.get(code, ZERO)
 
     def _rank(self, k: int):
         return (self.td.orbdeg[k], k)
 
-    def _reduce(self, ins: tuple[int, ...], d: int) -> Fraction:
+    def _reduce(self, code: int, n: int, d: int) -> Fraction:
         td = self.td
-        if td.fundamental_index in ins:
+        if (code >> (_FIELD * td.fundamental_index)) & _MASK:
             return ZERO
         # Divisor axiom, one divisor per pass of a loop rather than per
         # recursion level, so a long run of divisors costs no stack.  The
         # strip stops at three insertions or at a memoized key; every key
         # passed on the way is then memoized, innermost first.
         stripped = []
-        key = ins
+        key = code
         while True:
-            div = next((v for v in td.divisor_indices if v in key), None)
+            div = next(
+                (v for v in td.divisor_indices if (key >> (_FIELD * v)) & _MASK), None
+            )
             if div is None:
                 break
             if d == 0:
                 return ZERO
             stripped.append((key, d * td.divisor_degree[div]))
-            rest = list(key)
-            rest.remove(div)
-            key = tuple(rest)
-            if len(key) == 3 or key in self.cache:
+            key -= self._unit[div]
+            n -= 1
+            if n == 3 or key in self.cache:
                 break
         if stripped:
-            value = self._eval(key, d)
+            value = self._eval(key, n, d)
             for outer, factor in reversed(stripped):
                 value = factor * value
                 self.cache[outer] = value
             return value
-        ranked = sorted(ins, key=self._rank, reverse=True)
+        ranked = sorted(_unpack(code), key=self._rank, reverse=True)
         pivot = ranked[0]
         step = td.divisor_factorization[pivot]
         rest = ranked[1:]
@@ -327,7 +374,10 @@ class Reconstructor:
         vector a (0 <= a_k <= m_k copies of k on the left), and its term
         carries the weight prod C(m_k, a_k), the number of subsets of
         ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
-        than 2^m.
+        than 2^m.  Each split's packed key, weight, size and multiplicity
+        are folded from the per-class options a_k = 0..m_k before the
+        walk, so a factor's key is the split's plus two fixed
+        insertions and one pairing index, an integer add.
 
         Each factor vanishes unless its degree is the forced one, so
         at most one degree split survives per (A, i, j).  Per split only
@@ -339,46 +389,58 @@ class Reconstructor:
         """
         grading = self.td.grading
         w = grading.weights
+        unit = self._unit
         degree = self._degree
-        counts = Counter(deltas)
-        kinds = tuple(counts)
-        mults = tuple(counts.values())
-        base_left = w[x1] + w[x2]
-        base_right = w[y1] + w[y2] + sum(w[k] for k in deltas)
-        total = ZERO
-        for split in product(*(range(mk + 1) for mk in mults)):
-            if skip_full and split == mults:
-                continue
-            multiplicity = prod(map(comb, mults, split))
-            left_extra = [k for k, ak in zip(kinds, split) for _ in range(ak)]
-            right_extra = [
-                k for k, mk, ak in zip(kinds, mults, split) for _ in range(mk - ak)
+        cache = self.cache
+        buckets = self._buckets
+        # (code, weight, size, multiplicity) of every split, in the order
+        # of itertools.product over the classes; the last one is a = m.
+        splits = [(0, 0, 0, 1)]
+        for k, mk in Counter(deltas).items():
+            options = [(a * unit[k], a * w[k], a, comb(mk, a)) for a in range(mk + 1)]
+            splits = [
+                (code + ocode, weight + oweight, size + osize, mult * omult)
+                for code, weight, size, mult in splits
+                for ocode, oweight, osize, omult in options
             ]
-            left_weight = sum(w[k] for k in left_extra)
-            lw = base_left + left_weight
-            rw = base_right - left_weight
-            nl = 3 + len(left_extra)
-            nr = 3 + len(right_extra)
+        full_code, full_weight, m, _ = splits[-1]
+        if skip_full:
+            splits.pop()
+        left_code = unit[x1] + unit[x2]
+        right_code = unit[y1] + unit[y2] + full_code
+        left_weight = w[x1] + w[x2]
+        right_weight = w[y1] + w[y2] + full_weight
+        total = ZERO
+        for code, weight, size, mult in splits:
+            lw = left_weight + weight
+            rw = right_weight - weight
+            nl = 3 + size
+            nr = 3 + m - size
+            lcode = left_code + code
+            rcode = right_code - code
             # Only w[i] == dim + scale (nl - 3) - lw (mod c1) gives the
             # left factor an integer degree.
-            bucket = self._buckets.get(
-                (grading.dim + grading.scale * (nl - 3) - lw) % grading.c1, ()
-            )
+            bucket = buckets.get((grading.dim + grading.scale * size - lw) % grading.c1, ())
             for i, j, g in bucket:
                 d1 = degree(lw + w[i], nl)
                 if d1 is None or d1 > beta3:
                     continue
-                if degree(rw + w[j], nr) != beta3 - d1:
+                d2 = beta3 - d1
+                if degree(rw + w[j], nr) != d2:
                     continue
-                left = self._eval(tuple(sorted((x1, x2, *left_extra, i))), d1)
+                key = lcode + unit[i]
+                left = cache.get(key)
+                if left is None:
+                    left = self._eval(key, nl, d1)
                 if not left:
                     continue
-                right = self._eval(
-                    tuple(sorted((y1, *right_extra, y2, j))), beta3 - d1
-                )
+                key = rcode + unit[j]
+                right = cache.get(key)
+                if right is None:
+                    right = self._eval(key, nr, d2)
                 if not right:
                     continue
-                total += multiplicity * g * left * right
+                total += mult * g * left * right
         return total
 
 

@@ -345,12 +345,18 @@ def _invert(matrix: Matrix) -> Matrix:
         if piv is None:
             raise ValueError("pairing matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [a / scale for a in aug[col]]
+        row = aug[col]
+        scale = row[col]
+        # Only the pivot row's nonzero entries are divided and eliminated.
+        nonzero = [(k, a / scale) for k, a in enumerate(row) if a]
+        for k, a in nonzero:
+            row[k] = a
         for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [a - c * p for a, p in zip(aug[r], aug[col])]
+            c = aug[r][col]
+            if r != col and c:
+                target = aug[r]
+                for k, a in nonzero:
+                    target[k] -= c * a
     return tuple(tuple(row[n:]) for row in aug)
 
 

@@ -142,9 +142,9 @@ def test_criterion_5_axioms_hold_on_touched_keys(engines):
     for rec in engines.all_engines():
         td = rec.td
         fund = td.fundamental_index
-        for ins, value in list(rec.cache.items()):
+        for stored_d, ins, value in rec.snapshot():
             d = td.grading.forced(ins)
-            assert d == forced_degree(td, ins)  # integer path == rational path
+            assert d == stored_d == forced_degree(td, ins)  # integer path == rational path
             keys += 1
             assert rec.gw(ins + (fund,)) == 0
             checks += 1

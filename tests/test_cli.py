@@ -11,6 +11,7 @@ import time
 import pytest
 
 from gwstack import cli
+from gwstack.engine import _FIELD
 from gwstack.golden import mults_from_insertions
 from reference import closed_4pt_deg0, closed_4pt_deg1
 
@@ -79,6 +80,12 @@ class TestCompute:
             code, out, err = run(*argv)
             assert (code, out) == (2, ""), argv
             assert f"--b must lie in [1, {cli._MAX_ORDER}]" in err
+
+    def test_oversized_insertion_count(self, run):
+        most = (1 << _FIELD) - 1
+        code, out, err = run("compute", "--b", "2", "--insertions", ",".join(["1"] * (most + 1)))
+        assert (code, out) == (2, "")
+        assert f"at most {most} insertions are supported, got {most + 1}" in err
 
 
 class TestTable:
@@ -313,6 +320,14 @@ class TestCache:
             code, out, err = run("cache", "--path", str(path))
             assert (code, out) == (3, "")
             assert f"memo.rec:{line}: b must be at most {cli._MAX_ORDER}" in err
+
+    def test_rejects_oversized_insertion_count(self, run, tmp_path):
+        most = (1 << _FIELD) - 1
+        path = tmp_path / "memo.rec"
+        path.write_text("3 0 1,1,2,2 -1/9\n2 0 " + ",".join(["1"] * (most + 1)) + " 1\n")
+        code, out, err = run("cache", "--path", str(path))
+        assert (code, out) == (3, "")
+        assert f"memo.rec:2: at most {most} insertions are supported" in err
 
     def test_rejects_wrong_degree(self, run, tmp_path):
         path = tmp_path / "memo.rec"

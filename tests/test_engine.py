@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from gwstack import (
     build_p1b,
     build_p2,
 )
-from gwstack.engine import _bounded_multisets
+from gwstack.engine import _FIELD, _bounded_multisets, _pack, _unpack
 from reference import closed_4pt_deg0, closed_4pt_deg1, e_cut, forced_degree, wdvv_side
 
 F = Fraction
@@ -36,7 +37,31 @@ class TestMemoCache:
     def test_zero_values_are_cached(self):
         rec = Reconstructor(build_p1b(3))
         assert rec.gw((0, 2, 2, 2)) == 0  # forced degree 0, killed by the identity
-        assert (0, 2, 2, 2) in rec.cache
+        assert (0, (0, 2, 2, 2), 0) in rec.snapshot()
+
+    def test_contents_are_pinned(self):
+        # The memo rows, zeros included, after the full support of
+        # P(1,2..10) and after N_1..N_25 of P^2 on one engine.
+        digest = hashlib.sha256()
+        rows = 0
+        engines = []
+        for b in range(2, 11):
+            rec = Reconstructor(build_p1b(b))
+            for _ in rec.enumerate_nonzero():
+                pass
+            engines.append((b, rec))
+        rec = Reconstructor(build_p2())
+        for d in range(1, 26):
+            rec.gw((2,) * (3 * d - 1))
+        engines.append(("P2", rec))
+        for label, rec in engines:
+            for d, ins, value in rec.snapshot():
+                digest.update(f"{label} {d} {','.join(map(str, ins))} {value}\n".encode())
+                rows += 1
+        assert rows == 3975
+        assert digest.hexdigest() == (
+            "d0b339d86428e1b1ee6e2a6ae420520ae0b0249e45cea1de5301d8046dafcd54"
+        )
 
 
 class TestForcedDegree:
@@ -128,7 +153,7 @@ class TestGw:
         for n in (600, 3000):
             assert rec.gw((1,) + (2,) * n) == F(1, 2) ** (n - 2) * base
         assert len(rec.cache) == 3000 - 2
-        for ins, value in rec.cache.items():
+        for _, ins, value in rec.snapshot():
             assert value == F(1, 2) ** (len(ins) - 3) * base
 
     def test_identity_insertion_kills(self, engines):
@@ -261,13 +286,15 @@ class _TracingReconstructor(Reconstructor):
         super().__init__(td, **kwargs)
         self._stack = []
 
-    def _reduce(self, ins, d):
+    def _reduce(self, code, n, d):
+        ins = _unpack(code)
+        assert n == len(ins)
         measure = (len(ins), self.td.power_basis - max(ins))
         if self._stack:
             assert measure < self._stack[-1], (measure, self._stack)
         self._stack.append(measure)
         try:
-            return super()._reduce(ins, d)
+            return super()._reduce(code, n, d)
         finally:
             self._stack.pop()
 
@@ -331,13 +358,13 @@ class TestPreload:
     def test_repeated_entry_is_idempotent(self):
         rec = Reconstructor(build_p1b(3))
         rec.preload([(0, (1, 1, 2, 2), F(-1, 9)), (0, (2, 1, 2, 1), F(-1, 9))])
-        assert rec.cache == {(1, 1, 2, 2): F(-1, 9)}
+        assert rec.snapshot() == [(0, (1, 1, 2, 2), F(-1, 9))]
 
     def test_conflicting_entries_raise(self):
         rec = Reconstructor(build_p1b(3))
         with pytest.raises(ValueError, match="refusing to store -1/8"):
             rec.preload([(0, (1, 1, 2, 2), F(-1, 9)), (0, (1, 1, 2, 2), F(-1, 8))])
-        assert rec.cache == {(1, 1, 2, 2): F(-1, 9)}
+        assert rec.snapshot() == [(0, (1, 1, 2, 2), F(-1, 9))]
 
     def test_degree_mismatch_rejected(self):
         rec = Reconstructor(build_p1b(3))
@@ -347,7 +374,7 @@ class TestPreload:
     def test_small_records_checked_against_constants(self):
         rec = Reconstructor(build_p1b(3))
         rec.preload([(0, (1, 1, 1), F(1, 3))])  # consistent, not stored
-        assert (1, 1, 1) not in rec.cache
+        assert rec.snapshot() == []
         with pytest.raises(ValueError, match="conflicts"):
             rec.preload([(0, (1, 1, 1), F(1, 2))])
 
@@ -358,6 +385,36 @@ class TestPreload:
         fresh = Reconstructor(build_p1b(4))
         fresh.preload(snap)
         assert fresh.snapshot() == snap
+
+
+class TestPackedKeys:
+    def test_round_trip_with_a_full_field(self):
+        # Class 1 at its largest count, between nonzero neighbours: no
+        # count spills into the next field.
+        full = (1 << _FIELD) - 1
+        ins = (0,) + (1,) * full + (2,) * 3
+        code = _pack(ins)
+        assert code == 1 + (full << _FIELD) + (3 << (2 * _FIELD))
+        assert _unpack(code) == ins
+        assert _unpack(_pack((3, 0, 3))) == (0, 3, 3)
+        assert _unpack(0) == ()
+
+    def test_insertion_count_is_bounded(self):
+        rec = Reconstructor(build_p1b(2))
+        most = (1 << _FIELD) - 1
+        # Identity insertions alone force no degree, so the largest
+        # accepted key is 0 without any evaluation.
+        assert rec.gw((0,) * most) == 0
+        too_many = (1,) * (most + 1)
+        for call in (
+            lambda: rec.gw(too_many),
+            lambda: rec.gw_at(too_many, 0),
+            lambda: rec.wdvv_residual(1, 1, 1, 1, (1,) * (most - 3), 0),
+            lambda: rec.preload([(0, too_many, F(1))]),
+        ):
+            with pytest.raises(ValueError, match=f"at most {most} insertions"):
+                call()
+        assert rec.cache == {}
 
 
 class TestBoundedMultisets:

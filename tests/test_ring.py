@@ -190,6 +190,22 @@ class TestPairingInverse:
                     dot = sum(td.pairing[i][k] * ginv[k][j] for k in range(n))
                     assert dot == (1 if i == j else 0)
 
+    def test_dense_pairing(self):
+        # Every entry nonzero but the first, which forces a row swap;
+        # the inverse must be two-sided on a full matrix too.
+        td = build_p1b(4)
+        n = td.basis_size
+        dense = tuple(
+            tuple(F(0) if i == j == 0 else F(1, i + j + 1) for j in range(n))
+            for i in range(n)
+        )
+        ginv = dataclasses.replace(td, pairing=dense).pairing_inverse
+        assert all(all(row) for row in ginv)
+        for i in range(n):
+            for j in range(n):
+                assert sum(dense[i][k] * ginv[k][j] for k in range(n)) == (i == j)
+                assert sum(ginv[i][k] * dense[k][j] for k in range(n)) == (i == j)
+
     def test_singular_pairing_rejected(self):
         td = build_p1b(2)
         degenerate = tuple(tuple(F(0) for _ in row) for row in td.pairing)

@@ -22,28 +22,34 @@ one int: class k's count sits in the FIELD-bit field at bit FIELD * k,
 so adding or removing an insertion is an integer add.  A key holds at
 most 2^FIELD - 1 insertions, which rules out carries between fields;
 longer inputs are rejected.  Sorted insertion tuples appear only where
-keys enter or leave: ``gw``/``gw_at``/``preload`` input, the pivot
-choice on a memo miss, ``enumerate_nonzero`` rows and ``snapshot()``.
+keys enter or leave: ``gw``/``gw_at``/``preload`` input,
+``enumerate_nonzero`` rows and ``snapshot()``.  The pivot choice on a
+memo miss sorts nothing: it reads the count vector in a class order
+fixed when the engine is built (orbifold degree descending, then index
+descending), so the insertions come out ranked.
 
 A WDVV side splits the remaining insertions between its two factors.
 Insertions repeat (P^2's N_d has 3d - 1 copies of the point class), so
 the splits are walked as multisets: a count a_k of the m_k copies of
 each class goes left, and the term is weighted by prod C(m_k, a_k),
 which gives prod (m_k + 1) splits instead of 2^m subsets.  Each
-split's packed key, weight sum, size and multiplicity are folded from
-per-class options once per side, so a factor's key is one integer add
-away from the split's.  The nonzero
-inverse-pairing entries (i, j) are bucketed by the weight of i modulo
-the scaled c1, so each split visits only the entries whose left factor
-has an integer degree.
+split's packed key, excess (weight sum minus scale times size), size
+and multiplicity are folded from per-class options once per
+reduction: both sides of a relation split the same insertions, so
+they walk one list, and a factor's key is one integer add away from
+the split's.  Degrees stay integers: the excess turns the degree axiom
+of each factor into c1 d = base +- excess + weight of its pairing
+index, with a base fixed per side, so no degree is solved per split.
+The nonzero inverse-pairing entries (i, j) are bucketed by the weight
+sum of i and j, which one side's total degree pins, and then by the
+weight of i modulo the scaled c1, so each split visits only the
+entries that give both factors integer degrees adding up to the total.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -117,26 +123,35 @@ class Reconstructor:
         self.donor_policy = donor_policy
         self.cache: dict[int, Fraction] = {}
         grading = td.grading
-        ginv = td.pairing_inverse
+        w, c1, dim, scale = grading.weights, grading.c1, grading.dim, grading.scale
         size = td.basis_size
-        self._unit = tuple(1 << (_FIELD * k) for k in range(size))
+        unit = self._unit = tuple(1 << (_FIELD * k) for k in range(size))
         # The 2- and 3-point constants by packed key.  Only entries at
         # their forced degree can ever be read, so the key omits d.
-        self._constants = {
-            _pack(key[:-1]): value
-            for key, value in chain(td.base3.items(), td.base2.items())
-            if grading.forced(key[:-1]) == key[-1]
-        }
-        # Nonzero inverse-pairing entries (i, j, g), bucketed by
-        # weights[i] mod c1: a left factor has an integer degree only
-        # for the i of one bucket.
-        self._buckets: dict[int, list[tuple[int, int, Fraction]]] = {}
-        for i in range(size):
-            for j in range(size):
-                if ginv[i][j]:
-                    residue = grading.weights[i] % grading.c1
-                    self._buckets.setdefault(residue, []).append((i, j, ginv[i][j]))
-        self._degree = grading.degree  # bound once: _wdvv_sum's inner loop
+        constants = self._constants = {}
+        for (i, j, k, d), value in td.base3.items():
+            if d >= 0 and w[i] + w[j] + w[k] == c1 * d + dim:
+                constants[unit[i] + unit[j] + unit[k]] = value
+        for (i, j, d), value in td.base2.items():
+            if d >= 0 and w[i] + w[j] + scale == c1 * d + dim:
+                constants[unit[i] + unit[j]] = value
+        # Nonzero inverse-pairing entries (unit[i], unit[j], w[i], g),
+        # bucketed by w[i] + w[j] and then by w[i] mod c1: on one WDVV
+        # side the first pins the total degree, and per split the second
+        # gives the left factor an integer degree.  g is an int when it
+        # is integral, as on P(1,b) and P^2.
+        buckets = self._buckets = {}
+        for i, row in enumerate(td.pairing_inverse):
+            for j, g in enumerate(row):
+                if g:
+                    if g.denominator == 1:
+                        g = g.numerator
+                    entry = (unit[i], unit[j], w[i], g)
+                    by_residue = buckets.setdefault(w[i] + w[j], {})
+                    by_residue.setdefault(w[i] % c1, []).append(entry)
+        # Pivot order: weight (so orbifold degree) descending, then index
+        # descending.
+        self._order = sorted(range(size), key=lambda k: (w[k], k), reverse=True)
 
     # -- public evaluation ---------------------------------------------------
 
@@ -301,9 +316,6 @@ class Reconstructor:
             raise ValueError("the 2-point invariant at degree 0 is degenerate")
         return self._constants.get(code, ZERO)
 
-    def _rank(self, k: int):
-        return (self.td.orbdeg[k], k)
-
     def _reduce(self, code: int, n: int, d: int) -> Fraction:
         td = self.td
         if (code >> (_FIELD * td.fundamental_index)) & _MASK:
@@ -333,23 +345,24 @@ class Reconstructor:
                 value = factor * value
                 self.cache[outer] = value
             return value
-        ranked = sorted(_unpack(code), key=self._rank, reverse=True)
+        # The insertions, largest orbifold degree first.
+        ranked = [k for k in self._order for _ in range((code >> (_FIELD * k)) & _MASK)]
         pivot = ranked[0]
+        if self.donor_policy == "smallest":
+            donor, third = ranked[-1], ranked[1]
+        else:
+            donor, third = ranked[1], ranked[2]
         step = td.divisor_factorization[pivot]
-        rest = ranked[1:]
-        donor = rest.pop(-1 if self.donor_policy == "smallest" else 0)
-        third = rest.pop(0)
-        deltas = tuple(rest)
+        unit = self._unit
+        splits = self._splits(code - unit[pivot] - unit[donor] - unit[third])
         beta3 = d + step.shift
         # WDVV for (third, donor, partner, divisor) and total degree
         # beta3: the full split of the donor side is coeff times the
         # target invariant, everything else is strictly smaller in the
         # (n, b - max exponent) measure.
-        swapped = self._wdvv_sum(
-            third, step.partner, donor, step.divisor, deltas, beta3
-        )
-        partial = self._wdvv_sum(
-            third, donor, step.partner, step.divisor, deltas, beta3, skip_full=True
+        swapped = self._walk(third, step.partner, donor, step.divisor, splits, beta3)
+        partial = self._walk(
+            third, donor, step.partner, step.divisor, splits, beta3, skip_full=True
         )
         return (swapped - partial) / step.coeff
 
@@ -374,73 +387,102 @@ class Reconstructor:
         vector a (0 <= a_k <= m_k copies of k on the left), and its term
         carries the weight prod C(m_k, a_k), the number of subsets of
         ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
-        than 2^m.  Each split's packed key, weight, size and multiplicity
-        are folded from the per-class options a_k = 0..m_k before the
-        walk, so a factor's key is the split's plus two fixed
-        insertions and one pairing index, an integer add.
+        than 2^m.  The split list (``_splits``) depends on ``deltas``
+        alone, so ``_reduce`` builds it once and walks it for both
+        sides of its relation; this entry point builds its own.
 
-        Each factor vanishes unless its degree is the forced one, so
-        at most one degree split survives per (A, i, j).  Per split only
-        the inverse-pairing bucket whose ``i`` gives the left factor an
-        integer degree is visited; the remaining integer filters reject
-        everything else before any invariant is evaluated.
+        Degrees are integers throughout.  A split carries its excess
+        e = weight(A) - scale |A|, so with left_base = w[x1] + w[x2] -
+        dim and right_base = w[y1] + w[y2] + e(deltas) - dim the degree
+        axiom reads c1 d1 = left_base + e + w[i] and c1 d2 = right_base
+        - e + w[j].  Their sum, c1 beta3 = left_base + right_base + w[i]
+        + w[j], does not involve the split, so the side visits only the
+        inverse-pairing entries with that w[i] + w[j], and per split
+        only those whose w[i] makes d1 an integer; d1 is then an exact
+        division and d2 = beta3 - d1 needs no check.  At most one degree
+        split survives per (A, i, j).
         ``skip_full`` omits the split a = m (A = deltas), which is the
         term the pivot reduction solves for.
         """
+        return self._walk(x1, x2, y1, y2, self._splits(_pack(deltas)), beta3, skip_full)
+
+    def _splits(self, code: int) -> list[tuple[int, int, int, int]]:
+        """(code, excess, size, multiplicity) of every multiset split of
+        the packed insertions ``code``, folded from the per-class options
+        a_k = 0..m_k in ``itertools.product`` order over the classes in
+        pivot order; the last one is a = m."""
         grading = self.td.grading
-        w = grading.weights
+        w, scale = grading.weights, grading.scale
         unit = self._unit
-        degree = self._degree
-        cache = self.cache
-        buckets = self._buckets
-        # (code, weight, size, multiplicity) of every split, in the order
-        # of itertools.product over the classes; the last one is a = m.
         splits = [(0, 0, 0, 1)]
-        for k, mk in Counter(deltas).items():
-            options = [(a * unit[k], a * w[k], a, comb(mk, a)) for a in range(mk + 1)]
-            splits = [
-                (code + ocode, weight + oweight, size + osize, mult * omult)
-                for code, weight, size, mult in splits
-                for ocode, oweight, osize, omult in options
-            ]
-        full_code, full_weight, m, _ = splits[-1]
+        for k in self._order:
+            mk = (code >> (_FIELD * k)) & _MASK
+            if mk:
+                options = [
+                    (a * unit[k], a * (w[k] - scale), a, comb(mk, a))
+                    for a in range(mk + 1)
+                ]
+                splits = [
+                    (scode + ocode, excess + oexcess, size + osize, mult * omult)
+                    for scode, excess, size, mult in splits
+                    for ocode, oexcess, osize, omult in options
+                ]
+        return splits
+
+    def _walk(
+        self,
+        x1: int,
+        x2: int,
+        y1: int,
+        y2: int,
+        splits: list[tuple[int, int, int, int]],
+        beta3: int,
+        skip_full: bool = False,
+    ) -> Fraction:
+        """The WDVV side of ``_wdvv_sum`` over a prebuilt split list."""
+        grading = self.td.grading
+        w, c1, dim = grading.weights, grading.c1, grading.dim
+        unit = self._unit
+        full_code, full_excess, m, _ = splits[-1]
+        left_base = w[x1] + w[x2] - dim
+        right_base = w[y1] + w[y2] + full_excess - dim
+        buckets = self._buckets.get(c1 * beta3 - left_base - right_base)
+        if buckets is None:
+            return ZERO
         if skip_full:
-            splits.pop()
+            splits = splits[:-1]
         left_code = unit[x1] + unit[x2]
         right_code = unit[y1] + unit[y2] + full_code
-        left_weight = w[x1] + w[x2]
-        right_weight = w[y1] + w[y2] + full_weight
+        top = c1 * beta3
+        cache = self.cache
         total = ZERO
-        for code, weight, size, mult in splits:
-            lw = left_weight + weight
-            rw = right_weight - weight
+        for code, excess, size, mult in splits:
+            base = left_base + excess
+            bucket = buckets.get(-base % c1)
+            if bucket is None:
+                continue
             nl = 3 + size
             nr = 3 + m - size
             lcode = left_code + code
             rcode = right_code - code
-            # Only w[i] == dim + scale (nl - 3) - lw (mod c1) gives the
-            # left factor an integer degree.
-            bucket = buckets.get((grading.dim + grading.scale * size - lw) % grading.c1, ())
-            for i, j, g in bucket:
-                d1 = degree(lw + w[i], nl)
-                if d1 is None or d1 > beta3:
+            for ui, uj, wi, g in bucket:
+                t = base + wi  # c1 d1
+                if t < 0 or t > top:
                     continue
-                d2 = beta3 - d1
-                if degree(rw + w[j], nr) != d2:
-                    continue
-                key = lcode + unit[i]
+                d1 = t // c1
+                key = lcode + ui
                 left = cache.get(key)
                 if left is None:
                     left = self._eval(key, nl, d1)
                 if not left:
                     continue
-                key = rcode + unit[j]
+                key = rcode + uj
                 right = cache.get(key)
                 if right is None:
-                    right = self._eval(key, nr, d2)
+                    right = self._eval(key, nr, beta3 - d1)
                 if not right:
                     continue
-                total += mult * g * left * right
+                total += left * right * (mult * g)
         return total
 
 

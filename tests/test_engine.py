@@ -63,6 +63,31 @@ class TestMemoCache:
             "d0b339d86428e1b1ee6e2a6ae420520ae0b0249e45cea1de5301d8046dafcd54"
         )
 
+    def test_smallest_donor_contents_are_pinned(self):
+        # The memo rows of "smallest"-donor engines after the full
+        # support of P(1,2..8) and after N_1..N_12 of P^2: the other
+        # pivot order reaches other keys.
+        digest = hashlib.sha256()
+        rows = 0
+        engines = []
+        for b in range(2, 9):
+            rec = Reconstructor(build_p1b(b), donor_policy="smallest")
+            for _ in rec.enumerate_nonzero():
+                pass
+            engines.append((b, rec))
+        rec = Reconstructor(build_p2(), donor_policy="smallest")
+        for d in range(1, 13):
+            rec.gw((2,) * (3 * d - 1))
+        engines.append(("P2", rec))
+        for label, rec in engines:
+            for d, ins, value in rec.snapshot():
+                digest.update(f"{label} {d} {','.join(map(str, ins))} {value}\n".encode())
+                rows += 1
+        assert rows == 1125
+        assert digest.hexdigest() == (
+            "38f2606ddf8cd1ec12bfdf57ef977b795c131c35c7f55e7766d9eff99e3610c5"
+        )
+
 
 class TestForcedDegree:
     def test_examples(self):
@@ -242,27 +267,46 @@ class TestWdvvSum:
         # 2^m subsets collapse onto one multiset split.  Both sides can
         # be nonzero only at the total degree beta3 with
         # sum(weights) = c1 beta3 + dim + scale m, so draws without an
-        # integer beta3 are skipped.
+        # integer beta3 are skipped, and one degree off it both sides
+        # vanish.  The identity class is drawn too, in the fixed slots
+        # and among the deltas, though rarely: it kills every factor
+        # with more than three insertions.  It comes from a stream of
+        # its own, so the other draws stay what they would be without it.
         rec = engines.p2() if b is None else engines.p1b(b)
         td = rec.td
         w = td.grading.weights
         rng = random.Random(20261018 + (b or 0))
-        checked = nonzero = 0
-        while checked < 12:
-            fixed = [rng.randrange(1, td.basis_size) for _ in range(4)]
-            pool = [rng.randrange(1, td.basis_size) for _ in range(2)]
+        identity = random.Random(-20261018 - (b or 0))
+
+        def draw():
+            k = rng.randrange(1, td.basis_size)
+            return td.fundamental_index if identity.random() < 0.1 else k
+
+        checked = nonzero = with_identity = 0
+        while checked < 16:
+            fixed = [draw() for _ in range(4)]
+            pool = [draw() for _ in range(2)]
             deltas = tuple(rng.choice(pool) for _ in range(rng.randint(3, 8)))
-            beta3 = td.grading.degree(sum(w[k] for k in fixed + list(deltas)), len(deltas) + 3)
-            if beta3 is None:
+            slots = fixed + list(deltas)
+            forced = td.grading.degree(sum(w[k] for k in slots), len(deltas) + 3)
+            if forced is None:
                 continue
             checked += 1
-            for skip_full in (False, True):
-                value = rec._wdvv_sum(*fixed, deltas, beta3, skip_full=skip_full)
-                assert value == wdvv_side(rec, *fixed, deltas, beta3, skip_full), (
-                    fixed, deltas, beta3, skip_full
-                )
-                nonzero += value != 0
+            with_identity += td.fundamental_index in slots
+            for beta3 in (forced - 1, forced, forced + 1):
+                if beta3 < 0:
+                    continue
+                for skip_full in (False, True):
+                    value = rec._wdvv_sum(*fixed, deltas, beta3, skip_full=skip_full)
+                    assert value == wdvv_side(rec, *fixed, deltas, beta3, skip_full), (
+                        fixed, deltas, beta3, skip_full
+                    )
+                    if beta3 == forced:
+                        nonzero += value != 0
+                    else:
+                        assert value == 0, (fixed, deltas, beta3, skip_full)
         assert nonzero >= 6
+        assert with_identity >= 2
 
 
 class TestDonorPolicy:

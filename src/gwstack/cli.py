@@ -14,9 +14,10 @@ rationals; the output is deterministic byte for byte.
 
 ``compute`` and ``table`` optionally persist their memo to a record
 file (``--cache`` or the ``GWSTACK_CACHE`` environment variable) and
-preload it on the next run.  Preloaded entries are validated, never
-trusted: a record that contradicts the structure constants or carries
-an impossible degree rejects the whole file.
+preload it on the next run.  A record with an impossible degree, or a
+2- or 3-point record that contradicts the structure constants, rejects
+the whole file.  Records with n > 3 are stored unchecked, apart from a
+key given two different values, so ``verify`` is their integrity check.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is
 # not given, checked before any target is built.  On one Xeon core the
-# full support takes about 1.4 s at b = 12 and 16 s at b = 16, and the
-# cost roughly doubles per step of b.
+# full support takes about 0.4 s at b = 12 and 2.5 s at b = 16, and the
+# cost grows about 1.6-fold per step of b.
 _MAX_TABLE_ORDER = 16
 
 # Longest --lambda text passed to Fraction().  Fraction() also parses
@@ -217,7 +218,7 @@ def _cache_path(args):
 
 
 def _preload_cache(rec: Reconstructor, path):
-    """Load a record file into the engine, validating every entry.
+    """Load a record file into the engine; ``Reconstructor.preload`` says what it checks.
 
     Returns the loaded records so a later save can preserve entries
     for other target orders and redundant small-n rows.

@@ -44,6 +44,9 @@ The nonzero inverse-pairing entries (i, j) are bucketed by the weight
 sum of i and j, which one side's total degree pins, and then by the
 weight of i modulo the scaled c1, so each split visits only the
 entries that give both factors integer degrees adding up to the total.
+A side sums in integers, each term's numerator under its denominator,
+and builds one ``Fraction`` per distinct denominator, so no term makes a
+``Fraction`` or a gcd; memo values and results stay ``Fraction``.
 """
 
 from __future__ import annotations
@@ -135,20 +138,14 @@ class Reconstructor:
         for (i, j, d), value in td.base2.items():
             if d >= 0 and w[i] + w[j] + scale == c1 * d + dim:
                 constants[unit[i] + unit[j]] = value
-        # Nonzero inverse-pairing entries (unit[i], unit[j], w[i], g),
-        # bucketed by w[i] + w[j] and then by w[i] mod c1: on one WDVV
-        # side the first pins the total degree, and per split the second
-        # gives the left factor an integer degree.  g is an int when it
-        # is integral, as on P(1,b) and P^2.
+        # Nonzero inverse-pairing entries (unit[i], unit[j], w[i], g's numerator
+        # and denominator), by w[i] + w[j], which one WDVV side's total degree
+        # pins, then by w[i] mod c1, which per split makes d1 an integer.
         buckets = self._buckets = {}
-        for i, row in enumerate(td.pairing_inverse):
-            for j, g in enumerate(row):
-                if g:
-                    if g.denominator == 1:
-                        g = g.numerator
-                    entry = (unit[i], unit[j], w[i], g)
-                    by_residue = buckets.setdefault(w[i] + w[j], {})
-                    by_residue.setdefault(w[i] % c1, []).append(entry)
+        for i, j, g in td.pairing_inverse_entries:
+            entry = (unit[i], unit[j], w[i], g.numerator, g.denominator)
+            by_residue = buckets.setdefault(w[i] + w[j], {})
+            by_residue.setdefault(w[i] % c1, []).append(entry)
         # Pivot order: weight (so orbifold degree) descending, then index
         # descending.
         self._order = sorted(range(size), key=lambda k: (w[k], k), reverse=True)
@@ -401,6 +398,10 @@ class Reconstructor:
         only those whose w[i] makes d1 an integer; d1 is then an exact
         division and d2 = beta3 - d1 needs no check.  At most one degree
         split survives per (A, i, j).
+        The sum is exact in integers: a term left * right * mult * g adds
+        its numerator under its denominator (left's times right's times
+        g's), and one ``Fraction`` is built per denominator.  A zero
+        factor is skipped on its numerator.
         ``skip_full`` omits the split a = m (A = deltas), which is the
         term the pivot reduction solves for.
         """
@@ -455,7 +456,7 @@ class Reconstructor:
         right_code = unit[y1] + unit[y2] + full_code
         top = c1 * beta3
         cache = self.cache
-        total = ZERO
+        sums: dict[int, int] = {}  # numerator sum by denominator
         for code, excess, size, mult in splits:
             base = left_base + excess
             bucket = buckets.get(-base % c1)
@@ -465,7 +466,7 @@ class Reconstructor:
             nr = 3 + m - size
             lcode = left_code + code
             rcode = right_code - code
-            for ui, uj, wi, g in bucket:
+            for ui, uj, wi, gn, gd in bucket:
                 t = base + wi  # c1 d1
                 if t < 0 or t > top:
                     continue
@@ -474,16 +475,19 @@ class Reconstructor:
                 left = cache.get(key)
                 if left is None:
                     left = self._eval(key, nl, d1)
-                if not left:
+                ln = left.numerator
+                if not ln:
                     continue
                 key = rcode + uj
                 right = cache.get(key)
                 if right is None:
                     right = self._eval(key, nr, beta3 - d1)
-                if not right:
+                rn = right.numerator
+                if not rn:
                     continue
-                total += left * right * (mult * g)
-        return total
+                den = left.denominator * right.denominator * gd
+                sums[den] = sums.get(den, 0) + ln * rn * mult * gn
+        return sum((Fraction(num, den) for den, num in sums.items()), ZERO)
 
 
 def _bounded_multisets(

@@ -95,10 +95,11 @@ class TargetData:
     Instances are immutable by convention (the mapping fields are never
     mutated after construction) and compare by identity, since the
     mapping fields are not hashable.  The data derived from the fields
-    (``divisor_indices``, ``grading``, ``pairing_inverse``, ``products``,
-    ``divisor_factorization``) is computed on first use and kept on the
-    instance.  ``divisor_degree`` maps each divisor class to its degree;
-    its keys, in order, are ``divisor_indices``.
+    (``divisor_indices``, ``grading``, ``pairing_inverse``,
+    ``pairing_inverse_entries``, ``products``, ``divisor_factorization``)
+    is computed on first use and kept on the instance.
+    ``divisor_degree`` maps each divisor class to its degree; its keys,
+    in order, are ``divisor_indices``.
 
     ``power_basis`` is set to b for targets whose basis class k is the
     k-th power of a single degree-lowest generator subject to the
@@ -146,6 +147,13 @@ class TargetData:
         return _invert(self.pairing)
 
     @cached_property
+    def pairing_inverse_entries(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """The nonzero entries of ``pairing_inverse`` as ``(i, j, g)``, row by row."""
+        return tuple(
+            (i, j, g) for i, row in enumerate(self.pairing_inverse) for j, g in enumerate(row) if g
+        )
+
+    @cached_property
     def products(self) -> tuple:
         """Basis product table by pairing contraction.
 
@@ -157,8 +165,10 @@ class TargetData:
         the product of every ordered pair it contains, through the
         nonzero entries of one row of the inverse pairing.
         """
-        ginv_rows = [[(l, g) for l, g in enumerate(row) if g] for row in self.pairing_inverse]
         size = self.basis_size
+        ginv_rows = [[] for _ in range(size)]
+        for k, l, g in self.pairing_inverse_entries:
+            ginv_rows[k].append((l, g))
         terms = [[{} for _ in range(size)] for _ in range(size)]
         for key, val in self.base3.items():
             d = key[3]

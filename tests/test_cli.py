@@ -370,10 +370,10 @@ class TestCache:
         assert "refusing to store" in err
 
     def test_foreign_orders_survive_saves(self, run, tmp_path):
-        path = str(tmp_path / "memo.rec")
-        run("compute", "--b", "2", "--insertions", "1,1,1,1", "--cache", path)
-        run("compute", "--b", "3", "--insertions", "1,1,2,2", "--cache", path)
-        text = open(path).read().splitlines()
+        memo = tmp_path / "memo.rec"
+        run("compute", "--b", "2", "--insertions", "1,1,1,1", "--cache", str(memo))
+        run("compute", "--b", "3", "--insertions", "1,1,2,2", "--cache", str(memo))
+        text = memo.read_text().splitlines()
         assert "2 0 1,1,1,1 -1/4" in text
         assert "3 0 1,1,2,2 -1/9" in text
 

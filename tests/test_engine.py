@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from gwstack import (
     Reconstructor,
     build_p1b,
     build_p2,
+    validate_target,
 )
 from gwstack.engine import _FIELD, _bounded_multisets, _pack, _unpack
 from reference import closed_4pt_deg0, closed_4pt_deg1, e_cut, forced_degree, wdvv_side
@@ -87,6 +89,26 @@ class TestMemoCache:
         assert digest.hexdigest() == (
             "38f2606ddf8cd1ec12bfdf57ef977b795c131c35c7f55e7766d9eff99e3610c5"
         )
+
+
+class TestValueType:
+    def test_values_are_fractions(self):
+        # An int zero in the memo would print like a Fraction zero, so the
+        # pinned digests above cannot tell them apart.
+        engines = []
+        for b in range(2, 7):
+            rec = Reconstructor(build_p1b(b))
+            for key, value in rec.enumerate_nonzero():
+                assert type(value) is Fraction
+                assert type(rec.gw(key.insertions)) is Fraction
+            engines.append(rec)
+        rec = Reconstructor(build_p2())
+        for d in range(1, 9):
+            assert type(rec.gw((2,) * (3 * d - 1))) is Fraction
+        engines.append(rec)
+        for rec in engines:
+            for _, ins, value in rec.snapshot():
+                assert type(value) is Fraction, (rec.td.id, ins, value)
 
 
 class TestForcedDegree:
@@ -321,6 +343,49 @@ class TestDonorPolicy:
         alternate = Reconstructor(td, donor_policy="smallest")
         for key, value in default.enumerate_nonzero():
             assert alternate.gw_at(key.insertions, key.d) == value
+
+
+def _rescaled(td, lam):
+    """``td`` with the pairing and every 2- and 3-point constant times lam.
+
+    WDVV is homogeneous, so every invariant of the result is lam times
+    the original.  The inverse pairing is divided by lam, which makes it
+    non-integral on P(1,b) and P^2 for lam = 2.
+    """
+    out = dataclasses.replace(
+        td,
+        pairing=tuple(tuple(lam * g for g in row) for row in td.pairing),
+        base3={key: lam * value for key, value in td.base3.items()},
+        base2={key: lam * value for key, value in td.base2.items()},
+    )
+    validate_target(out)
+    return out
+
+
+class TestRescaling:
+    @pytest.mark.parametrize("b", [3, 5])
+    def test_p1b_support_scales(self, b):
+        td = build_p1b(b)
+        scaled = _rescaled(td, F(2))
+        assert scaled.pairing_inverse[1][b - 1] == F(b, 2)
+        want = [
+            (key.d, key.insertions, 2 * value)
+            for key, value in Reconstructor(td).enumerate_nonzero()
+        ]
+        got = [
+            (key.d, key.insertions, value)
+            for key, value in Reconstructor(scaled).enumerate_nonzero()
+        ]
+        assert got == want
+
+    def test_p2_counts_scale(self):
+        td = build_p2()
+        scaled = _rescaled(td, F(2))
+        assert scaled.pairing_inverse[1][1] == F(1, 2)
+        rec, rec2 = Reconstructor(td), Reconstructor(scaled)
+        for d in range(1, 8):
+            ins = (2,) * (3 * d - 1)
+            assert rec2.gw(ins) == 2 * rec.gw(ins)
 
 
 class _TracingReconstructor(Reconstructor):

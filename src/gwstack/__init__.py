@@ -8,22 +8,9 @@ the projective plane, where it reproduces the classical counts of
 rational plane curves.
 """
 
-from .engine import InsertionKey, Reconstructor
-from .golden import (
-    GoldenRow,
-    VerifyReport,
-    golden_rows,
-    insertions_from_mults,
-    mults_from_insertions,
-    verify,
-)
-from .records import GWRecord, RecordError, parse_rational
+from .engine import Reconstructor
+from .golden import golden_rows, verify
 from .ring import (
-    DivisorStep,
-    Grading,
-    QRingElem,
-    SpecializedRing,
-    TargetData,
     basis_element,
     build_p1b,
     build_p2,
@@ -36,25 +23,12 @@ from .ring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DivisorStep",
-    "GWRecord",
-    "GoldenRow",
-    "Grading",
-    "InsertionKey",
-    "QRingElem",
-    "RecordError",
     "Reconstructor",
-    "SpecializedRing",
-    "TargetData",
-    "VerifyReport",
     "basis_element",
     "build_p1b",
     "build_p2",
     "divisor_generation_check",
     "golden_rows",
-    "insertions_from_mults",
-    "mults_from_insertions",
-    "parse_rational",
     "qmul",
     "specialize",
     "validate_target",

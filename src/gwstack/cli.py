@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 unreadable or malformed file.  All printed values are exact
 rationals; the output is deterministic byte for byte.
 
-``compute`` and ``table`` optionally persist their memo to a record
-file (``--cache`` or the ``GWSTACK_CACHE`` environment variable) and
-preload it on the next run.  A record with an impossible degree, or a
-2- or 3-point record that contradicts the structure constants, rejects
-the whole file.  Records with n > 3 are stored unchecked, apart from a
-key given two different values, so ``verify`` is their integrity check.
+``compute`` and ``table`` optionally persist their memo to the record
+file named by ``--cache`` and preload it on the next run.  A record
+with an impossible degree, or a 2- or 3-point record that contradicts
+the structure constants, rejects the whole file.  Records with n > 3
+are stored unchecked, apart from a key given two different values, so
+``verify`` is their integrity check.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _add_cache_option(sub: argparse.ArgumentParser) -> None:
         "--cache",
         default=None,
         metavar="PATH",
-        help="record file to preload and extend (default: $GWSTACK_CACHE)",
+        help="record file to preload and extend",
     )
 
 
@@ -211,12 +211,6 @@ def _parse_lambda(args) -> Fraction:
         args.parser.error(f"--lambda must be a rational number, got {args.lam!r}")
 
 
-def _cache_path(args):
-    if args.cache:
-        return args.cache
-    return os.environ.get("GWSTACK_CACHE") or None
-
-
 def _preload_cache(rec: Reconstructor, path):
     """Load a record file into the engine; ``Reconstructor.preload`` says what it checks.
 
@@ -247,7 +241,7 @@ def _preload_records(path, engines: dict[int, Reconstructor]) -> list[GWRecord]:
 
 
 def _store_cache(rec: Reconstructor, path, loaded) -> None:
-    if path is None:
+    if not path:
         return
     merged = {(r.b, r.insertions): r for r in loaded}
     b = rec.td.power_basis
@@ -265,8 +259,7 @@ def _cmd_compute(args) -> int:
     if args.degree is not None and args.degree < 0:
         args.parser.error(f"--degree must be nonnegative, got {args.degree}")
     rec = Reconstructor(_target_for(b))
-    path = _cache_path(args)
-    loaded = _preload_cache(rec, path)
+    loaded = _preload_cache(rec, args.cache)
     try:
         if args.degree is None:
             value = rec.gw(ins)
@@ -275,7 +268,7 @@ def _cmd_compute(args) -> int:
     except ValueError as exc:  # degenerate 2-point problem at degree 0
         args.parser.error(str(exc))
     print(value)
-    _store_cache(rec, path, loaded)
+    _store_cache(rec, args.cache, loaded)
     return EXIT_OK
 
 
@@ -301,8 +294,7 @@ def _cmd_table(args) -> int:
             f"got {b}; give --max-n to cap the insertion count"
         )
     rec = Reconstructor(_target_for(b))
-    path = _cache_path(args)
-    loaded = _preload_cache(rec, path)
+    loaded = _preload_cache(rec, args.cache)
     rows = list(
         rec.enumerate_nonzero(
             max_n=args.max_n,
@@ -311,7 +303,7 @@ def _cmd_table(args) -> int:
         )
     )
     if args.format == "jsonl":
-        rows.sort(key=lambda kv: (kv[0].d, kv[0].insertions))
+        rows.sort()  # keys are unique, so this orders by (d, insertions)
         for key, value in rows:
             print(
                 json.dumps(
@@ -341,7 +333,7 @@ def _cmd_table(args) -> int:
             width = max(map(len, names), default=0)
             for name, (_, _, value) in zip(names, labelled):
                 print(f"{name:<{width}} = {value!s}")
-    _store_cache(rec, path, loaded)
+    _store_cache(rec, args.cache, loaded)
     return EXIT_OK
 
 

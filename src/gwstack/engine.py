@@ -51,10 +51,9 @@ and builds one ``Fraction`` per distinct denominator, so no term makes a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ring import TargetData, ZERO
 
@@ -85,24 +84,11 @@ def _unpack(code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class InsertionKey:
-    """A fully specified invariant: target id, curve degree, insertions."""
+class InsertionKey(NamedTuple):
+    """A fully specified invariant: curve degree and sorted insertions."""
 
-    target: str
     d: int
     insertions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.d < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.d}")
-        if len(self.insertions) < 2:
-            raise ValueError("at least two insertions are required")
-        object.__setattr__(self, "insertions", tuple(sorted(self.insertions)))
-
-    @property
-    def n(self) -> int:
-        return len(self.insertions)
 
 
 class Reconstructor:
@@ -182,8 +168,9 @@ class Reconstructor:
         fixed = (g1, g2, g3, g4)
         deltas = tuple(deltas)
         self._check_indices(fixed + deltas)
-        return self._wdvv_sum(g1, g2, g3, g4, deltas, beta3) - self._wdvv_sum(
-            g1, g3, g2, g4, deltas, beta3
+        splits = self._splits(_pack(deltas))
+        return self._walk(g1, g2, g3, g4, splits, beta3) - self._walk(
+            g1, g3, g2, g4, splits, beta3
         )
 
     def enumerate_nonzero(
@@ -233,7 +220,7 @@ class Reconstructor:
                 for key in _bounded_multisets(n, 1, hi, total):
                     value = self._eval(_pack(key), n, d)
                     if value:
-                        yield InsertionKey(td.id, d, key), value
+                        yield InsertionKey(d, key), value
             d += 1
 
     # -- cache persistence ---------------------------------------------------
@@ -325,7 +312,7 @@ class Reconstructor:
         key = code
         while True:
             div = next(
-                (v for v in td.divisor_indices if (key >> (_FIELD * v)) & _MASK), None
+                (v for v in td.divisor_degree if (key >> (_FIELD * v)) & _MASK), None
             )
             if div is None:
                 break
@@ -363,50 +350,6 @@ class Reconstructor:
         )
         return (swapped - partial) / step.coeff
 
-    def _wdvv_sum(
-        self,
-        x1: int,
-        x2: int,
-        y1: int,
-        y2: int,
-        deltas: tuple[int, ...],
-        beta3: int,
-        skip_full: bool = False,
-    ) -> Fraction:
-        """One side of the WDVV relation: sum over splits of ``deltas``
-        into a left part A (joining x1, x2) and right part B (joining
-        y1, y2), contracted through the inverse pairing, over all
-        degree splits d1 + d2 = beta3.
-
-        Splits that differ only in which copy of a repeated insertion
-        goes left give the same term, so the walk is over multisets:
-        with m_k copies of class k in ``deltas``, a split is a count
-        vector a (0 <= a_k <= m_k copies of k on the left), and its term
-        carries the weight prod C(m_k, a_k), the number of subsets of
-        ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
-        than 2^m.  The split list (``_splits``) depends on ``deltas``
-        alone, so ``_reduce`` builds it once and walks it for both
-        sides of its relation; this entry point builds its own.
-
-        Degrees are integers throughout.  A split carries its excess
-        e = weight(A) - scale |A|, so with left_base = w[x1] + w[x2] -
-        dim and right_base = w[y1] + w[y2] + e(deltas) - dim the degree
-        axiom reads c1 d1 = left_base + e + w[i] and c1 d2 = right_base
-        - e + w[j].  Their sum, c1 beta3 = left_base + right_base + w[i]
-        + w[j], does not involve the split, so the side visits only the
-        inverse-pairing entries with that w[i] + w[j], and per split
-        only those whose w[i] makes d1 an integer; d1 is then an exact
-        division and d2 = beta3 - d1 needs no check.  At most one degree
-        split survives per (A, i, j).
-        The sum is exact in integers: a term left * right * mult * g adds
-        its numerator under its denominator (left's times right's times
-        g's), and one ``Fraction`` is built per denominator.  A zero
-        factor is skipped on its numerator.
-        ``skip_full`` omits the split a = m (A = deltas), which is the
-        term the pivot reduction solves for.
-        """
-        return self._walk(x1, x2, y1, y2, self._splits(_pack(deltas)), beta3, skip_full)
-
     def _splits(self, code: int) -> list[tuple[int, int, int, int]]:
         """(code, excess, size, multiplicity) of every multiset split of
         the packed insertions ``code``, folded from the per-class options
@@ -440,7 +383,39 @@ class Reconstructor:
         beta3: int,
         skip_full: bool = False,
     ) -> Fraction:
-        """The WDVV side of ``_wdvv_sum`` over a prebuilt split list."""
+        """One side of the WDVV relation: sum over ``splits`` of the
+        insertions ``deltas`` (built by ``_splits``) into a left part A
+        (joining x1, x2) and right part B (joining y1, y2), contracted
+        through the inverse pairing, over all degree splits d1 + d2 =
+        beta3.
+
+        Splits that differ only in which copy of a repeated insertion
+        goes left give the same term, so the walk is over multisets:
+        with m_k copies of class k in ``deltas``, a split is a count
+        vector a (0 <= a_k <= m_k copies of k on the left), and its term
+        carries the weight prod C(m_k, a_k), the number of subsets of
+        ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
+        than 2^m.  The split list depends on ``deltas`` alone, so
+        ``_reduce`` and ``wdvv_residual`` build it once and walk it for
+        both sides of their relation.
+
+        Degrees are integers throughout.  A split carries its excess
+        e = weight(A) - scale |A|, so with left_base = w[x1] + w[x2] -
+        dim and right_base = w[y1] + w[y2] + e(deltas) - dim the degree
+        axiom reads c1 d1 = left_base + e + w[i] and c1 d2 = right_base
+        - e + w[j].  Their sum, c1 beta3 = left_base + right_base + w[i]
+        + w[j], does not involve the split, so the side visits only the
+        inverse-pairing entries with that w[i] + w[j], and per split
+        only those whose w[i] makes d1 an integer; d1 is then an exact
+        division and d2 = beta3 - d1 needs no check.  At most one degree
+        split survives per (A, i, j).
+        The sum is exact in integers: a term left * right * mult * g adds
+        its numerator under its denominator (left's times right's times
+        g's), and one ``Fraction`` is built per denominator.  A zero
+        factor is skipped on its numerator.
+        ``skip_full`` omits the split a = m (A = deltas), which is the
+        term the pivot reduction solves for.
+        """
         grading = self.td.grading
         w, c1, dim = grading.weights, grading.c1, grading.dim
         unit = self._unit

@@ -70,7 +70,7 @@ class GoldenRow:
         return insertions_from_mults(self.mults)
 
     def key(self) -> InsertionKey:
-        return InsertionKey(f"P(1,{self.b})", self.d, self.insertions())
+        return InsertionKey(self.d, self.insertions())
 
     def label(self) -> str:
         return f"N_{self.d}({','.join(str(k) for k in self.mults)})"
@@ -225,16 +225,6 @@ def verify(b: int, reconstructor: Optional[Reconstructor] = None) -> VerifyRepor
         results.append(RowResult(row, computed, recheck))
     table_keys = {row.key(): row.value for row in rows}
     found = dict(rec.enumerate_nonzero())
-    missing = tuple(
-        sorted(
-            (k for k in table_keys if k not in found),
-            key=lambda k: (k.d, k.insertions),
-        )
-    )
-    extra = tuple(
-        sorted(
-            ((k, v) for k, v in found.items() if k not in table_keys),
-            key=lambda kv: (kv[0].d, kv[0].insertions),
-        )
-    )
+    missing = tuple(sorted(k for k in table_keys if k not in found))
+    extra = tuple(sorted((k, v) for k, v in found.items() if k not in table_keys))
     return VerifyReport(b=b, results=tuple(results), missing=missing, extra=extra)

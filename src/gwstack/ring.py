@@ -95,11 +95,11 @@ class TargetData:
     Instances are immutable by convention (the mapping fields are never
     mutated after construction) and compare by identity, since the
     mapping fields are not hashable.  The data derived from the fields
-    (``divisor_indices``, ``grading``, ``pairing_inverse``,
-    ``pairing_inverse_entries``, ``products``, ``divisor_factorization``)
-    is computed on first use and kept on the instance.
-    ``divisor_degree`` maps each divisor class to its degree; its keys,
-    in order, are ``divisor_indices``.
+    (``grading``, ``pairing_inverse``, ``pairing_inverse_entries``,
+    ``products``, ``divisor_factorization``) is computed on first use
+    and kept on the instance.  ``divisor_degree`` maps each divisor
+    class to its degree; every consumer takes the divisors in its key
+    order.
 
     ``power_basis`` is set to b for targets whose basis class k is the
     k-th power of a single degree-lowest generator subject to the
@@ -122,10 +122,6 @@ class TargetData:
     @property
     def basis_size(self) -> int:
         return len(self.orbdeg)
-
-    @cached_property
-    def divisor_indices(self) -> tuple[int, ...]:
-        return tuple(self.divisor_degree)
 
     @cached_property
     def grading(self) -> Grading:
@@ -187,14 +183,14 @@ class TargetData:
         identity nor a divisor.
 
         Class t gets the first (divisor, partner) pair, divisors in
-        ``divisor_indices`` order and partners by index, whose product
+        ``divisor_degree`` order and partners by index, whose product
         ``products[partner][divisor]`` is a single term on t.  A class
         with no such pair means the divisors do not generate the ring
         in this way, and the First Reconstruction Theorem's hypothesis
         fails; ``ValueError`` names the class.
         """
         steps: dict[int, DivisorStep] = {}
-        for div in self.divisor_indices:
+        for div in self.divisor_degree:
             for partner, terms in enumerate(self.products):
                 if len(terms[div]) == 1:
                     shift, t, coeff = terms[div][0]
@@ -465,7 +461,7 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
     while frontier and len(rows) < size:
         fresh = []
         for vec in frontier:
-            for div in td.divisor_indices:
+            for div in td.divisor_degree:
                 prod = times(vec, div)
                 if add(prod):
                     fresh.append(prod)
@@ -501,7 +497,7 @@ def validate_target(td: TargetData) -> None:
             if td.pairing[i][j] != td.pairing[j][i]:
                 raise ValueError("pairing matrix is not symmetric")
     td.pairing_inverse  # raises if singular
-    for div in td.divisor_indices:
+    for div in td.divisor_degree:
         if div == fund or not 0 <= div < size:
             raise ValueError(f"bad divisor index {div}")
         if td.divisor_degree[div] <= 0:
@@ -534,7 +530,7 @@ def validate_target(td: TargetData) -> None:
                 raise ValueError("identity does not reproduce the pairing at degree 0")
 
     # Divisor insertions at positive degree reduce to 2-point data.
-    for div in td.divisor_indices:
+    for div in td.divisor_degree:
         weight = td.divisor_degree[div]
         for (i, j, k, d), val in td.base3.items():
             if d < 1 or div not in (i, j, k):

@@ -148,7 +148,7 @@ def test_criterion_5_axioms_hold_on_touched_keys(engines):
             keys += 1
             assert rec.gw(ins + (fund,)) == 0
             checks += 1
-            for div in td.divisor_indices:
+            for div in td.divisor_degree:
                 assert rec.gw_at(ins + (div,), d) == d * td.divisor_degree[div] * value
                 checks += 1
             for wrong in range(0, d + 3):

@@ -210,9 +210,10 @@ class TestVerify:
         assert out.splitlines()[-1] == "total: 81/81 rows match"
 
     def test_unknown_order(self, run):
-        code, _, err = run("verify", "--b", "9")
-        assert code == 2
-        assert "--b must be one of" in err
+        for order in ("9", "foo"):
+            code, _, err = run("verify", "--b", order)
+            assert code == 2
+            assert "--b must be one of" in err
 
     def test_mismatch_exits_one(self, run, monkeypatch):
         from fractions import Fraction
@@ -289,12 +290,30 @@ class TestCache:
         )
         assert (code, out) == (0, "1/1296\n")
 
-    def test_env_var_is_honored(self, run, tmp_path, monkeypatch):
+    def test_env_var_is_ignored(self, run, tmp_path, monkeypatch):
+        # Only --cache names a record file; a variable left set in the
+        # environment must not make runs share one.
         path = tmp_path / "memo.rec"
         monkeypatch.setenv("GWSTACK_CACHE", str(path))
-        run("compute", "--b", "4", "--insertions", "2,2,2,2")
-        assert path.exists()
-        assert "4 0 2,2,2,2 -1/8" in path.read_text().splitlines()
+        assert run("compute", "--b", "4", "--insertions", "2,2,2,2")[:2] == (0, "-1/8\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "text, code, out",
+        [
+            ("3 1 2,2 1/3\n", 0, "1 records ok\n"),  # matches base2
+            ("3 1 2,2 1/2\n", 3, ""),
+            ("3 0 0,0 1\n", 3, ""),  # the degenerate degree-0 pair
+        ],
+        ids=["matches-base2", "conflicts", "degree-0"],
+    )
+    def test_two_point_records(self, run, tmp_path, text, code, out):
+        path = tmp_path / "memo.rec"
+        path.write_text(text)
+        got_code, got_out, err = run("cache", "--path", str(path))
+        assert (got_code, got_out) == (code, out)
+        if code:
+            assert "memo.rec:1:" in err and "conflicts" in err
 
     def test_emit_normalizes(self, run, tmp_path):
         path = tmp_path / "memo.rec"

@@ -8,31 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwstack import (
-    Grading,
-    InsertionKey,
-    Reconstructor,
-    build_p1b,
-    build_p2,
-    validate_target,
-)
-from gwstack.engine import _FIELD, _bounded_multisets, _pack, _unpack
+from gwstack import Reconstructor, build_p1b, build_p2, validate_target
+from gwstack.engine import _FIELD, InsertionKey, _bounded_multisets, _pack, _unpack
+from gwstack.ring import Grading
 from reference import closed_4pt_deg0, closed_4pt_deg1, e_cut, forced_degree, wdvv_side
 
 F = Fraction
-
-
-class TestInsertionKey:
-    def test_normalizes_and_exposes_n(self):
-        key = InsertionKey("P(1,3)", 0, (2, 1, 2, 1))
-        assert key.insertions == (1, 1, 2, 2)
-        assert key.n == 4
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            InsertionKey("P(1,3)", -1, (1, 1))
-        with pytest.raises(ValueError):
-            InsertionKey("P(1,3)", 0, (1,))
 
 
 class TestMemoCache:
@@ -319,7 +300,7 @@ class TestWdvvSum:
                 if beta3 < 0:
                     continue
                 for skip_full in (False, True):
-                    value = rec._wdvv_sum(*fixed, deltas, beta3, skip_full=skip_full)
+                    value = rec._walk(*fixed, rec._splits(_pack(deltas)), beta3, skip_full)
                     assert value == wdvv_side(rec, *fixed, deltas, beta3, skip_full), (
                         fixed, deltas, beta3, skip_full
                     )
@@ -431,7 +412,7 @@ class TestEnumerate:
         assert len(list(rec.enumerate_nonzero())) == 22
         assert len(list(rec.enumerate_nonzero(max_d=0))) == 21
         four_point = list(rec.enumerate_nonzero(max_n=4))
-        assert all(key.n == 4 for key, _ in four_point)
+        assert all(len(key.insertions) == 4 for key, _ in four_point)
         assert len(four_point) == 6
 
     def test_b1_is_empty(self, engines):
@@ -449,8 +430,8 @@ class TestEnumerate:
             )
         )
         assert rows == {
-            InsertionKey("P(1,2)", 0, (1, 1, 1, 1)): F(-1, 4),
-            InsertionKey("P(1,2)", 1, (1, 2, 2, 2)): F(1, 8),
+            InsertionKey(0, (1, 1, 1, 1)): F(-1, 4),
+            InsertionKey(1, (1, 2, 2, 2)): F(1, 8),
         }
 
     def test_needs_power_basis(self, engines):
@@ -486,6 +467,17 @@ class TestPreload:
         assert rec.snapshot() == []
         with pytest.raises(ValueError, match="conflicts"):
             rec.preload([(0, (1, 1, 1), F(1, 2))])
+
+    def test_two_point_records_checked_against_constants(self):
+        rec = Reconstructor(build_p1b(3))
+        rec.preload([(1, (2, 2), F(1, 3))])  # base2[(2, 2, 1)], not stored
+        assert rec.snapshot() == []
+        with pytest.raises(ValueError, match="conflicts"):
+            rec.preload([(1, (2, 2), F(1, 2))])
+        # The degree-0 pair is degenerate: no value is consistent with it.
+        with pytest.raises(ValueError, match="conflicts"):
+            rec.preload([(0, (0, 0), F(1))])
+        assert rec.snapshot() == []
 
     def test_snapshot_round_trip(self):
         rec = Reconstructor(build_p1b(4))

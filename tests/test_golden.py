@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from gwstack import (
+from gwstack import golden_rows, verify
+from gwstack import golden as golden_mod
+from gwstack.engine import InsertionKey
+from gwstack.golden import (
+    ROW_COUNTS,
     GoldenRow,
-    InsertionKey,
-    golden_rows,
+    RowResult,
+    VerifyReport,
+    _parse_row,
     insertions_from_mults,
     mults_from_insertions,
-    verify,
 )
-from gwstack import golden as golden_mod
-from gwstack.golden import ROW_COUNTS, RowResult, VerifyReport, _parse_row
 from gwstack.records import RecordError
 
 F = Fraction
@@ -66,7 +70,7 @@ class TestGoldenRows:
         row = golden_rows(3)[0]
         assert row.label() == "N_0(2,2)"
         assert row.insertions() == (1, 1, 2, 2)
-        assert row.key() == InsertionKey("P(1,3)", 0, (1, 1, 2, 2))
+        assert row.key() == InsertionKey(0, (1, 1, 2, 2))
 
 
 class TestDataFileGuards:
@@ -76,6 +80,43 @@ class TestDataFileGuards:
         try:
             with pytest.raises(RuntimeError, match="checksum"):
                 golden_rows(2)
+        finally:
+            monkeypatch.undo()
+            golden_mod._load_tables.cache_clear()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows + ["3 -1 2,2 -1/9"], r"p1b_tables.dat:100: negative degree -1"),
+            (lambda rows: rows + ["3 0 two 1"], r"p1b_tables.dat:100: invalid literal"),
+            (lambda rows: rows + [rows[16]], r"p1b_tables.dat:100: duplicate row N_0\(2,2\)"),
+            (lambda rows: rows[:-1], r"p1b_tables.dat: expected 46 rows for b=6, found 45"),
+        ],
+        ids=["negative-degree", "unparsable", "duplicate", "row-count"],
+    )
+    def test_loader_guards(self, monkeypatch, edit, message):
+        # The loader reads a crafted file under a matching checksum, so
+        # each guard after the checksum is reached.
+        lines = (resources.files("gwstack.data") / "p1b_tables.dat").read_text().splitlines()
+        assert lines[16] == "3 0 2,2 -1/9"  # file line 17
+        blob = "".join(line + "\n" for line in edit(lines)).encode("ascii")
+
+        class Files:
+            def files(self, package):
+                return self
+
+            def joinpath(self, name):
+                return self
+
+            def read_bytes(self):
+                return blob
+
+        monkeypatch.setattr(golden_mod, "resources", Files())
+        monkeypatch.setattr(golden_mod, "_DATA_SHA256", hashlib.sha256(blob).hexdigest())
+        golden_mod._load_tables.cache_clear()
+        try:
+            with pytest.raises(RecordError, match=message):
+                golden_rows(3)
         finally:
             monkeypatch.undo()
             golden_mod._load_tables.cache_clear()
@@ -125,7 +166,7 @@ class TestVerify:
         assert "disagrees with itself" in text
 
     def test_report_lists_support_gaps(self):
-        key = InsertionKey("P(1,3)", 0, (1, 1, 2, 2))
+        key = InsertionKey(0, (1, 1, 2, 2))
         report = VerifyReport(3, (), (key,), ((key, F(1)),))
         assert not report.ok
         text = report.render()

@@ -2,15 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwstack import (
-    DivisorStep,
-    QRingElem,
     Reconstructor,
-    TargetData,
     basis_element,
     build_p1b,
     build_p2,
@@ -19,9 +17,11 @@ from gwstack import (
     specialize,
     validate_target,
 )
+from gwstack.ring import DivisorStep, QRingElem, TargetData
 from reference import qreduce
 
 F = Fraction
+P1B3 = partial(build_p1b, 3)
 
 
 class TestQReduce:
@@ -52,8 +52,7 @@ class TestBuildP1b:
         assert td.orbdeg == (F(0), F(2, 3), F(4, 3), F(2))
         assert td.c1_degree == F(4, 3)
         assert td.fundamental_index == 0
-        assert td.divisor_indices == (3,)
-        assert td.divisor_degree[3] == F(1, 3)
+        assert td.divisor_degree == {3: F(1, 3)}
         assert td.basis_names == ("1", "a^1", "a^2", "x")
         assert td.power_basis == 3
 
@@ -108,8 +107,7 @@ class TestBuildP2:
         assert td.basis_size == 3
         assert td.orbdeg == (F(0), F(2), F(4))
         assert td.c1_degree == 3
-        assert td.divisor_indices == (1,)
-        assert td.divisor_degree[1] == 1
+        assert td.divisor_degree == {1: 1}
         assert td.power_basis is None
         assert td.base3[(1, 2, 2, 1)] == 1
         assert td.base2[(2, 2, 1)] == 1
@@ -167,6 +165,69 @@ class TestValidateTarget:
             validate_target(classical)
         assert divisor_generation_check(classical, 0) is False
         assert divisor_generation_check(td, 1) is True
+
+    @pytest.mark.parametrize(
+        "build, changes, message",
+        [
+            pytest.param(
+                P1B3, lambda td: {"fundamental_index": 4},
+                "fundamental index out of range", id="fundamental-index",
+            ),
+            pytest.param(
+                P1B3, lambda td: {"fundamental_index": 1},
+                "identity class must sit in degree 0", id="identity-degree",
+            ),
+            pytest.param(
+                build_p2, lambda td: {"c1_degree": F(0)},
+                "c1 degree must be positive", id="c1",
+            ),
+            pytest.param(
+                build_p2, lambda td: {"pairing": td.pairing[:-1]},
+                "pairing matrix has the wrong shape", id="pairing-shape",
+            ),
+            pytest.param(
+                P1B3, lambda td: {"divisor_degree": {0: F(1, 3)}},
+                "bad divisor index 0", id="divisor-index",
+            ),
+            pytest.param(
+                P1B3, lambda td: {"divisor_degree": {3: F(-1, 3)}},
+                "divisor 3 needs a positive degree", id="divisor-degree",
+            ),
+            pytest.param(
+                P1B3, lambda td: {"base3": {**td.base3, (1, 1, 1, 0): F(0)}},
+                "zero entries must be omitted from base3", id="base3-zero",
+            ),
+            pytest.param(
+                P1B3, lambda td: {"base3": {**td.base3, (2, 1, 0, 0): F(1, 3)}},
+                r"bad base3 key \(2, 1, 0, 0\)", id="base3-key",
+            ),
+            pytest.param(
+                build_p2, lambda td: {"base2": {(2, 2, 1): F(0)}},
+                "zero entries must be omitted from base2", id="base2-zero",
+            ),
+            pytest.param(
+                P1B3, lambda td: {"base2": {**td.base2, (2, 2, 0): F(1, 3)}},
+                r"bad base2 key \(2, 2, 0\)", id="base2-key",
+            ),
+            pytest.param(
+                P1B3,
+                lambda td: {"base3": {k: v for k, v in td.base3.items() if k != (0, 1, 2, 0)}},
+                "identity does not reproduce the pairing", id="identity-pairing",
+            ),
+            pytest.param(
+                # Without <a^2, a^2, x>_1 the base3 loop sees no divisor
+                # entry to check, so the base2 side must catch it.
+                P1B3,
+                lambda td: {"base3": {k: v for k, v in td.base3.items() if k != (2, 2, 3, 1)}},
+                r"base2 entry \(2, 2, 1\) disagrees with the divisor axiom", id="base2-divisor",
+            ),
+        ],
+    )
+    def test_rejects(self, build, changes, message):
+        td = build()
+        broken = dataclasses.replace(td, **changes(td))
+        with pytest.raises(ValueError, match=message):
+            validate_target(broken)
 
 
 class TestPairingInverse:

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .engine import Reconstructor
 from .golden import TABLE_ORDERS, mults_from_insertions, verify
-from .records import GWRecord, RecordError, load_records, save_records
+from .records import GWRecord, RecordError, load_records, render_records, save_records
 from .ring import TargetData, build_p1b, divisor_generation_check, specialize
 
 EXIT_OK = 0
@@ -395,11 +395,7 @@ def _render_combo(td: TargetData, vec) -> str:
 def _cmd_cache(args) -> int:
     loaded = _preload_records(args.path, {})
     if args.emit:
-        ordered = sorted(
-            loaded, key=lambda r: (r.b, r.d, len(r.insertions), r.insertions)
-        )
-        for recd in ordered:
-            print(recd.render())
+        sys.stdout.write(render_records(loaded))
     else:
         print(f"{len(loaded)} records ok")
     return EXIT_OK

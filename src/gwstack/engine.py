@@ -3,7 +3,8 @@
 The engine evaluates an n-point genus-zero invariant by a recursion in
 which WDVV associativity is the only nontrivial step:
 
-* two and three insertions read the stored structure constants;
+* two and three insertions read the structure constants, which the
+  memo holds from the start next to the memoized n >= 4 values;
 * an identity insertion kills the invariant (n >= 4);
 * a divisor insertion comes out as a factor of d times its degree;
 * otherwise the insertion of largest orbifold degree is replaced
@@ -100,9 +101,10 @@ class Reconstructor:
     Any valid policy yields the same values; running both is a useful
     consistency check.
 
-    ``cache`` is the memo of n >= 4 invariants, zeros included, keyed
-    by packed count vectors (see the module docstring); ``snapshot()``
-    gives its contents with sorted insertion tuples.
+    ``cache``, keyed by packed count vectors (see the module docstring),
+    holds the 2- and 3-point constants plus the memoized n >= 4
+    invariants, zeros included; ``snapshot()`` gives the latter with
+    sorted insertion tuples.
     """
 
     def __init__(self, td: TargetData, donor_policy: str = "next_largest") -> None:
@@ -115,15 +117,15 @@ class Reconstructor:
         w, c1, dim, scale = grading.weights, grading.c1, grading.dim, grading.scale
         size = td.basis_size
         unit = self._unit = tuple(1 << (_FIELD * k) for k in range(size))
-        # The 2- and 3-point constants by packed key.  Only entries at
-        # their forced degree can ever be read, so the key omits d.
-        constants = self._constants = {}
+        # The memo starts with the 2- and 3-point constants.  Only those at
+        # their forced degree (d > 0 for two points) are read: keys omit d.
+        cache = self.cache
         for (i, j, k, d), value in td.base3.items():
             if d >= 0 and w[i] + w[j] + w[k] == c1 * d + dim:
-                constants[unit[i] + unit[j] + unit[k]] = value
+                cache[unit[i] + unit[j] + unit[k]] = value
         for (i, j, d), value in td.base2.items():
-            if d >= 0 and w[i] + w[j] + scale == c1 * d + dim:
-                constants[unit[i] + unit[j]] = value
+            if d > 0 and w[i] + w[j] + scale == c1 * d + dim:
+                cache[unit[i] + unit[j]] = value
         # Nonzero inverse-pairing entries (unit[i], unit[j], w[i], g's numerator
         # and denominator), by w[i] + w[j], which one WDVV side's total degree
         # pins, then by w[i] mod c1, which per split makes d1 an integer.
@@ -201,22 +203,20 @@ class Reconstructor:
         if hi < 1:
             return
         grading = td.grading
+        c1, dim, scale = grading.c1, grading.dim, grading.scale
         d = 0
-        while True:
-            if max_d is not None and d > max_d:
+        while max_d is None or d <= max_d:
+            # On a power basis weights[k] == k; the exponent sum c1 d + dim
+            # + scale (n - 3) is at most n hi, so n (scale - hi) <= slack.
+            # As hi <= scale, n = 4 is the loosest case; once it fails, stop.
+            slack = 3 * scale - c1 * d - dim
+            if slack < 4 * (scale - hi):
                 return
-            if include_divisor:
-                n_cap = max_n
-            else:
-                n_cap = 2 * b - d * (b + 1)
-                if n_cap < 4:
-                    return
-                if max_n is not None:
-                    n_cap = min(n_cap, max_n)
+            n_cap = slack // (scale - hi) if hi < scale else max_n
+            if max_n is not None:
+                n_cap = min(n_cap, max_n)
             for n in range(4, n_cap + 1):
-                # On a power basis weights[k] == k, so this is the
-                # exponent sum the degree axiom forces.
-                total = grading.c1 * d + grading.dim + grading.scale * (n - 3)
+                total = c1 * d + dim + scale * (n - 3)
                 for key in _bounded_multisets(n, 1, hi, total):
                     value = self._eval(_pack(key), n, d)
                     if value:
@@ -229,8 +229,8 @@ class Reconstructor:
         """Seed the memo from ``(d, insertions, value)`` triples.
 
         Every entry is validated: the degree must be the forced one,
-        2- or 3-point entries must agree with the built-in structure
-        constants (they are checked, not stored), and a key already in
+        2- or 3-point entries must agree with the structure constants
+        (a degree-0 2-point entry is degenerate), and a key already in
         the memo must not be re-bound to a different value.
         """
         for d, insertions, value in entries:
@@ -240,28 +240,25 @@ class Reconstructor:
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
             code = _pack(ins)
-            if len(ins) == 2:
-                known = self._constants.get(code, ZERO) if d else None
-            elif len(ins) == 3:
-                known = self._constants.get(code, ZERO)
-            else:
+            if len(ins) > 3:
                 old = self.cache.setdefault(code, value)
                 if old != value:
                     raise ValueError(
                         f"key {ins} already holds {old}, refusing to store {value}"
                     )
-                continue
-            if known != value:
+            elif self._eval(code, len(ins), d) != value:
                 raise ValueError(
                     f"entry {ins} at degree {d} conflicts with the structure "
                     f"constants of {self.td.id}"
                 )
 
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
-        """The memo contents as sorted ``(d, insertions, value)`` triples."""
+        """The n >= 4 memo values as sorted ``(d, insertions, value)`` triples."""
         out = []
         for code, value in self.cache.items():
             ins = _unpack(code)
+            if len(ins) <= 3:
+                continue
             d = self.td.grading.forced(ins)
             assert d is not None  # only forced keys are ever stored
             out.append((d, ins, value))
@@ -290,15 +287,15 @@ class Reconstructor:
                 )
 
     def _eval(self, code: int, n: int, d: int) -> Fraction:
+        value = self.cache.get(code)
+        if value is not None:
+            return value
         if n > 3:
-            value = self.cache.get(code)
-            if value is None:
-                value = self._reduce(code, n, d)
-                self.cache[code] = value
+            value = self.cache[code] = self._reduce(code, n, d)
             return value
         if n == 2 and d == 0:
             raise ValueError("the 2-point invariant at degree 0 is degenerate")
-        return self._constants.get(code, ZERO)
+        return ZERO
 
     def _reduce(self, code: int, n: int, d: int) -> Fraction:
         td = self.td
@@ -468,17 +465,15 @@ class Reconstructor:
 def _bounded_multisets(
     n: int, lo: int, hi: int, total: int
 ) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing n-tuples with entries in [lo, hi] summing to total."""
-    if n == 0:
-        if total == 0:
-            yield ()
+    """Nondecreasing n-tuples with entries in [lo, hi] (lo <= hi) summing
+    to total, in lexicographic order.  Each level takes c copies of lo,
+    most first, for every c that leaves n - c entries in [lo + 1, hi]
+    a sum they can reach, so the recursion is hi - lo deep for any n."""
+    if lo == hi:
+        if n * lo == total:
+            yield (lo,) * n
         return
-    for v in range(lo, hi + 1):
-        rest = total - v
-        if rest < (n - 1) * v:
-            break
-        if rest > (n - 1) * hi:
-            continue
-        for tail in _bounded_multisets(n - 1, v, hi, rest):
-            yield (v,) + tail
-
+    top = min(n, (n * hi - total) // (hi - lo))
+    for c in range(top, max(0, n * (lo + 1) - total) - 1, -1):
+        for tail in _bounded_multisets(n - c, lo + 1, hi, total - c * lo):
+            yield (lo,) * c + tail

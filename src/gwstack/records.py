@@ -32,8 +32,11 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL.match(text)
     if m is None:
         raise RecordError(f"malformed rational {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError as exc:  # more digits than int() converts
+        raise RecordError(f"rational of {len(text)} characters: {exc}") from None
     if gcd(abs(num), den) != 1:
         raise RecordError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)
@@ -101,7 +104,7 @@ def load_records(path: str) -> list[tuple[int, GWRecord]]:
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RecordError(f"cannot read {path}: {exc}") from None
     out = []
     for lineno, payload in iter_record_lines(text):
@@ -112,19 +115,23 @@ def load_records(path: str) -> list[tuple[int, GWRecord]]:
     return out
 
 
+def render_records(records) -> str:
+    """Records one per line, ordered by (b, d, n, insertions)."""
+    ordered = sorted(records, key=lambda r: (r.b, r.d, len(r.insertions), r.insertions))
+    return "".join(rec.render() + "\n" for rec in ordered)
+
+
 def save_records(path: str, records) -> None:
-    """Write records one per line in a fixed sort order.
+    """Write ``render_records(records)`` to ``path``.
 
     The text goes to a temporary file in the same directory, which then
     replaces ``path`` in one step, so a failed write leaves the old file
     as it was.
     """
-    ordered = sorted(records, key=lambda r: (r.b, r.d, len(r.insertions), r.insertions))
-    text = "".join(rec.render() + "\n" for rec in ordered)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as handle:
-            handle.write(text)
+            handle.write(render_records(records))
         os.replace(tmp, path)
     except OSError as exc:
         with suppress(OSError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from gwstack import Reconstructor, build_p1b, build_p2
@@ -36,3 +38,13 @@ class EngineRegistry:
 @pytest.fixture(scope="session")
 def engines() -> EngineRegistry:
     return EngineRegistry()
+
+
+@pytest.fixture
+def int_digit_limit() -> int:
+    """The most digits ``int()`` converts from a string; skips the test
+    on an interpreter without such a limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts decimal strings of any length here")
+    return limit

@@ -7,10 +7,11 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from gwstack import cli
+from gwstack import build_p1b, cli
 from gwstack.engine import _FIELD
 from gwstack.golden import mults_from_insertions
 from reference import closed_4pt_deg0, closed_4pt_deg1
@@ -24,6 +25,18 @@ def run(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+def _spawn(*argv, timeout=None) -> subprocess.CompletedProcess:
+    """``python -m gwstack.cli argv`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "gwstack.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=timeout,
+    )
 
 
 @pytest.fixture
@@ -184,6 +197,40 @@ class TestTable:
                 expected.append(f"{d}\t{mults}\t{value}")
         assert sorted(out.splitlines()) == sorted(expected)
 
+    def test_divisor_rows_stop_at_degree_one(self):
+        # No P(1,b) row with a divisor insertion sits past d = 1, so a
+        # huge --max-d prints what --max-d 1 prints, without walking
+        # every degree up to it.
+        argv = "table --b 3 --include-divisor --max-n 4 --format jsonl --max-d"
+        short, huge = (
+            _spawn(*argv.split(), max_d, timeout=10) for max_d in ("1", str(10**9))
+        )
+        assert (huge.returncode, huge.stdout) == (short.returncode, short.stdout)
+        assert short.returncode == 0 and short.stdout.count("\n") == 3
+
+    def test_divisor_rows_past_the_recursion_limit(self, run):
+        # The rows are walked one class at a time, so the insertion count
+        # is not bounded by the interpreter's recursion limit.
+        n = sys.getrecursionlimit() + 10
+        code, out, _ = run(
+            "table", "--b", "3", "--include-divisor", "--max-n", str(n),
+            "--max-d", "1", "--format", "jsonl",
+        )
+        assert code == 0
+        base3 = build_p1b(3).base3
+        # Past the twisted support (n <= 6) only degree-1 rows with
+        # divisors are nonzero, 1,x^(m-1) and 2,2,x^(m-2) for each m: a
+        # 3-point constant times the divisor factor (1/3)^(m-3).
+        rows = [json.loads(line) for line in out.splitlines()]
+        long = [row for row in rows if len(row["insertions"]) > 6]
+        assert len(long) == 2 * (n - 6)
+        for row in long:
+            ins = row["insertions"]
+            head, tail = ins[:3], ins[3:]
+            assert row["d"] == 1 and head in ([1, 3, 3], [2, 2, 3]) and set(tail) == {3}
+            value = base3[(*head, 1)] * Fraction(1, 3) ** len(tail)
+            assert row["value"] == str(value)
+
     def test_full_support_at_b12(self, run):
         code, out, _ = run("table", "--b", "12", "--format", "tsv")
         assert code == 0
@@ -216,8 +263,6 @@ class TestVerify:
             assert "--b must be one of" in err
 
     def test_mismatch_exits_one(self, run, monkeypatch):
-        from fractions import Fraction
-
         from gwstack import golden as golden_mod
         from gwstack.golden import GoldenRow
 
@@ -299,21 +344,21 @@ class TestCache:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "text, code, out",
+        "text, code, out, reason",
         [
-            ("3 1 2,2 1/3\n", 0, "1 records ok\n"),  # matches base2
-            ("3 1 2,2 1/2\n", 3, ""),
-            ("3 0 0,0 1\n", 3, ""),  # the degenerate degree-0 pair
+            ("3 1 2,2 1/3\n", 0, "1 records ok\n", None),  # matches base2
+            ("3 1 2,2 1/2\n", 3, "", "conflicts"),
+            ("3 0 0,0 1\n", 3, "", "degenerate"),  # the degree-0 pair
         ],
         ids=["matches-base2", "conflicts", "degree-0"],
     )
-    def test_two_point_records(self, run, tmp_path, text, code, out):
+    def test_two_point_records(self, run, tmp_path, text, code, out, reason):
         path = tmp_path / "memo.rec"
         path.write_text(text)
         got_code, got_out, err = run("cache", "--path", str(path))
         assert (got_code, got_out) == (code, out)
         if code:
-            assert "memo.rec:1:" in err and "conflicts" in err
+            assert "memo.rec:1:" in err and reason in err
 
     def test_emit_normalizes(self, run, tmp_path):
         path = tmp_path / "memo.rec"
@@ -374,6 +419,25 @@ class TestCache:
         assert code == 3
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        ["cache --path", "compute --b 3 --insertions 1,1,2,2 --cache"],
+        ids=["cache", "compute"],
+    )
+    def test_non_ascii_file_exits_three(self, run, tmp_path, argv):
+        path = tmp_path / "memo.rec"
+        path.write_bytes(b"3 0 1,1,2,2 -1/9\n\xff\n")
+        code, out, err = run(*argv.split(), str(path))
+        assert (code, out) == (3, "")
+        assert f"cannot read {path}" in err
+
+    def test_overlong_rational_exits_three(self, run, tmp_path, int_digit_limit):
+        path = tmp_path / "memo.rec"
+        path.write_text("3 0 1,1,2,2 -1/" + "9" * (int_digit_limit + 1) + "\n")
+        code, out, err = run("cache", "--path", str(path))
+        assert (code, out) == (3, "")
+        assert "memo.rec:1:" in err
+
     def test_corrupt_preload_blocks_compute(self, run, tmp_path):
         path = tmp_path / "memo.rec"
         path.write_text("3 0 1,1,2,2 -1/8\n")  # wrong value for a golden key
@@ -399,15 +463,7 @@ class TestCache:
 
 class TestUsage:
     def test_module_entry_point(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        argv = ["compute", "--b", "3", "--insertions", "1,1,2,2"]
-        done = subprocess.run(
-            [sys.executable, "-m", "gwstack.cli", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        done = _spawn("compute", "--b", "3", "--insertions", "1,1,2,2")
         assert (done.returncode, done.stdout) == (0, "-1/9\n")
 
     def test_no_arguments(self, run):

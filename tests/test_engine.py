@@ -180,7 +180,7 @@ class TestGw:
         base = td.base3[(1, 2, 2, 1)]
         for n in (600, 3000):
             assert rec.gw((1,) + (2,) * n) == F(1, 2) ** (n - 2) * base
-        assert len(rec.cache) == 3000 - 2
+        assert len(rec.snapshot()) == 3000 - 2
         for _, ins, value in rec.snapshot():
             assert value == F(1, 2) ** (len(ins) - 3) * base
 
@@ -475,7 +475,7 @@ class TestPreload:
         with pytest.raises(ValueError, match="conflicts"):
             rec.preload([(1, (2, 2), F(1, 2))])
         # The degree-0 pair is degenerate: no value is consistent with it.
-        with pytest.raises(ValueError, match="conflicts"):
+        with pytest.raises(ValueError, match="degenerate"):
             rec.preload([(0, (0, 0), F(1))])
         assert rec.snapshot() == []
 
@@ -502,6 +502,7 @@ class TestPackedKeys:
 
     def test_insertion_count_is_bounded(self):
         rec = Reconstructor(build_p1b(2))
+        built = dict(rec.cache)
         most = (1 << _FIELD) - 1
         # Identity insertions alone force no degree, so the largest
         # accepted key is 0 without any evaluation.
@@ -515,7 +516,7 @@ class TestPackedKeys:
         ):
             with pytest.raises(ValueError, match=f"at most {most} insertions"):
                 call()
-        assert rec.cache == {}
+        assert rec.cache == built
 
 
 class TestBoundedMultisets:

@@ -36,6 +36,13 @@ class TestRational:
     def test_round_trip(self, value):
         assert parse_rational(str(value)) == value
 
+    @pytest.mark.parametrize("field", ["numerator", "denominator"])
+    def test_rejects_overlong_integers(self, int_digit_limit, field):
+        digits = "1" * (int_digit_limit + 1)
+        text = digits if field == "numerator" else f"1/{digits}"
+        with pytest.raises(RecordError, match=f"rational of {len(text)} characters"):
+            parse_rational(text)
+
 
 class TestGWRecord:
     def test_render_parse(self):

@@ -14,10 +14,11 @@ rationals; the output is deterministic byte for byte.
 
 ``compute`` and ``table`` optionally persist their memo to the record
 file named by ``--cache`` and preload it on the next run.  A record
-with an impossible degree, or a 2- or 3-point record that contradicts
-the structure constants, rejects the whole file.  Records with n > 3
-are stored unchecked, apart from a key given two different values, so
-``verify`` is their integrity check.
+with an impossible degree, a 2- or 3-point record that contradicts
+the structure constants, a key given two different values, or an n > 3
+value that is not an integer in the target's gauge (see
+``TargetData.gauge``) rejects the whole file.  Other n > 3 records are
+stored unchecked, so ``verify`` is their integrity check.
 """
 
 from __future__ import annotations
@@ -46,9 +47,15 @@ _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is
 # not given, checked before any target is built.  On one Xeon core the
-# full support takes about 0.4 s at b = 12 and 2.5 s at b = 16, and the
-# cost grows about 1.6-fold per step of b.
+# full support takes about 0.25 s at b = 12 and 1.2 s at b = 16, and the
+# cost grows about 1.6- to 1.9-fold per step of b.
 _MAX_TABLE_ORDER = 16
+
+# Largest --max-n of a table with divisor insertions, checked before any
+# target is built.  Such a table grows with the square of --max-n: on one
+# Xeon core `table --b 3 --include-divisor --max-d 1` takes 0.6 s and
+# prints 3.7 MB at --max-n 1200, and 1.7 s and 10.6 MB at 2048.
+_MAX_DIVISOR_TABLE_N = 2048
 
 # Longest --lambda text passed to Fraction().  Fraction() also parses
 # exponent notation, and "1e10000000" costs it about 10 s, so exponents
@@ -288,6 +295,11 @@ def _cmd_table(args) -> int:
                 "divisor insertions have no multiplicity-vector rendering; "
                 "use --format jsonl"
             )
+        if args.max_n > _MAX_DIVISOR_TABLE_N:
+            args.parser.error(
+                f"--max-n must be at most {_MAX_DIVISOR_TABLE_N} with "
+                f"--include-divisor, got {args.max_n}"
+            )
     if args.max_n is None and b > _MAX_TABLE_ORDER:
         args.parser.error(
             f"the full support is tabulated for b <= {_MAX_TABLE_ORDER} only, "
@@ -295,13 +307,16 @@ def _cmd_table(args) -> int:
         )
     rec = Reconstructor(_target_for(b))
     loaded = _preload_cache(rec, args.cache)
-    rows = list(
-        rec.enumerate_nonzero(
-            max_n=args.max_n,
-            max_d=args.max_d,
-            include_divisor=args.include_divisor,
+    try:
+        rows = list(
+            rec.enumerate_nonzero(
+                max_n=args.max_n,
+                max_d=args.max_d,
+                include_divisor=args.include_divisor,
+            )
         )
-    )
+    except ValueError as exc:  # --max-n beyond what one key holds
+        args.parser.error(str(exc))
     if args.format == "jsonl":
         rows.sort()  # keys are unique, so this orders by (d, insertions)
         for key, value in rows:

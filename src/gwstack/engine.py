@@ -45,9 +45,18 @@ The nonzero inverse-pairing entries (i, j) are bucketed by the weight
 sum of i and j, which one side's total degree pins, and then by the
 weight of i modulo the scaled c1, so each split visits only the
 entries that give both factors integer degrees adding up to the total.
-A side sums in integers, each term's numerator under its denominator,
-and builds one ``Fraction`` per distinct denominator, so no term makes a
-``Fraction`` or a gcd; memo values and results stay ``Fraction``.
+
+The recursion runs on integers.  WDVV is unchanged when the classes, q
+or the whole potential are rescaled, and the target's gauge (see
+``TargetData.gauge``) picks the rescaling N = alpha r^d T / s^(n-2+d)
+that makes the 2- and 3-point constants, the inverse pairing and the
+divisor factors integers and each pivot coefficient a sign.  The memo
+holds the gauged values T, a WDVV side is one integer sum, a reduction
+multiplies by the pivot's sign and a divisor strip by d times the
+gauged divisor factor, so nothing divides.  Values become ``Fraction``
+only where they leave the engine: ``gw``, ``gw_at``, ``wdvv_residual``,
+``enumerate_nonzero`` and ``snapshot()``; ``preload`` gauges what comes
+in and rejects a value whose T is not an integer.
 """
 
 from __future__ import annotations
@@ -103,8 +112,11 @@ class Reconstructor:
 
     ``cache``, keyed by packed count vectors (see the module docstring),
     holds the 2- and 3-point constants plus the memoized n >= 4
-    invariants, zeros included; ``snapshot()`` gives the latter with
-    sorted insertion tuples.
+    invariants, zeros included, as gauged ints: the invariant of a key
+    with n insertions at degree d is ``td.gauge.unscale(value, n, d)``.
+    ``snapshot()`` gives the n >= 4 values as ``Fraction`` with sorted
+    insertion tuples.  Building an engine reads ``td.gauge``, which
+    raises ``ValueError`` for a target without an integer form.
     """
 
     def __init__(self, td: TargetData, donor_policy: str = "next_largest") -> None:
@@ -112,7 +124,8 @@ class Reconstructor:
             raise ValueError(f"unknown donor policy {donor_policy!r}")
         self.td = td
         self.donor_policy = donor_policy
-        self.cache: dict[int, Fraction] = {}
+        self.cache: dict[int, int] = {}
+        gauge = self._gauge = td.gauge
         grading = td.grading
         w, c1, dim, scale = grading.weights, grading.c1, grading.dim, grading.scale
         size = td.basis_size
@@ -120,23 +133,28 @@ class Reconstructor:
         # The memo starts with the 2- and 3-point constants.  Only those at
         # their forced degree (d > 0 for two points) are read: keys omit d.
         cache = self.cache
-        for (i, j, k, d), value in td.base3.items():
+        for (i, j, k, d), value in gauge.base3.items():
             if d >= 0 and w[i] + w[j] + w[k] == c1 * d + dim:
                 cache[unit[i] + unit[j] + unit[k]] = value
-        for (i, j, d), value in td.base2.items():
+        for (i, j, d), value in gauge.base2.items():
             if d > 0 and w[i] + w[j] + scale == c1 * d + dim:
                 cache[unit[i] + unit[j]] = value
-        # Nonzero inverse-pairing entries (unit[i], unit[j], w[i], g's numerator
-        # and denominator), by w[i] + w[j], which one WDVV side's total degree
-        # pins, then by w[i] mod c1, which per split makes d1 an integer.
+        # Gauged nonzero inverse-pairing entries (unit[i], unit[j], w[i], g),
+        # by w[i] + w[j], which one WDVV side's total degree pins, then by
+        # w[i] mod c1, which per split makes d1 an integer.
         buckets = self._buckets = {}
-        for i, j, g in td.pairing_inverse_entries:
-            entry = (unit[i], unit[j], w[i], g.numerator, g.denominator)
+        for i, j, g in gauge.pairing_inverse_entries:
+            entry = (unit[i], unit[j], w[i], g)
             by_residue = buckets.setdefault(w[i] + w[j], {})
             by_residue.setdefault(w[i] % c1, []).append(entry)
         # Pivot order: weight (so orbifold degree) descending, then index
         # descending.
         self._order = sorted(range(size), key=lambda k: (w[k], k), reverse=True)
+        self._divisors = tuple(gauge.divisor_factor.items())
+        self._pivots = {
+            t: (step.partner, step.divisor, step.shift, gauge.sign[t])
+            for t, step in td.divisor_factorization.items()
+        }
 
     # -- public evaluation ---------------------------------------------------
 
@@ -146,14 +164,14 @@ class Reconstructor:
         d = self.td.grading.forced(ins)
         if d is None:
             return ZERO
-        return self._eval(_pack(ins), len(ins), d)
+        return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
     def gw_at(self, insertions, d: int) -> Fraction:
         """The invariant at an explicit degree; 0 unless d is forced."""
         ins = self._normalize(insertions)
         if d != self.td.grading.forced(ins):
             return ZERO
-        return self._eval(_pack(ins), len(ins), d)
+        return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
     def wdvv_residual(
         self, g1: int, g2: int, g3: int, g4: int, deltas=(), beta3: int = 0
@@ -171,9 +189,10 @@ class Reconstructor:
         deltas = tuple(deltas)
         self._check_indices(fixed + deltas)
         splits = self._splits(_pack(deltas))
-        return self._walk(g1, g2, g3, g4, splits, beta3) - self._walk(
+        difference = self._walk(g1, g2, g3, g4, splits, beta3) - self._walk(
             g1, g3, g2, g4, splits, beta3
         )
+        return self._gauge.unscale(difference, len(deltas) + 3, beta3)
 
     def enumerate_nonzero(
         self,
@@ -199,11 +218,14 @@ class Reconstructor:
             raise ValueError(
                 "max_n and max_d are required when divisor insertions are included"
             )
+        if max_n is not None and max_n > _MAX_INSERTIONS:
+            raise ValueError(f"max_n must be at most {_MAX_INSERTIONS}, got {max_n}")
         hi = b if include_divisor else b - 1
         if hi < 1:
             return
         grading = td.grading
         c1, dim, scale = grading.c1, grading.dim, grading.scale
+        unscale = self._gauge.unscale
         d = 0
         while max_d is None or d <= max_d:
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
@@ -220,7 +242,7 @@ class Reconstructor:
                 for key in _bounded_multisets(n, 1, hi, total):
                     value = self._eval(_pack(key), n, d)
                     if value:
-                        yield InsertionKey(d, key), value
+                        yield InsertionKey(d, key), unscale(value, n, d)
             d += 1
 
     # -- cache persistence ---------------------------------------------------
@@ -230,23 +252,36 @@ class Reconstructor:
 
         Every entry is validated: the degree must be the forced one,
         2- or 3-point entries must agree with the structure constants
-        (a degree-0 2-point entry is degenerate), and a key already in
-        the memo must not be re-bound to a different value.
+        (a degree-0 2-point entry is degenerate), a key already in the
+        memo must not be re-bound to a different value, and a new value
+        must have an integer gauged value (see ``TargetData.gauge``).
         """
+        gauge = self._gauge
         for d, insertions, value in entries:
             ins = self._normalize(insertions)
+            n = len(ins)
             if self.td.grading.forced(ins) != d:
                 raise ValueError(
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
             code = _pack(ins)
-            if len(ins) > 3:
-                old = self.cache.setdefault(code, value)
-                if old != value:
+            if n > 3:
+                old = self.cache.get(code)
+                if old is not None:
+                    old = gauge.unscale(old, n, d)
+                    if old != value:
+                        raise ValueError(
+                            f"key {ins} already holds {old}, refusing to store {value}"
+                        )
+                    continue
+                gauged = gauge.gauged(value, n, d)
+                if gauged is None:
                     raise ValueError(
-                        f"key {ins} already holds {old}, refusing to store {value}"
+                        f"{value} is not a value of {self.td.id} at {ins}: its "
+                        f"gauged value is not an integer"
                     )
-            elif self._eval(code, len(ins), d) != value:
+                self.cache[code] = gauged
+            elif gauge.unscale(self._eval(code, n, d), n, d) != value:
                 raise ValueError(
                     f"entry {ins} at degree {d} conflicts with the structure "
                     f"constants of {self.td.id}"
@@ -254,6 +289,7 @@ class Reconstructor:
 
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
         """The n >= 4 memo values as sorted ``(d, insertions, value)`` triples."""
+        unscale = self._gauge.unscale
         out = []
         for code, value in self.cache.items():
             ins = _unpack(code)
@@ -261,7 +297,7 @@ class Reconstructor:
                 continue
             d = self.td.grading.forced(ins)
             assert d is not None  # only forced keys are ever stored
-            out.append((d, ins, value))
+            out.append((d, ins, unscale(value, len(ins), d)))
         out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
         return out
 
@@ -286,7 +322,7 @@ class Reconstructor:
                     f"basis index {k} out of range for {self.td.id}"
                 )
 
-    def _eval(self, code: int, n: int, d: int) -> Fraction:
+    def _eval(self, code: int, n: int, d: int) -> int:
         value = self.cache.get(code)
         if value is not None:
             return value
@@ -295,12 +331,11 @@ class Reconstructor:
             return value
         if n == 2 and d == 0:
             raise ValueError("the 2-point invariant at degree 0 is degenerate")
-        return ZERO
+        return 0
 
-    def _reduce(self, code: int, n: int, d: int) -> Fraction:
-        td = self.td
-        if (code >> (_FIELD * td.fundamental_index)) & _MASK:
-            return ZERO
+    def _reduce(self, code: int, n: int, d: int) -> int:
+        if (code >> (_FIELD * self.td.fundamental_index)) & _MASK:
+            return 0
         # Divisor axiom, one divisor per pass of a loop rather than per
         # recursion level, so a long run of divisors costs no stack.  The
         # strip stops at three insertions or at a memoized key; every key
@@ -308,14 +343,15 @@ class Reconstructor:
         stripped = []
         key = code
         while True:
-            div = next(
-                (v for v in td.divisor_degree if (key >> (_FIELD * v)) & _MASK), None
+            div, factor = next(
+                ((v, f) for v, f in self._divisors if (key >> (_FIELD * v)) & _MASK),
+                (None, 0),
             )
             if div is None:
                 break
             if d == 0:
-                return ZERO
-            stripped.append((key, d * td.divisor_degree[div]))
+                return 0
+            stripped.append((key, d * factor))
             key -= self._unit[div]
             n -= 1
             if n == 3 or key in self.cache:
@@ -333,19 +369,17 @@ class Reconstructor:
             donor, third = ranked[-1], ranked[1]
         else:
             donor, third = ranked[1], ranked[2]
-        step = td.divisor_factorization[pivot]
+        partner, divisor, shift, sign = self._pivots[pivot]
         unit = self._unit
         splits = self._splits(code - unit[pivot] - unit[donor] - unit[third])
-        beta3 = d + step.shift
+        beta3 = d + shift
         # WDVV for (third, donor, partner, divisor) and total degree
         # beta3: the full split of the donor side is coeff times the
         # target invariant, everything else is strictly smaller in the
-        # (n, b - max exponent) measure.
-        swapped = self._walk(third, step.partner, donor, step.divisor, splits, beta3)
-        partial = self._walk(
-            third, donor, step.partner, step.divisor, splits, beta3, skip_full=True
-        )
-        return (swapped - partial) / step.coeff
+        # (n, b - max exponent) measure.  In the gauge coeff is the sign.
+        swapped = self._walk(third, partner, donor, divisor, splits, beta3)
+        partial = self._walk(third, donor, partner, divisor, splits, beta3, skip_full=True)
+        return (swapped - partial) * sign
 
     def _splits(self, code: int) -> list[tuple[int, int, int, int]]:
         """(code, excess, size, multiplicity) of every multiset split of
@@ -379,7 +413,7 @@ class Reconstructor:
         splits: list[tuple[int, int, int, int]],
         beta3: int,
         skip_full: bool = False,
-    ) -> Fraction:
+    ) -> int:
         """One side of the WDVV relation: sum over ``splits`` of the
         insertions ``deltas`` (built by ``_splits``) into a left part A
         (joining x1, x2) and right part B (joining y1, y2), contracted
@@ -406,10 +440,11 @@ class Reconstructor:
         only those whose w[i] makes d1 an integer; d1 is then an exact
         division and d2 = beta3 - d1 needs no check.  At most one degree
         split survives per (A, i, j).
-        The sum is exact in integers: a term left * right * mult * g adds
-        its numerator under its denominator (left's times right's times
-        g's), and one ``Fraction`` is built per denominator.  A zero
-        factor is skipped on its numerator.
+        The factors and g are gauged integers, so the side is one
+        integer sum of left * right * g * mult, with a split's
+        multiplicity applied once to its partial sum; a zero left factor
+        skips the right factor's lookup.  On m deltas the side is a
+        gauged value on m + 3 insertions at degree beta3.
         ``skip_full`` omits the split a = m (A = deltas), which is the
         term the pivot reduction solves for.
         """
@@ -421,14 +456,14 @@ class Reconstructor:
         right_base = w[y1] + w[y2] + full_excess - dim
         buckets = self._buckets.get(c1 * beta3 - left_base - right_base)
         if buckets is None:
-            return ZERO
+            return 0
         if skip_full:
             splits = splits[:-1]
         left_code = unit[x1] + unit[x2]
         right_code = unit[y1] + unit[y2] + full_code
         top = c1 * beta3
         cache = self.cache
-        sums: dict[int, int] = {}  # numerator sum by denominator
+        total = 0
         for code, excess, size, mult in splits:
             base = left_base + excess
             bucket = buckets.get(-base % c1)
@@ -438,7 +473,8 @@ class Reconstructor:
             nr = 3 + m - size
             lcode = left_code + code
             rcode = right_code - code
-            for ui, uj, wi, gn, gd in bucket:
+            part = 0
+            for ui, uj, wi, g in bucket:
                 t = base + wi  # c1 d1
                 if t < 0 or t > top:
                     continue
@@ -447,19 +483,17 @@ class Reconstructor:
                 left = cache.get(key)
                 if left is None:
                     left = self._eval(key, nl, d1)
-                ln = left.numerator
-                if not ln:
+                if not left:
                     continue
                 key = rcode + uj
                 right = cache.get(key)
                 if right is None:
                     right = self._eval(key, nr, beta3 - d1)
-                rn = right.numerator
-                if not rn:
-                    continue
-                den = left.denominator * right.denominator * gd
-                sums[den] = sums.get(den, 0) + ln * rn * mult * gn
-        return sum((Fraction(num, den) for den, num in sums.items()), ZERO)
+                if right:
+                    part += left * right * g
+            if part:
+                total += part * mult
+        return total
 
 
 def _bounded_multisets(

@@ -18,8 +18,9 @@ engine pivots on.  Two constructors are built in,
 
 Everything downstream (the quantum product, specializations at a chosen
 value of q, the reconstruction engine) is driven by the datum alone.
-All coefficients are ``fractions.Fraction``; no floating point number
-appears anywhere in this package.
+All coefficients are ``fractions.Fraction``, apart from the integer
+form of the datum that the engine runs on (:class:`Gauge`); no floating
+point number appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import lcm
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -88,6 +89,47 @@ class Grading:
         return self.degree(sum(self.weights[k] for k in ins), len(ins))
 
 
+class Gauge(NamedTuple):
+    """The integer form of one target's invariants (``TargetData.gauge``).
+
+    An n-point invariant at degree d is N = alpha r^d T / s^(n - 2 + d):
+    s scales the classes, r scales q and alpha the potential, and none
+    of them changes WDVV.  The fields hold the gauged 2- and 3-point
+    constants (keyed as in ``TargetData``), inverse-pairing entries
+    (alpha g / s) and divisor factors (degree times s), all integers,
+    and each pivot class's sign coeff s^shift / r^shift, 1 or -1.  A
+    reduction only adds and multiplies these, so every gauged value T
+    is an integer.
+    """
+
+    s: int
+    r: Fraction
+    alpha: int
+    base3: Mapping[tuple[int, int, int, int], int]
+    base2: Mapping[tuple[int, int, int], int]
+    pairing_inverse_entries: tuple[tuple[int, int, int], ...]
+    divisor_factor: Mapping[int, int]
+    sign: Mapping[int, int]
+
+    def unscale(self, value: int, n: int, d: int) -> Fraction:
+        """The invariant whose gauged value on n insertions at degree d is ``value``."""
+        r = self.r
+        return Fraction(
+            self.alpha * r.numerator**d * value, self.s ** (n - 2 + d) * r.denominator**d
+        )
+
+    def gauged(self, value: Fraction, n: int, d: int) -> Optional[int]:
+        """The gauged value of the invariant ``value`` on n insertions at
+        degree d, or ``None`` if it is not an integer, which no
+        invariant of the target has."""
+        r = self.r
+        t, rest = divmod(
+            value.numerator * self.s ** (n - 2 + d) * r.denominator**d,
+            value.denominator * self.alpha * r.numerator**d,
+        )
+        return None if rest else t
+
+
 @dataclass(frozen=True, eq=False)
 class TargetData:
     """Finite description of one target geometry.
@@ -96,8 +138,8 @@ class TargetData:
     mutated after construction) and compare by identity, since the
     mapping fields are not hashable.  The data derived from the fields
     (``grading``, ``pairing_inverse``, ``pairing_inverse_entries``,
-    ``products``, ``divisor_factorization``) is computed on first use
-    and kept on the instance.  ``divisor_degree`` maps each divisor
+    ``products``, ``divisor_factorization``, ``gauge``) is computed on
+    first use and kept on the instance.  ``divisor_degree`` maps each divisor
     class to its degree; every consumer takes the divisors in its key
     order.
 
@@ -207,6 +249,51 @@ class TargetData:
                 )
             out[t] = steps[t]
         return out
+
+    @cached_property
+    def gauge(self) -> Gauge:
+        """The :class:`Gauge`; s = b and r = alpha = 1 on P(1,b).
+
+        s is the lcm of the divisor degrees' denominators, alpha that of
+        g / s over the nonzero inverse-pairing entries g, and r is
+        |coeff| s of the lowest class whose pivot has q-shift 1, else 1.
+        ``ValueError`` names the first pivot sign that is not +-1, or the
+        first 2- or 3-point constant whose gauged value is not an
+        integer: the engine does not run on such a target.
+        """
+        s = lcm(*(delta.denominator for delta in self.divisor_degree.values()))
+        alpha = lcm(*((g / s).denominator for _, _, g in self.pairing_inverse_entries))
+        steps = self.divisor_factorization
+        r = next((abs(step.coeff) * s for step in steps.values() if step.shift == 1), ONE)
+        sign = {}
+        for t, step in steps.items():
+            c = step.coeff * Fraction(s, r) ** step.shift
+            if c not in (1, -1):
+                raise ValueError(
+                    f"{self.id}: the pivot of class {t} has sign coeff s^shift / "
+                    f"r^shift = {c} with s = {s}, r = {r}, not +-1"
+                )
+            sign[t] = int(c)
+        gauge = Gauge(s, r, alpha, {}, {}, (), {}, sign)
+
+        def integer(key: tuple, value: Fraction) -> int:
+            n = len(key) - 1  # key is the sorted insertions, then d
+            t = gauge.gauged(value, n, key[-1])
+            if t is None:
+                raise ValueError(
+                    f"{self.id}: the {n}-point constant {key} = {value} has no "
+                    f"integer gauged value with s = {s}, r = {r}, alpha = {alpha}"
+                )
+            return t
+
+        return gauge._replace(
+            base3={key: integer(key, v) for key, v in self.base3.items()},
+            base2={key: integer(key, v) for key, v in self.base2.items()},
+            pairing_inverse_entries=tuple(
+                (i, j, int(alpha * g / s)) for i, j, g in self.pairing_inverse_entries
+            ),
+            divisor_factor={k: int(delta * s) for k, delta in self.divisor_degree.items()},
+        )
 
 
 @dataclass(frozen=True)

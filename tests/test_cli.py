@@ -178,6 +178,24 @@ class TestTable:
             assert (code, out) == (2, ""), argv
             assert f"b <= {cli._MAX_TABLE_ORDER} only" in err
 
+    def test_divisor_table_cap_fails_before_building(self, run, no_build):
+        cap = cli._MAX_DIVISOR_TABLE_N
+        code, out, err = run(
+            "table", "--b", "3", "--include-divisor", "--max-n", str(cap + 1),
+            "--max-d", "1", "--format", "jsonl",
+        )
+        assert (code, out) == (2, "")
+        assert f"--max-n must be at most {cap} with --include-divisor" in err
+
+    def test_max_n_past_one_key_exits_two(self, run):
+        most = (1 << _FIELD) - 1
+        code, out, err = run("table", "--b", "3", "--max-n", str(most + 1), "--format", "tsv")
+        assert (code, out) == (2, "")
+        assert f"max_n must be at most {most}, got {most + 1}" in err
+        assert run("table", "--b", "3", "--max-n", str(most), "--format", "tsv")[:2] == (
+            0, run("table", "--b", "3", "--format", "tsv")[1]
+        )
+
     def test_max_n_lifts_full_support_cap(self, run):
         b = cli._MAX_TABLE_ORDER + 1
         code, out, _ = run("table", "--b", str(b), "--max-n", "4", "--format", "tsv")
@@ -212,6 +230,7 @@ class TestTable:
         # The rows are walked one class at a time, so the insertion count
         # is not bounded by the interpreter's recursion limit.
         n = sys.getrecursionlimit() + 10
+        assert n <= cli._MAX_DIVISOR_TABLE_N
         code, out, _ = run(
             "table", "--b", "3", "--include-divisor", "--max-n", str(n),
             "--max-d", "1", "--format", "jsonl",
@@ -440,17 +459,28 @@ class TestCache:
 
     def test_corrupt_preload_blocks_compute(self, run, tmp_path):
         path = tmp_path / "memo.rec"
-        path.write_text("3 0 1,1,2,2 -1/8\n")  # wrong value for a golden key
-        code, _, err = run(
+        # A wrong value for a golden key, whose gauged value 9 * (-2/9) is
+        # an integer, so no check at load can tell it from a true value.
+        path.write_text("3 0 1,1,2,2 -2/9\n")
+        code, out, err = run(
             "compute", "--b", "3", "--insertions", "1,1,2,2", "--cache", str(path)
         )
-        assert code == 0  # preload accepts it; the memo short-circuits
-        path.write_text("3 0 1,1,2,2 -1/8\n3 0 1,1,2,2 -1/9\n")
+        assert (code, out) == (0, "-2/9\n")  # preload accepts it; the memo short-circuits
+        path.write_text("3 0 1,1,2,2 -2/9\n3 0 1,1,2,2 -1/9\n")
         code, _, err = run(
             "compute", "--b", "3", "--insertions", "1,1,2,2", "--cache", str(path)
         )
         assert code == 3
         assert "refusing to store" in err
+
+    def test_rejects_value_with_a_non_integer_gauge(self, run, tmp_path):
+        # On P(1,3) a 4-point value at degree 0 is T / 9 with T an
+        # integer; -1/8 gives T = -9/8.
+        path = tmp_path / "memo.rec"
+        path.write_text("# one record\n3 0 1,1,2,2 -1/8\n")
+        code, out, err = run("cache", "--path", str(path))
+        assert (code, out) == (3, "")
+        assert "memo.rec:2:" in err and "not a value of P(1,3)" in err
 
     def test_foreign_orders_survive_saves(self, run, tmp_path):
         memo = tmp_path / "memo.rec"

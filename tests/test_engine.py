@@ -71,6 +71,26 @@ class TestMemoCache:
             "38f2606ddf8cd1ec12bfdf57ef977b795c131c35c7f55e7766d9eff99e3610c5"
         )
 
+    def test_rows_past_the_memo_pin_are_pinned(self):
+        # The enumerated rows of P(1,11..14), whose gauged values carry
+        # the largest powers of b, and N_1..N_25 of P^2.
+        digest = hashlib.sha256()
+        rows = 0
+        for b in range(11, 15):
+            for key, value in Reconstructor(build_p1b(b)).enumerate_nonzero():
+                digest.update(
+                    f"{b} {key.d} {','.join(map(str, key.insertions))} {value}\n".encode()
+                )
+                rows += 1
+        rec = Reconstructor(build_p2())
+        for d in range(1, 26):
+            digest.update(f"P2 {d} {rec.gw((2,) * (3 * d - 1))}\n".encode())
+            rows += 1
+        assert rows == 7562
+        assert digest.hexdigest() == (
+            "3823803671e3c74201a197520e5553530aa83784409e527931b2dc4c9b071dce"
+        )
+
 
 class TestValueType:
     def test_values_are_fractions(self):
@@ -90,6 +110,26 @@ class TestValueType:
         for rec in engines:
             for _, ins, value in rec.snapshot():
                 assert type(value) is Fraction, (rec.td.id, ins, value)
+
+
+class TestIntegrality:
+    @pytest.mark.parametrize("b", range(2, 13))
+    def test_p1b_values_times_a_power_of_b_are_integers(self, engines, b):
+        # b^(n - 2 + d) v is an integer for every memo row, and the
+        # exponent is attained: one power less leaves a fraction.
+        rec = engines.p1b(b)
+        for _ in rec.enumerate_nonzero():
+            pass
+        attained = False
+        for d, ins, value in rec.snapshot():
+            assert (value * b ** (len(ins) - 2 + d)).denominator == 1, (d, ins, value)
+            attained = attained or (value * b ** (len(ins) - 3 + d)).denominator != 1
+        assert attained
+
+    def test_p2_counts_are_integers(self, engines):
+        rec = engines.p2()
+        for d in range(1, 26):
+            assert rec.gw((2,) * (3 * d - 1)).denominator == 1, d
 
 
 class TestForcedDegree:
@@ -300,7 +340,9 @@ class TestWdvvSum:
                 if beta3 < 0:
                     continue
                 for skip_full in (False, True):
-                    value = rec._walk(*fixed, rec._splits(_pack(deltas)), beta3, skip_full)
+                    gauged = rec._walk(*fixed, rec._splits(_pack(deltas)), beta3, skip_full)
+                    assert type(gauged) is int
+                    value = td.gauge.unscale(gauged, len(deltas) + 3, beta3)
                     assert value == wdvv_side(rec, *fixed, deltas, beta3, skip_full), (
                         fixed, deltas, beta3, skip_full
                     )
@@ -326,18 +368,36 @@ class TestDonorPolicy:
             assert alternate.gw_at(key.insertions, key.d) == value
 
 
-def _rescaled(td, lam):
-    """``td`` with the pairing and every 2- and 3-point constant times lam.
+def _rescaled(td, lam=F(1), q=F(1), classes=None):
+    """``td`` with the potential times lam, q times q and basis class k
+    times ``classes[k]`` (default 1).
 
-    WDVV is homogeneous, so every invariant of the result is lam times
-    the original.  The inverse pairing is divided by lam, which makes it
+    The pairing entry (i, j) is multiplied by lam c_i c_j, a constant at
+    degree d by lam q^d and by c_k for each insertion k, and a divisor's
+    degree by its c.  WDVV is homogeneous in all three, so every
+    invariant at degree d of the result is lam q^d prod c_k times the
+    original.  The inverse pairing is divided by lam, which makes it
     non-integral on P(1,b) and P^2 for lam = 2.
     """
+    c = [F(1)] * td.basis_size
+    for k, ck in (classes or {}).items():
+        c[k] = ck
+
+    def times(ins, d):
+        out = lam * q**d
+        for k in ins:
+            out *= c[k]
+        return out
+
     out = dataclasses.replace(
         td,
-        pairing=tuple(tuple(lam * g for g in row) for row in td.pairing),
-        base3={key: lam * value for key, value in td.base3.items()},
-        base2={key: lam * value for key, value in td.base2.items()},
+        divisor_degree={k: c[k] * v for k, v in td.divisor_degree.items()},
+        pairing=tuple(
+            tuple(times((i, j), 0) * g for j, g in enumerate(row))
+            for i, row in enumerate(td.pairing)
+        ),
+        base3={key: times(key[:3], key[3]) * value for key, value in td.base3.items()},
+        base2={key: times(key[:2], key[2]) * value for key, value in td.base2.items()},
     )
     validate_target(out)
     return out
@@ -363,10 +423,75 @@ class TestRescaling:
         td = build_p2()
         scaled = _rescaled(td, F(2))
         assert scaled.pairing_inverse[1][1] == F(1, 2)
+        assert (scaled.gauge.s, scaled.gauge.r, scaled.gauge.alpha) == (1, 1, 2)
         rec, rec2 = Reconstructor(td), Reconstructor(scaled)
         for d in range(1, 8):
             ins = (2,) * (3 * d - 1)
             assert rec2.gw(ins) == 2 * rec.gw(ins)
+
+    @pytest.mark.parametrize("b", [3, 5])
+    def test_q_rescaled_support_scales(self, b):
+        # Doubling q doubles the degree-1 constants and the pivot
+        # coefficients (to 2/b), which only a gauge that rescales q, by
+        # r = 2, turns into signs.  The rows with a divisor add degree 1
+        # on P(1,3), whose twisted support sits at degree 0.
+        td = build_p1b(b)
+        scaled = _rescaled(td, q=F(2))
+        assert scaled.divisor_factorization[1].coeff == F(2, b)
+        assert (scaled.gauge.s, scaled.gauge.r, scaled.gauge.alpha) == (b, 2, 1)
+
+        def rows(rec):
+            yield from rec.enumerate_nonzero()
+            yield from rec.enumerate_nonzero(max_n=5, max_d=1, include_divisor=True)
+
+        want = [(key, 2**key.d * value) for key, value in rows(Reconstructor(td))]
+        got = list(rows(Reconstructor(scaled)))
+        assert got == want
+        assert {key.d for key, _ in want} == {0, 1}
+
+    def test_gauge_of_the_shipped_targets(self):
+        for b in (1, 2, 7):
+            gauge = build_p1b(b).gauge
+            assert (gauge.s, gauge.r, gauge.alpha) == (b, 1, 1)
+            assert set(gauge.base3.values()) | set(gauge.base2.values()) == {1}
+            assert {g for _, _, g in gauge.pairing_inverse_entries} == {1}
+            assert gauge.divisor_factor == {b: 1}
+            assert set(gauge.sign.values()) <= {1}
+        gauge = build_p2().gauge
+        assert (gauge.s, gauge.r, gauge.alpha) == (1, 1, 1)
+        assert gauge.sign == {2: 1}
+
+    # Each rejection branch of ``TargetData.gauge``, on a target that
+    # ``validate_target`` accepts.  The gauged inverse pairing and divisor
+    # factors are integers by the choice of alpha and s, so they have no
+    # branch.
+
+    def test_rejects_a_pivot_sign_other_than_one(self):
+        # Doubling a^1 alone makes the pivot coefficients of a^1 and a^2
+        # 1/6 and 1/3: r = 1/2 from a^1 leaves a^2 the sign 2.
+        td = _rescaled(build_p1b(3), classes={1: F(2)})
+        with pytest.raises(ValueError, match="pivot of class 2 has sign .* = 2 "):
+            Reconstructor(td)
+
+    def test_rejects_a_non_integer_three_point_constant(self):
+        # <a, a, a>_0 at 1/6 instead of 1/3 has gauged value 3 / 6; no
+        # axiom that validate_target checks ties it to another constant.
+        td = build_p1b(3)
+        td = dataclasses.replace(td, base3={**td.base3, (1, 1, 1, 0): F(1, 6)})
+        validate_target(td)
+        with pytest.raises(ValueError, match=r"3-point constant \(1, 1, 1, 0\) = 1/6 has no integer"):
+            Reconstructor(td)
+
+    def test_rejects_a_non_integer_two_point_constant(self):
+        # P^2 with h' = 2h (degree 2) and a point class 4h^2 keeps the
+        # pivot h' h' = 4h^2 at sign 1, and gives alpha = 4.  With q
+        # times 1/8 the line through two points has gauged value 1/2,
+        # while the 3-point constants stay integers: the one with the
+        # divisor is d times the divisor factor 2 times it.
+        td = _rescaled(build_p2(), q=F(1, 8), classes={1: F(2), 2: F(4)})
+        assert td.divisor_degree == {1: 2}
+        with pytest.raises(ValueError, match=r"2-point constant \(2, 2, 1\) = 2 has no integer"):
+            Reconstructor(td)
 
 
 class _TracingReconstructor(Reconstructor):
@@ -423,6 +548,13 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="max_n and max_d"):
             next(iter(rec.enumerate_nonzero(include_divisor=True)))
 
+    def test_max_n_fits_one_key(self, engines):
+        most = (1 << _FIELD) - 1
+        rec = engines.p1b(2)
+        with pytest.raises(ValueError, match=f"max_n must be at most {most}"):
+            next(iter(rec.enumerate_nonzero(max_n=most + 1, max_d=0, include_divisor=True)))
+        assert len(list(rec.enumerate_nonzero(max_n=most))) == 1
+
     def test_include_divisor(self, engines):
         rows = dict(
             engines.p1b(2).enumerate_nonzero(
@@ -455,6 +587,13 @@ class TestPreload:
         with pytest.raises(ValueError, match="refusing to store -1/8"):
             rec.preload([(0, (1, 1, 2, 2), F(-1, 9)), (0, (1, 1, 2, 2), F(-1, 8))])
         assert rec.snapshot() == [(0, (1, 1, 2, 2), F(-1, 9))]
+
+    def test_value_with_a_non_integer_gauge_rejected(self):
+        # 9 v must be an integer for a 4-point value v at degree 0 on P(1,3).
+        rec = Reconstructor(build_p1b(3))
+        with pytest.raises(ValueError, match=r"-1/8 is not a value of P\(1,3\)"):
+            rec.preload([(0, (1, 1, 2, 2), F(-1, 8))])
+        assert rec.snapshot() == []
 
     def test_degree_mismatch_rejected(self):
         rec = Reconstructor(build_p1b(3))

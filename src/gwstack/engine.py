@@ -126,7 +126,9 @@ class Reconstructor:
         self.donor_policy = donor_policy
         self.cache: dict[int, int] = {}
         gauge = self._gauge = td.gauge
-        grading = td.grading
+        # Read on every reduction and WDVV walk, so kept on the engine.
+        grading = self._grading = td.grading
+        self._fund_shift = _FIELD * td.fundamental_index
         w, c1, dim, scale = grading.weights, grading.c1, grading.dim, grading.scale
         size = td.basis_size
         unit = self._unit = tuple(1 << (_FIELD * k) for k in range(size))
@@ -161,7 +163,7 @@ class Reconstructor:
     def gw(self, insertions) -> Fraction:
         """The invariant at the degree forced by the insertions (else 0)."""
         ins = self._normalize(insertions)
-        d = self.td.grading.forced(ins)
+        d = self._grading.forced(ins)
         if d is None:
             return ZERO
         return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
@@ -169,7 +171,7 @@ class Reconstructor:
     def gw_at(self, insertions, d: int) -> Fraction:
         """The invariant at an explicit degree; 0 unless d is forced."""
         ins = self._normalize(insertions)
-        if d != self.td.grading.forced(ins):
+        if d != self._grading.forced(ins):
             return ZERO
         return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
@@ -315,7 +317,7 @@ class Reconstructor:
             raise ValueError(
                 f"at most {_MAX_INSERTIONS} insertions are supported, got {len(indices)}"
             )
-        size = self.td.basis_size
+        size = len(self._unit)
         for k in indices:
             if not 0 <= k < size:
                 raise ValueError(
@@ -334,7 +336,7 @@ class Reconstructor:
         return 0
 
     def _reduce(self, code: int, n: int, d: int) -> int:
-        if (code >> (_FIELD * self.td.fundamental_index)) & _MASK:
+        if (code >> self._fund_shift) & _MASK:
             return 0
         # Divisor axiom, one divisor per pass of a loop rather than per
         # recursion level, so a long run of divisors costs no stack.  The
@@ -386,7 +388,7 @@ class Reconstructor:
         the packed insertions ``code``, folded from the per-class options
         a_k = 0..m_k in ``itertools.product`` order over the classes in
         pivot order; the last one is a = m."""
-        grading = self.td.grading
+        grading = self._grading
         w, scale = grading.weights, grading.scale
         unit = self._unit
         splits = [(0, 0, 0, 1)]
@@ -448,7 +450,7 @@ class Reconstructor:
         ``skip_full`` omits the split a = m (A = deltas), which is the
         term the pivot reduction solves for.
         """
-        grading = self.td.grading
+        grading = self._grading
         w, c1, dim = grading.weights, grading.c1, grading.dim
         unit = self._unit
         full_code, full_excess, m, _ = splits[-1]

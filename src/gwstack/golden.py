@@ -12,12 +12,9 @@ baseline.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import InsertionKey, Reconstructor
 from .records import RecordError, iter_record_lines, parse_rational
@@ -25,6 +22,24 @@ from .ring import TargetData, build_p1b
 
 _DATA_NAME = "p1b_tables.dat"
 _DATA_SHA256 = "0ba2a34964544be2e83518459645a57a3af16b4bd4533e2ddb4379af45b1433c"
+
+
+class _LazyResources:
+    """``importlib.resources``, imported on first use.
+
+    On Python 3.12+ importing it loads ``inspect``, ``pathlib`` and
+    ``tempfile``, which every CLI start would pay even when no golden
+    table is read.
+    """
+
+    @staticmethod
+    def files(package: str):
+        from importlib import resources
+
+        return resources.files(package)
+
+
+resources = _LazyResources()
 
 ROW_COUNTS = {2: 1, 3: 3, 4: 9, 5: 22, 6: 46}
 TABLE_ORDERS = tuple(sorted(ROW_COUNTS))
@@ -53,8 +68,7 @@ def mults_from_insertions(b: int, insertions) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     """One reference value: N_d(k_1, ..., k_{b-1}) = value."""
 
     b: int
@@ -106,6 +120,8 @@ def _parse_row(payload: str, targets: dict[int, TargetData]) -> GoldenRow:
 
 @lru_cache(maxsize=1)
 def _load_tables() -> dict[int, tuple[GoldenRow, ...]]:
+    import hashlib  # here, not at the top, so importing gwstack skips it
+
     blob = resources.files("gwstack.data").joinpath(_DATA_NAME).read_bytes()
     digest = hashlib.sha256(blob).hexdigest()
     if digest != _DATA_SHA256:
@@ -144,8 +160,7 @@ def golden_rows(b: int) -> tuple[GoldenRow, ...]:
     return tables[b]
 
 
-@dataclass(frozen=True)
-class RowResult:
+class RowResult(NamedTuple):
     row: GoldenRow
     computed: Fraction
     recheck: Optional[Fraction] = None  # alternate donor policy, on mismatch
@@ -155,8 +170,7 @@ class RowResult:
         return self.computed == self.row.value
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     b: int
     results: tuple[RowResult, ...]
     missing: tuple[InsertionKey, ...]

@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 import re
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 _RATIONAL = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -42,31 +42,39 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class GWRecord:
+class _RecordFields(NamedTuple):
+    b: int
+    d: int
+    insertions: tuple[int, ...]
+    value: Fraction
+
+
+class GWRecord(_RecordFields):
     """One computed invariant: target order b, curve degree, insertions, value.
 
     ``insertions`` is the sorted tuple of basis exponents (0 is the
     identity class, b the untwisted divisor class).
     """
 
-    b: int
-    d: int
-    insertions: tuple[int, ...]
-    value: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.b < 1:
-            raise RecordError(f"b must be positive, got {self.b}")
-        if self.d < 0:
-            raise RecordError(f"degree must be nonnegative, got {self.d}")
-        if len(self.insertions) < 2:
+    def __new__(cls, b: int, d: int, insertions, value: Fraction) -> "GWRecord":
+        if b < 1:
+            raise RecordError(f"b must be positive, got {b}")
+        if d < 0:
+            raise RecordError(f"degree must be nonnegative, got {d}")
+        if len(insertions) < 2:
             raise RecordError("a record needs at least two insertions")
-        if any(k < 0 or k > self.b for k in self.insertions):
+        if any(k < 0 or k > b for k in insertions):
             raise RecordError(
-                f"insertion exponents must lie in [0, {self.b}]: {self.insertions}"
+                f"insertion exponents must lie in [0, {b}]: {insertions}"
             )
-        object.__setattr__(self, "insertions", tuple(sorted(self.insertions)))
+        return tuple.__new__(cls, (b, d, tuple(sorted(insertions)), value))
+
+    @classmethod
+    def _make(cls, iterable) -> "GWRecord":
+        # ``_replace`` builds through ``_make``; check and sort there too.
+        return cls(*iterable)
 
     def render(self) -> str:
         ks = ",".join(str(k) for k in self.insertions)

@@ -25,7 +25,6 @@ point number appears anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -38,8 +37,7 @@ ONE = Fraction(1)
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class DivisorStep:
+class DivisorStep(NamedTuple):
     """A single-term divisor factorization of one basis class.
 
     Records that a_partner * a_divisor = coeff q^shift a_target in the
@@ -55,7 +53,6 @@ class DivisorStep:
     coeff: Fraction
 
 
-@dataclass(frozen=True, slots=True)
 class Grading:
     """The degree axiom of one target in integer arithmetic.
 
@@ -64,12 +61,39 @@ class Grading:
     every denominator, ``weights[k]`` is orbdeg_k * scale / 2, ``c1``
     and ``dim`` are the scaled c1 degree and dimension, and the axiom
     reads sum(weights) = c1 d + dim + scale (n - 3).
+
+    The engine reads these fields on every WDVV walk, so they are slots,
+    which read faster than ``NamedTuple`` fields; they are immutable and
+    compare by value.
     """
+
+    __slots__ = ("weights", "scale", "c1", "dim")
 
     weights: tuple[int, ...]
     scale: int
     c1: int
     dim: int
+
+    def __init__(self, weights: tuple[int, ...], scale: int, c1: int, dim: int) -> None:
+        for name, value in zip(self.__slots__, (weights, scale, c1, dim)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Grading")
+
+    def _values(self) -> tuple:
+        return (self.weights, self.scale, self.c1, self.dim)
+
+    def __eq__(self, other):
+        if type(other) is not Grading:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "Grading(weights=%r, scale=%r, c1=%r, dim=%r)" % self._values()
 
     def degree(self, wsum: int, n: int) -> Optional[int]:
         """The degree forced on n insertions of total weight ``wsum``.
@@ -130,25 +154,7 @@ class Gauge(NamedTuple):
         return None if rest else t
 
 
-@dataclass(frozen=True, eq=False)
-class TargetData:
-    """Finite description of one target geometry.
-
-    Instances are immutable by convention (the mapping fields are never
-    mutated after construction) and compare by identity, since the
-    mapping fields are not hashable.  The data derived from the fields
-    (``grading``, ``pairing_inverse``, ``pairing_inverse_entries``,
-    ``products``, ``divisor_factorization``, ``gauge``) is computed on
-    first use and kept on the instance.  ``divisor_degree`` maps each divisor
-    class to its degree; every consumer takes the divisors in its key
-    order.
-
-    ``power_basis`` is set to b for targets whose basis class k is the
-    k-th power of a single degree-lowest generator subject to the
-    relation b * a^(b+1) = q; it unlocks enumeration over exponents and
-    the multiplicity-vector file formats.  ``None`` otherwise.
-    """
-
+class _TargetFields(NamedTuple):
     id: str
     orbdeg: tuple[Fraction, ...]
     dim: Fraction
@@ -160,6 +166,31 @@ class TargetData:
     base2: Mapping[tuple[int, int, int], Fraction]
     basis_names: tuple[str, ...]
     power_basis: Optional[int] = None
+
+
+class TargetData(_TargetFields):
+    """Finite description of one target geometry.
+
+    The fields are immutable: assigning one raises ``AttributeError``,
+    and the mapping fields are never mutated after construction.
+    Instances compare and hash by identity, since the mapping fields are
+    not hashable.  ``_replace`` gives a new instance with some fields
+    changed.  The data derived from the fields (``grading``,
+    ``pairing_inverse``, ``pairing_inverse_entries``, ``products``,
+    ``divisor_factorization``, ``gauge``) is computed on first use and
+    cached per instance, so a replaced instance computes its own.
+    ``divisor_degree`` maps each divisor class to its degree; every
+    consumer takes the divisors in its key order.
+
+    ``power_basis`` is set to b for targets whose basis class k is the
+    k-th power of a single degree-lowest generator subject to the
+    relation b * a^(b+1) = q; it unlocks enumeration over exponents and
+    the multiplicity-vector file formats.  ``None`` otherwise.
+    """
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def basis_size(self) -> int:
@@ -296,8 +327,11 @@ class TargetData:
         )
 
 
-@dataclass(frozen=True)
-class QRingElem:
+class _QRingFields(NamedTuple):
+    coeffs: tuple[tuple[Fraction, ...], ...]
+
+
+class QRingElem(_QRingFields):
     """An element of the small quantum ring over Q[q].
 
     ``coeffs[r]`` is the coefficient of basis class r, stored as a
@@ -305,19 +339,23 @@ class QRingElem:
     structural equality of tuples is equality in the ring.
     """
 
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, coeffs: tuple[tuple[Fraction, ...], ...]) -> "QRingElem":
         trimmed = []
-        for p in map(list, self.coeffs):
+        for p in map(list, coeffs):
             while p and not p[-1]:
                 p.pop()
             trimmed.append(tuple(p))
-        object.__setattr__(self, "coeffs", tuple(trimmed))
+        return tuple.__new__(cls, (tuple(trimmed),))
+
+    @classmethod
+    def _make(cls, iterable) -> "QRingElem":
+        # ``_replace`` builds through ``_make``; trim there too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SpecializedRing:
+class SpecializedRing(NamedTuple):
     """The quantum ring with q specialized to a fixed rational value.
 
     ``mult_table[i][j]`` is the coefficient vector of the product of

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -389,8 +388,7 @@ def _rescaled(td, lam=F(1), q=F(1), classes=None):
             out *= c[k]
         return out
 
-    out = dataclasses.replace(
-        td,
+    out = td._replace(
         divisor_degree={k: c[k] * v for k, v in td.divisor_degree.items()},
         pairing=tuple(
             tuple(times((i, j), 0) * g for j, g in enumerate(row))
@@ -477,7 +475,7 @@ class TestRescaling:
         # <a, a, a>_0 at 1/6 instead of 1/3 has gauged value 3 / 6; no
         # axiom that validate_target checks ties it to another constant.
         td = build_p1b(3)
-        td = dataclasses.replace(td, base3={**td.base3, (1, 1, 1, 0): F(1, 6)})
+        td = td._replace(base3={**td.base3, (1, 1, 1, 0): F(1, 6)})
         validate_target(td)
         with pytest.raises(ValueError, match=r"3-point constant \(1, 1, 1, 0\) = 1/6 has no integer"):
             Reconstructor(td)

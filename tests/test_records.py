@@ -52,6 +52,27 @@ class TestGWRecord:
         assert line == "3 0 1,1,2,2 -1/9"
         assert GWRecord.parse(line) == rec
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (0, 0, (1, 1)),  # b not positive
+            (3, -1, (1, 1)),  # negative degree
+            (3, 0, (2,)),  # single insertion
+            (3, 0, (1, 4)),  # exponent above b
+            (3, 0, (-1, 1)),  # negative exponent
+        ],
+    )
+    def test_constructor_rejects_bad_fields(self, fields):
+        with pytest.raises(RecordError):
+            GWRecord(*fields, Fraction(1, 2))
+        good = GWRecord(3, 0, (1, 1), Fraction(1, 2))
+        with pytest.raises(RecordError):
+            good._replace(**dict(zip(("b", "d", "insertions"), fields)))
+
+    def test_replace_sorts_insertions(self):
+        rec = GWRecord(3, 0, (1, 2), Fraction(1, 2))
+        assert rec._replace(insertions=(3, 1, 2)).insertions == (1, 2, 3)
+
     def test_parse_rejects_bad_lines(self):
         for line in [
             "3 0 1,1,2,2",  # missing value

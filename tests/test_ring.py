@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import partial
 
@@ -17,7 +16,7 @@ from gwstack import (
     specialize,
     validate_target,
 )
-from gwstack.ring import DivisorStep, QRingElem, TargetData
+from gwstack.ring import DivisorStep, Grading, QRingElem, TargetData
 from reference import qreduce
 
 F = Fraction
@@ -114,6 +113,38 @@ class TestBuildP2:
         assert td.divisor_factorization[2] == DivisorStep(1, 1, 0, F(1))
 
 
+class TestTargetData:
+    def test_equality_is_identity(self):
+        first, second = build_p1b(3), build_p1b(3)
+        assert first == first
+        assert first != second
+        assert not first == second
+        assert {first: 1, second: 2}[second] == 2
+
+    @pytest.mark.parametrize(
+        "part, field",
+        [("target", f) for f in TargetData._fields] + [("grading", f) for f in Grading.__slots__],
+    )
+    def test_fields_are_read_only(self, part, field):
+        td = build_p1b(3)
+        obj = td if part == "target" else td.grading
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+
+    def test_derived_data_is_cached(self):
+        td = build_p1b(3)
+        assert td.gauge is td.gauge
+        assert td.grading is td.grading
+        assert td.products is td.products
+
+    def test_replace_starts_with_empty_caches(self):
+        td = build_p1b(3)
+        ginv = td.pairing_inverse
+        doubled = td._replace(pairing=tuple(tuple(2 * g for g in row) for row in td.pairing))
+        assert doubled.pairing_inverse == tuple(tuple(g / 2 for g in row) for row in ginv)
+        assert td.pairing_inverse is ginv
+
+
 class TestValidateTarget:
     @pytest.mark.parametrize("b", [1, 2, 3, 7, 12])
     def test_builders_pass(self, b):
@@ -124,7 +155,7 @@ class TestValidateTarget:
         td = build_p1b(2)
         rows = [list(r) for r in td.pairing]
         rows[0][2] = F(1, 3)  # breaks symmetry
-        broken = dataclasses.replace(td, pairing=tuple(tuple(r) for r in rows))
+        broken = td._replace(pairing=tuple(tuple(r) for r in rows))
         with pytest.raises(ValueError, match="symmetric"):
             validate_target(broken)
 
@@ -133,7 +164,7 @@ class TestValidateTarget:
         for field, key in (("base3", (1, 1, 2, 1)), ("base2", (1, 1, 1))):
             entries = dict(getattr(td, field))
             entries[key] = F(1, 2)
-            broken = dataclasses.replace(td, **{field: entries})
+            broken = td._replace(**{field: entries})
             with pytest.raises(ValueError, match=f"{field} entry .* degree axiom"):
                 validate_target(broken)
 
@@ -141,7 +172,7 @@ class TestValidateTarget:
         td = build_p1b(2)
         base3 = dict(td.base3)
         base3[(0, 1, 1, 0)] = F(1, 7)
-        broken = dataclasses.replace(td, base3=base3)
+        broken = td._replace(base3=base3)
         with pytest.raises(ValueError, match="identity"):
             validate_target(broken)
 
@@ -149,7 +180,7 @@ class TestValidateTarget:
         td = build_p1b(3)
         base2 = dict(td.base2)
         base2[(1, 3, 1)] = F(2, 3)
-        broken = dataclasses.replace(td, base2=base2)
+        broken = td._replace(base2=base2)
         with pytest.raises(ValueError, match="divisor axiom"):
             validate_target(broken)
 
@@ -158,8 +189,8 @@ class TestValidateTarget:
         # a single-term product with x, so the divisor does not generate
         # it, while the small quantum ring at q = 1 is generated.
         td = build_p1b(3)
-        classical = dataclasses.replace(
-            td, base3={k: v for k, v in td.base3.items() if k[3] == 0}, base2={}
+        classical = td._replace(
+            base3={k: v for k, v in td.base3.items() if k[3] == 0}, base2={}
         )
         with pytest.raises(ValueError, match="class 1 .*divisor_generation_check"):
             validate_target(classical)
@@ -225,7 +256,7 @@ class TestValidateTarget:
     )
     def test_rejects(self, build, changes, message):
         td = build()
-        broken = dataclasses.replace(td, **changes(td))
+        broken = td._replace(**changes(td))
         with pytest.raises(ValueError, match=message):
             validate_target(broken)
 
@@ -260,7 +291,7 @@ class TestPairingInverse:
             tuple(F(0) if i == j == 0 else F(1, i + j + 1) for j in range(n))
             for i in range(n)
         )
-        ginv = dataclasses.replace(td, pairing=dense).pairing_inverse
+        ginv = td._replace(pairing=dense).pairing_inverse
         assert all(all(row) for row in ginv)
         for i in range(n):
             for j in range(n):
@@ -270,7 +301,7 @@ class TestPairingInverse:
     def test_singular_pairing_rejected(self):
         td = build_p1b(2)
         degenerate = tuple(tuple(F(0) for _ in row) for row in td.pairing)
-        broken = dataclasses.replace(td, pairing=degenerate)
+        broken = td._replace(pairing=degenerate)
         with pytest.raises(ValueError, match="singular"):
             broken.pairing_inverse
 
@@ -278,6 +309,8 @@ class TestPairingInverse:
 class TestQRingElem:
     def test_normalization(self):
         assert QRingElem(((F(1), F(0)), ())) == QRingElem(((F(1),), ()))
+        replaced = QRingElem(((), ()))._replace(coeffs=((F(1), F(0)), ()))
+        assert replaced == QRingElem(((F(1),), ()))
 
     def test_basis_element(self):
         td = build_p1b(2)

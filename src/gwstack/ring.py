@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
@@ -230,25 +229,26 @@ class TargetData(_TargetFields):
         ``(q_degree, basis_index, coeff)`` triples sorted by degree,
         then index, computed from the 3-point constants alone:
         a_i * a_j = sum_d q^d sum_{k,l} <a_i, a_j, a_k>_d g^{kl} a_l.
-        One pass over the stored constants: each entry contributes to
-        the product of every ordered pair it contains, through the
-        nonzero entries of one row of the inverse pairing.
+        One pass over the stored constants: for each distinct k of an
+        entry, val * g^{kl} is computed once per nonzero g^{kl} and
+        added to the product of the other two indices, which serves
+        both orders.  A cell's first term is stored, later ones added.
         """
         size = self.basis_size
         ginv_rows = [[] for _ in range(size)]
         for k, l, g in self.pairing_inverse_entries:
             ginv_rows[k].append((l, g))
-        terms = [[{} for _ in range(size)] for _ in range(size)]
-        for key, val in self.base3.items():
-            d = key[3]
-            for i, j, k in set(permutations(key[:3])):
-                acc = terms[i][j]
-                for l, g in ginv_rows[k]:
-                    acc[d, l] = acc.get((d, l), ZERO) + val * g
-        return tuple(
-            tuple(tuple((d, l, c) for (d, l), c in sorted(acc.items()) if c) for acc in row)
-            for row in terms
-        )
+        cells: dict[tuple[int, int], dict] = {}
+        for (i, j, k, d), val in self.base3.items():
+            for m, x, y in {(k, i, j), (j, i, k), (i, j, k)}:
+                acc = cells.setdefault((x, y) if x <= y else (y, x), {})
+                for l, g in ginv_rows[m]:
+                    c = val * g
+                    acc[d, l] = acc[d, l] + c if (d, l) in acc else c
+        table = [[()] * size for _ in range(size)]
+        for (x, y), acc in cells.items():
+            table[x][y] = table[y][x] = tuple([(*dl, c) for dl, c in sorted(acc.items()) if c])
+        return tuple(map(tuple, table))
 
     @cached_property
     def divisor_factorization(self) -> dict[int, DivisorStep]:
@@ -386,29 +386,24 @@ def build_p1b(b: int) -> TargetData:
     twisted class a^t with 1 <= t <= b - 1 factors through the divisor:
     a^(t+1) * x = (q/b) a^t.
     """
+    if not isinstance(b, int) or isinstance(b, bool):
+        raise TypeError(f"b must be an int, got {b!r}")
     if b < 1:
         raise ValueError(f"b must be positive, got {b}")
     size = b + 1
     inv_b = Fraction(1, b)
     orbdeg = tuple(Fraction(2 * k, b) for k in range(size))
-    pairing = tuple(
-        tuple(inv_b if i + j == b else ZERO for j in range(size))
-        for i in range(size)
-    )
+    pairing = tuple(tuple(inv_b if i + j == b else ZERO for j in range(size)) for i in range(size))
+    inv_b2 = inv_b * inv_b
     base3: dict[tuple[int, int, int, int], Fraction] = {}
     for i in range(size):
         for j in range(i, size):
-            for k in range(j, size):
-                if i + j + k == b:
-                    base3[(i, j, k, 0)] = inv_b
-                elif i + j + k == 2 * b + 1:
-                    base3[(i, j, k, 1)] = inv_b * inv_b
-    base2 = {
-        (i, j, 1): inv_b
-        for i in range(size)
-        for j in range(i, size)
-        if i + j == b + 1
-    }
+            # At most one of k = b - i - j and k = 2b + 1 - i - j is in [j, b].
+            if j <= b - i - j:
+                base3[(i, j, b - i - j, 0)] = inv_b
+            elif j <= 2 * b + 1 - i - j <= b:
+                base3[(i, j, 2 * b + 1 - i - j, 1)] = inv_b2
+    base2 = {(i, b + 1 - i, 1): inv_b for i in range(1, (b + 1) // 2 + 1)}
     names = ("1",) + tuple(f"a^{k}" for k in range(1, b)) + ("x",)
     td = TargetData(
         id=f"P(1,{b})",
@@ -467,28 +462,26 @@ def build_p2() -> TargetData:
 
 def _invert(matrix: Matrix) -> Matrix:
     n = len(matrix)
-    aug = [
-        list(row) + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    # Each row of [matrix | identity] keeps only its nonzero entries, so
+    # pivot search, division and elimination never touch a zero.
+    aug = [{k: a for k, a in enumerate(row) if a} for row in matrix]
+    for i, row in enumerate(aug):
+        row[n + i] = ONE
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        piv = next((r for r in range(col, n) if col in aug[r]), None)
         if piv is None:
             raise ValueError("pairing matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        row = aug[col]
-        scale = row[col]
-        # Only the pivot row's nonzero entries are divided and eliminated.
-        nonzero = [(k, a / scale) for k, a in enumerate(row) if a]
-        for k, a in nonzero:
-            row[k] = a
-        for r in range(n):
-            c = aug[r][col]
-            if r != col and c:
-                target = aug[r]
-                for k, a in nonzero:
-                    target[k] -= c * a
-    return tuple(tuple(row[n:]) for row in aug)
+        aug[piv], aug[col] = aug[col], {k: a / aug[piv][col] for k, a in aug[piv].items()}
+        for r, target in enumerate(aug):
+            c = target.get(col)
+            if c is not None and r != col:
+                for k, a in aug[col].items():
+                    v = target.get(k, ZERO) - c * a
+                    if v:
+                        target[k] = v
+                    else:
+                        del target[k]
+    return tuple(tuple(row.get(n + j, ZERO) for j in range(n)) for row in aug)
 
 
 def basis_element(td: TargetData, index: int) -> QRingElem:
@@ -503,47 +496,60 @@ def basis_element(td: TargetData, index: int) -> QRingElem:
 def qmul(td: TargetData, u: QRingElem, v: QRingElem) -> QRingElem:
     """Product in the small quantum ring over Q[q].
 
-    Each term c q^dq a_l of a_r * a_s adds q^dq c u_r v_s to a_l's list.
+    Each term c q^dq a_l of a_r * a_s adds q^dq c u_r v_s to a_l's list,
+    one product per pair of nonzero coefficients of u_r and v_s.
     """
     size = td.basis_size
     if len(u.coeffs) != size or len(v.coeffs) != size:
         raise ValueError("basis-size mismatch")
     table = td.products
     acc: list[list[Fraction]] = [[] for _ in range(size)]
+    v_terms = [(s, len(ps), [(f, bb) for f, bb in enumerate(ps) if bb])
+               for s, ps in enumerate(v.coeffs) if ps]
     for r, pr in enumerate(u.coeffs):
         if not pr:
             continue
-        for s, ps in enumerate(v.coeffs):
-            if not ps:
-                continue
+        u_terms = [(e, a) for e, a in enumerate(pr) if a]
+        for s, ps_len, ps in v_terms:
             for dq, l, c in table[r][s]:
                 out = acc[l]
-                short = dq + len(pr) + len(ps) - 1 - len(out)
+                short = dq + len(pr) + ps_len - 1 - len(out)
                 if short > 0:
                     out.extend([ZERO] * short)
-                for e, a in enumerate(pr, dq):
-                    if a:
-                        ca = c * a
-                        for f, bb in enumerate(ps, e):
-                            out[f] += ca * bb
+                for e, a in u_terms:
+                    ca = c * a
+                    for f, bb in ps:
+                        x = ca * bb
+                        f += dq + e
+                        out[f] = out[f] + x if out[f] else x
     return QRingElem(tuple(map(tuple, acc)))
 
 
+def _lam_powers(td: TargetData, lam: Fraction) -> list[Fraction]:
+    """lam**e for e up to the top q-degree of ``td.products``."""
+    return [lam**e for e in range(1 + max((key[3] for key in td.base3), default=0))]
+
+
 def specialize(td: TargetData, lam) -> SpecializedRing:
-    """The ring with q set to ``lam`` (0 gives orbifold cohomology)."""
+    """The ring with q set to ``lam`` (0 gives orbifold cohomology).
+
+    A term c q^dq a_l adds c lam^dq to slot l, multiplied only when
+    dq > 0; the first term is stored, later ones added.  The table is
+    symmetric, so each unordered pair is specialized once.
+    """
     lam = Fraction(lam)
-    table = td.products
+    powers = _lam_powers(td, lam)
     size = td.basis_size
-    mult = []
-    for i in range(size):
-        row = []
-        for j in range(size):
+    mult = [[None] * size for _ in range(size)]
+    for i, row in enumerate(td.products):
+        for j in range(i, size):
             vec = [ZERO] * size
-            for dq, l, c in table[i][j]:
-                vec[l] += c * lam**dq
-            row.append(tuple(vec))
-        mult.append(tuple(row))
-    return SpecializedRing(lam=lam, mult_table=tuple(mult))
+            for dq, l, c in row[j]:
+                if dq:
+                    c = c * powers[dq]
+                vec[l] = vec[l] + c if vec[l] else c
+            mult[i][j] = mult[j][i] = tuple(vec)
+    return SpecializedRing(lam=lam, mult_table=tuple(map(tuple, mult)))
 
 
 def divisor_generation_check(td: TargetData, lam) -> bool:
@@ -551,31 +557,38 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
 
     Saturates the span of the identity under multiplication by the
     divisor classes, over exact rationals, and reports whether it fills
-    the whole ring.
+    the whole ring.  Each divisor's column of products is specialized
+    once, and each elimination row keeps only its nonzero entries.
     """
     lam = Fraction(lam)
-    table = td.products
+    powers = _lam_powers(td, lam)
     size = td.basis_size
+    columns = {
+        div: [[(l, c * powers[dq] if dq else c) for dq, l, c in row[div]] for row in td.products]
+        for div in td.divisor_degree
+    }
 
-    def times(vec: list[Fraction], div: int) -> list[Fraction]:
+    def times(vec: list[Fraction], column: list) -> list[Fraction]:
         out = [ZERO] * size
         for i, a in enumerate(vec):
             if a:
-                for dq, l, c in table[i][div]:
-                    out[l] += a * c * lam**dq
+                for l, c in column[i]:
+                    x = a * c
+                    out[l] = out[l] + x if out[l] else x
         return out
 
-    rows: list[tuple[int, list[Fraction]]] = []  # (pivot column, unit-pivot row)
+    rows: list[tuple[int, list]] = []  # (pivot column, unit-pivot row's nonzero (index, entry))
 
     def add(vec: list[Fraction]) -> bool:
         w = list(vec)
         for piv, row in rows:
             c = w[piv]
             if c:
-                w = [a - c * r for a, r in zip(w, row)]
+                for k, r in row:
+                    w[k] -= c * r
         for idx, a in enumerate(w):
             if a:
-                rows.append((idx, [x / a for x in w]))
+                rows.append((idx, [(k, x / a) for k, x in enumerate(w) if x]))
                 return True
         return False
 
@@ -586,8 +599,8 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
     while frontier and len(rows) < size:
         fresh = []
         for vec in frontier:
-            for div in td.divisor_degree:
-                prod = times(vec, div)
+            for column in columns.values():
+                prod = times(vec, column)
                 if add(prod):
                     fresh.append(prod)
         frontier = fresh
@@ -617,10 +630,8 @@ def validate_target(td: TargetData) -> None:
         raise ValueError("c1 degree must be positive")
     if len(td.pairing) != size or any(len(row) != size for row in td.pairing):
         raise ValueError("pairing matrix has the wrong shape")
-    for i in range(size):
-        for j in range(size):
-            if td.pairing[i][j] != td.pairing[j][i]:
-                raise ValueError("pairing matrix is not symmetric")
+    if tuple(map(tuple, td.pairing)) != tuple(zip(*td.pairing)):
+        raise ValueError("pairing matrix is not symmetric")
     td.pairing_inverse  # raises if singular
     for div in td.divisor_degree:
         if div == fund or not 0 <= div < size:
@@ -648,11 +659,17 @@ def validate_target(td: TargetData) -> None:
     for (i, j, k, d), val in td.base3.items():
         if i == fund and (d != 0 or val != td.pairing[j][k]):
             raise ValueError(f"base3 entry {(i, j, k, d)} breaks the identity axiom")
-    for i in range(size):
-        for j in range(size):
-            key = tuple(sorted((fund, i, j))) + (0,)
-            if td.base3.get(key, ZERO) != td.pairing[i][j]:
-                raise ValueError("identity does not reproduce the pairing at degree 0")
+    # Each nonzero eta_ij is <1, a_i, a_j>_0, and each such stored constant an eta_ij.
+    unpaired = "identity does not reproduce the pairing at degree 0"
+    for i, row in enumerate(td.pairing):
+        for j, g in enumerate(row):
+            if g and td.base3.get(tuple(sorted((fund, i, j))) + (0,)) != g:
+                raise ValueError(unpaired)
+    for (i, j, k, d), val in td.base3.items():
+        if d == 0 and fund in (i, j, k):
+            rest = (j, k) if i == fund else (i, k) if j == fund else (i, j)
+            if val != td.pairing[rest[0]][rest[1]]:
+                raise ValueError(unpaired)
 
     # Divisor insertions at positive degree reduce to 2-point data.
     for div in td.divisor_degree:

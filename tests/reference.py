@@ -1,6 +1,7 @@
 """References shared by the test modules, free of the engine's shortcuts:
-the degree axiom over the rationals, a plain WDVV side, and the closed
-forms for P(1,b) that the ring and the engine are checked against."""
+the degree axiom over the rationals, a plain WDVV side, dense ring
+kernels, and the closed forms for P(1,b) that the ring and the engine
+are checked against."""
 
 from __future__ import annotations
 
@@ -107,3 +108,81 @@ def closed_4pt_deg1(b: int, k1: int, k2: int, k3: int, k4: int) -> Fraction:
     if sum(ks) != 3 * b + 1:
         raise ValueError(f"exponents must sum to {3 * b + 1}: {ks}")
     return Fraction(1, b**3)
+
+
+def products(td):
+    """The basis product table by full contraction over every k, l and d,
+    in the layout of ``TargetData.products``: a reference for its
+    one-pass accumulation."""
+    size = td.basis_size
+    ginv = td.pairing_inverse
+    degrees = sorted({key[-1] for key in td.base3})
+    table = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            terms = []
+            for d in degrees:
+                vec = [Fraction(0)] * size
+                for k in range(size):
+                    val = td.base3.get((*sorted((i, j, k)), d))
+                    for l in range(size) if val else ():
+                        vec[l] += val * ginv[k][l]
+                terms.extend((d, l, c) for l, c in enumerate(vec) if c)
+            row.append(tuple(terms))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def specialize(table, lam):
+    """A product table in the layout of ``TargetData.products`` at
+    q = lam, one dense vector per ordered pair: a reference for
+    ``ring.specialize(td, lam).mult_table``."""
+    size = len(table)
+    mult = []
+    for row in table:
+        out = []
+        for terms in row:
+            vec = [Fraction(0)] * size
+            for d, l, c in terms:
+                vec[l] += c * Fraction(lam) ** d
+            out.append(tuple(vec))
+        mult.append(tuple(out))
+    return tuple(mult)
+
+
+def rank(vectors) -> int:
+    """The rank of a list of rational vectors, by dense Gaussian elimination."""
+    rows = [list(v) for v in vectors]
+    found = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(found, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[found], rows[piv] = rows[piv], rows[found]
+        top = rows[found]
+        for r in range(found + 1, len(rows)):
+            if rows[r][col]:
+                ratio = rows[r][col] / top[col]
+                rows[r] = [a - ratio * t for a, t in zip(rows[r], top)]
+        found += 1
+    return found
+
+
+def divisor_span_rank(td, mult) -> int:
+    """The dimension of the subring that the divisor classes generate in
+    the specialized table ``mult``: the rank of every divisor monomial
+    of degree below the basis size, each built by dense products from
+    the identity.  The divisors generate the ring when it equals the
+    basis size."""
+    size = td.basis_size
+    one = [Fraction(0)] * size
+    one[td.fundamental_index] = Fraction(1)
+    monomials = {(): one}  # sorted divisor word -> its product with the identity
+    for degree in range(1, size):
+        for word in itertools.combinations_with_replacement(td.divisor_degree, degree):
+            vec, div = monomials[word[:-1]], word[-1]
+            monomials[word] = [
+                sum(vec[i] * mult[i][div][l] for i in range(size) if vec[i]) for l in range(size)
+            ]
+    return rank(list(monomials.values()))

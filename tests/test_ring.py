@@ -17,6 +17,7 @@ from gwstack import (
     validate_target,
 )
 from gwstack.ring import DivisorStep, Grading, QRingElem, TargetData
+import reference as ref
 from reference import qreduce
 
 F = Fraction
@@ -97,6 +98,11 @@ class TestBuildP1b:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             build_p1b(0)
+
+    @pytest.mark.parametrize("b", [True, 2.0], ids=["bool", "float"])
+    def test_rejects_non_integer_order(self, b):
+        with pytest.raises(TypeError, match=f"b must be an int, got {b!r}"):
+            build_p1b(b)
 
 
 class TestBuildP2:
@@ -259,6 +265,132 @@ class TestValidateTarget:
         broken = td._replace(**changes(td))
         with pytest.raises(ValueError, match=message):
             validate_target(broken)
+
+
+def _permuted(td, perm):
+    """``td`` with basis class k renumbered perm[k]."""
+    size = td.basis_size
+    old = sorted(range(size), key=perm.__getitem__)  # old[new index] = old index
+
+    def key(k):
+        return (*sorted(perm[i] for i in k[:-1]), k[-1])
+
+    return td._replace(
+        orbdeg=tuple(td.orbdeg[k] for k in old),
+        fundamental_index=perm[td.fundamental_index],
+        divisor_degree={perm[k]: w for k, w in td.divisor_degree.items()},
+        pairing=tuple(tuple(td.pairing[i][j] for j in old) for i in old),
+        base3={key(k): v for k, v in td.base3.items()},
+        base2={key(k): v for k, v in td.base2.items()},
+        basis_names=tuple(td.basis_names[k] for k in old),
+        power_basis=None,
+    )
+
+
+class TestIdentityOffIndexZero:
+    # P(1,3) renumbered 1, a, a^2, x -> 3, 0, 1, 2: the identity sorts
+    # last in every key it is part of.
+    PERM = (3, 0, 1, 2)
+    UNPAIRED = "identity does not reproduce the pairing at degree 0"
+
+    def test_identity_last_is_accepted(self):
+        td = _permuted(build_p1b(3), self.PERM)
+        assert td.fundamental_index == 3
+        assert td.basis_names == ("a^1", "a^2", "x", "1")
+        validate_target(td)
+        assert td.divisor_factorization == {
+            0: DivisorStep(partner=1, divisor=2, shift=1, coeff=F(1, 3)),
+            1: DivisorStep(partner=2, divisor=2, shift=1, coeff=F(1, 3)),
+        }
+
+    def test_missing_identity_constant(self):
+        td = _permuted(build_p1b(3), self.PERM)
+        base3 = dict(td.base3)
+        del base3[(0, 1, 3, 0)]  # <a, a^2, 1>_0 = 1/3
+        with pytest.raises(ValueError, match=self.UNPAIRED):
+            validate_target(td._replace(base3=base3))
+
+    def test_stray_identity_constant(self):
+        # Basis e1, e2, pt, 1 in dimension 2 with e1.e2 = pt.1 = 1: the
+        # degree axiom allows <e1, e1, 1>_0, but e1.e1 = 0, so a stored
+        # value there is refused although every nonzero pairing entry is
+        # reproduced.
+        td = TargetData(
+            id="test", orbdeg=(F(2), F(2), F(4), F(0)), dim=F(2), c1_degree=F(2),
+            fundamental_index=3, divisor_degree={0: F(1)},
+            pairing=((F(0), F(1), F(0), F(0)), (F(1), F(0), F(0), F(0)),
+                     (F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0))),
+            base3={(0, 1, 3, 0): F(1), (2, 3, 3, 0): F(1), (0, 0, 3, 0): F(1)},
+            base2={}, basis_names=("e1", "e2", "pt", "1"),
+        )
+        with pytest.raises(ValueError, match=self.UNPAIRED):
+            validate_target(td)
+
+
+def _dense_target():
+    """P(1,3) with a dense pairing and three more constants, so that the
+    contraction sums several terms per cell, one cell cancels and a term
+    sits at q-degree 2.  Not a ring: a test input for the kernels."""
+    td = build_p1b(3)
+    n = td.basis_size
+    dense = td._replace(
+        pairing=tuple(
+            tuple(F(0) if i == j == 0 else F(1, i + j + 1) for j in range(n)) for i in range(n)
+        )
+    )
+    ginv = dense.pairing_inverse
+    base3 = dict(td.base3)
+    # a^1 * a^1 at q^0 on class 0: <a, a, a>_0 g^{10} + <a, a, a^2>_0 g^{20} = 0.
+    base3[(1, 1, 2, 0)] = -base3[(1, 1, 1, 0)] * ginv[1][0] / ginv[2][0]
+    base3[(1, 2, 3, 2)] = F(5, 2)
+    base3[(0, 3, 3, 1)] = F(-2, 7)
+    return dense._replace(base3=base3)
+
+
+class TestKernelsAgainstReference:
+    LAMS = (F(0), F(1), F(-7, 3), F(1, 9))
+
+    def test_dense_target_exercises_every_path(self):
+        td = _dense_target()
+        table = td.products
+        assert all(c for row in table for cell in row for _, _, c in cell)
+        assert not any(l == 0 for d, l, _ in table[1][1] if d == 0)  # cancelled
+        assert {d for d, _, _ in table[2][3]} == {1, 2}
+        assert len(table[0][3]) > td.basis_size  # q^0 and q^1 on every class
+
+    def test_products_on_dense_target(self):
+        td = _dense_target()
+        assert td.products == ref.products(td)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_specialize_and_generation_on_dense_target(self, lam):
+        td = _dense_target()
+        mult = ref.specialize(ref.products(td), lam)
+        assert specialize(td, lam).mult_table == mult
+        full = ref.divisor_span_rank(td, mult) == td.basis_size
+        assert divisor_generation_check(td, lam) is full
+
+    @pytest.mark.parametrize("lam, full", [(F(-1), False), (F(-1, 2), False), (F(1), True)])
+    def test_generation_turns_on_a_q_squared_term(self, lam, full):
+        # h * h = (1 + 3q + 2q^2) h^2 on P^2 with two made-up constants:
+        # h^2 drops out of the span exactly at the roots q = -1, -1/2.
+        p2 = build_p2()
+        td = p2._replace(base3={**p2.base3, (0, 1, 1, 1): F(3), (0, 1, 1, 2): F(2)})
+        mult = ref.specialize(ref.products(td), lam)
+        assert specialize(td, lam).mult_table == mult
+        assert (ref.divisor_span_rank(td, mult) == td.basis_size) is full
+        assert divisor_generation_check(td, lam) is full
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6, 48])
+    def test_p1b(self, b):
+        td = build_p1b(b)
+        table = ref.products(td)
+        assert td.products == table
+        for lam in (F(0), F(-7, 3)):
+            mult = ref.specialize(table, lam)
+            assert specialize(td, lam).mult_table == mult
+            full = ref.divisor_span_rank(td, mult) == td.basis_size
+            assert divisor_generation_check(td, lam) is full is (lam != 0 or b == 1)
 
 
 class TestPairingInverse:

@@ -129,17 +129,17 @@ class Reconstructor:
         # Read on every reduction and WDVV walk, so kept on the engine.
         grading = self._grading = td.grading
         self._fund_shift = _FIELD * td.fundamental_index
-        w, c1, dim, scale = grading.weights, grading.c1, grading.dim, grading.scale
+        w, c1, degree = grading.weights, grading.c1, grading.degree
         size = td.basis_size
         unit = self._unit = tuple(1 << (_FIELD * k) for k in range(size))
         # The memo starts with the 2- and 3-point constants.  Only those at
         # their forced degree (d > 0 for two points) are read: keys omit d.
         cache = self.cache
         for (i, j, k, d), value in gauge.base3.items():
-            if d >= 0 and w[i] + w[j] + w[k] == c1 * d + dim:
+            if degree(w[i] + w[j] + w[k], 3) == d:
                 cache[unit[i] + unit[j] + unit[k]] = value
         for (i, j, d), value in gauge.base2.items():
-            if d > 0 and w[i] + w[j] + scale == c1 * d + dim:
+            if d and degree(w[i] + w[j], 2) == d:
                 cache[unit[i] + unit[j]] = value
         # Gauged nonzero inverse-pairing entries (unit[i], unit[j], w[i], g),
         # by w[i] + w[j], which one WDVV side's total degree pins, then by
@@ -225,8 +225,7 @@ class Reconstructor:
         hi = b if include_divisor else b - 1
         if hi < 1:
             return
-        grading = td.grading
-        c1, dim, scale = grading.c1, grading.dim, grading.scale
+        _, scale, c1, dim = self._grading
         unscale = self._gauge.unscale
         d = 0
         while max_d is None or d <= max_d:
@@ -262,7 +261,7 @@ class Reconstructor:
         for d, insertions, value in entries:
             ins = self._normalize(insertions)
             n = len(ins)
-            if self.td.grading.forced(ins) != d:
+            if self._grading.forced(ins) != d:
                 raise ValueError(
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
@@ -297,7 +296,7 @@ class Reconstructor:
             ins = _unpack(code)
             if len(ins) <= 3:
                 continue
-            d = self.td.grading.forced(ins)
+            d = self._grading.forced(ins)
             assert d is not None  # only forced keys are ever stored
             out.append((d, ins, unscale(value, len(ins), d)))
         out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
@@ -388,8 +387,7 @@ class Reconstructor:
         the packed insertions ``code``, folded from the per-class options
         a_k = 0..m_k in ``itertools.product`` order over the classes in
         pivot order; the last one is a = m."""
-        grading = self._grading
-        w, scale = grading.weights, grading.scale
+        w, scale, _, _ = self._grading
         unit = self._unit
         splits = [(0, 0, 0, 1)]
         for k in self._order:
@@ -450,8 +448,7 @@ class Reconstructor:
         ``skip_full`` omits the split a = m (A = deltas), which is the
         term the pivot reduction solves for.
         """
-        grading = self._grading
-        w, c1, dim = grading.weights, grading.c1, grading.dim
+        w, _, c1, dim = self._grading
         unit = self._unit
         full_code, full_excess, m, _ = splits[-1]
         left_base = w[x1] + w[x2] - dim

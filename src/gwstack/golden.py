@@ -23,24 +23,6 @@ from .ring import TargetData, build_p1b
 _DATA_NAME = "p1b_tables.dat"
 _DATA_SHA256 = "0ba2a34964544be2e83518459645a57a3af16b4bd4533e2ddb4379af45b1433c"
 
-
-class _LazyResources:
-    """``importlib.resources``, imported on first use.
-
-    On Python 3.12+ importing it loads ``inspect``, ``pathlib`` and
-    ``tempfile``, which every CLI start would pay even when no golden
-    table is read.
-    """
-
-    @staticmethod
-    def files(package: str):
-        from importlib import resources
-
-        return resources.files(package)
-
-
-resources = _LazyResources()
-
 ROW_COUNTS = {2: 1, 3: 3, 4: 9, 5: 22, 6: 46}
 TABLE_ORDERS = tuple(sorted(ROW_COUNTS))
 
@@ -120,7 +102,10 @@ def _parse_row(payload: str, targets: dict[int, TargetData]) -> GoldenRow:
 
 @lru_cache(maxsize=1)
 def _load_tables() -> dict[int, tuple[GoldenRow, ...]]:
-    import hashlib  # here, not at the top, so importing gwstack skips it
+    # Here, not at the top, so importing gwstack skips them; on Python 3.12+
+    # importlib.resources alone loads inspect, pathlib and tempfile.
+    import hashlib
+    from importlib import resources
 
     blob = resources.files("gwstack.data").joinpath(_DATA_NAME).read_bytes()
     digest = hashlib.sha256(blob).hexdigest()

@@ -25,6 +25,7 @@ point number appears anywhere in this package.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -52,47 +53,21 @@ class DivisorStep(NamedTuple):
     coeff: Fraction
 
 
-class Grading:
+class Grading(NamedTuple):
     """The degree axiom of one target in integer arithmetic.
 
     A nonzero n-point invariant at degree d has insertion degrees with
     sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3).  With ``scale`` clearing
     every denominator, ``weights[k]`` is orbdeg_k * scale / 2, ``c1``
     and ``dim`` are the scaled c1 degree and dimension, and the axiom
-    reads sum(weights) = c1 d + dim + scale (n - 3).
-
-    The engine reads these fields on every WDVV walk, so they are slots,
-    which read faster than ``NamedTuple`` fields; they are immutable and
-    compare by value.
+    reads sum(weights) = c1 d + dim + scale (n - 3).  A grading equals
+    the plain tuple ``(weights, scale, c1, dim)``.
     """
-
-    __slots__ = ("weights", "scale", "c1", "dim")
 
     weights: tuple[int, ...]
     scale: int
     c1: int
     dim: int
-
-    def __init__(self, weights: tuple[int, ...], scale: int, c1: int, dim: int) -> None:
-        for name, value in zip(self.__slots__, (weights, scale, c1, dim)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Grading")
-
-    def _values(self) -> tuple:
-        return (self.weights, self.scale, self.c1, self.dim)
-
-    def __eq__(self, other):
-        if type(other) is not Grading:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return "Grading(weights=%r, scale=%r, c1=%r, dim=%r)" % self._values()
 
     def degree(self, wsum: int, n: int) -> Optional[int]:
         """The degree forced on n insertions of total weight ``wsum``.
@@ -557,54 +532,45 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
 
     Saturates the span of the identity under multiplication by the
     divisor classes, over exact rationals, and reports whether it fills
-    the whole ring.  Each divisor's column of products is specialized
-    once, and each elimination row keeps only its nonzero entries.
+    the whole ring.  A breadth-first queue starts at the identity; a
+    vector independent of the kept rows is kept as a unit-pivot row of
+    its nonzero entries, and its products with the divisors are queued.
     """
     lam = Fraction(lam)
     powers = _lam_powers(td, lam)
     size = td.basis_size
-    columns = {
-        div: [[(l, c * powers[dq] if dq else c) for dq, l, c in row[div]] for row in td.products]
+    columns = [
+        [[(l, c * powers[dq] if dq else c) for dq, l, c in row[div]] for row in td.products]
         for div in td.divisor_degree
-    }
-
-    def times(vec: list[Fraction], column: list) -> list[Fraction]:
-        out = [ZERO] * size
-        for i, a in enumerate(vec):
-            if a:
-                for l, c in column[i]:
-                    x = a * c
-                    out[l] = out[l] + x if out[l] else x
-        return out
-
+    ]
     rows: list[tuple[int, list]] = []  # (pivot column, unit-pivot row's nonzero (index, entry))
-
-    def add(vec: list[Fraction]) -> bool:
+    start = [ZERO] * size
+    start[td.fundamental_index] = ONE
+    queue = deque([start])
+    while queue:
+        vec = queue.popleft()
         w = list(vec)
         for piv, row in rows:
             c = w[piv]
             if c:
                 for k, r in row:
                     w[k] -= c * r
-        for idx, a in enumerate(w):
-            if a:
-                rows.append((idx, [(k, x / a) for k, x in enumerate(w) if x]))
-                return True
-        return False
-
-    start = [ZERO] * size
-    start[td.fundamental_index] = ONE
-    add(start)
-    frontier = [start]
-    while frontier and len(rows) < size:
-        fresh = []
-        for vec in frontier:
-            for column in columns.values():
-                prod = times(vec, column)
-                if add(prod):
-                    fresh.append(prod)
-        frontier = fresh
-    return len(rows) == size
+        piv = next((k for k, a in enumerate(w) if a), None)
+        if piv is None:
+            continue
+        a = w[piv]
+        rows.append((piv, [(k, x / a) for k, x in enumerate(w) if x]))
+        if len(rows) == size:
+            return True
+        for column in columns:
+            out = [ZERO] * size
+            for i, v in enumerate(vec):
+                if v:
+                    for l, c in column[i]:
+                        x = v * c
+                        out[l] = out[l] + x if out[l] else x
+            queue.append(out)
+    return False
 
 
 # -- construction-time validation --------------------------------------------
@@ -616,9 +582,10 @@ def validate_target(td: TargetData) -> None:
     Raises ``ValueError`` on the first violation.  Everything here is a
     structural axiom the reconstruction engine relies on: degree
     homogeneity of every stored constant, the identity acting through
-    the pairing, divisor constants matching the 2-point data, and a
-    divisor factorization for every class that is neither the identity
-    nor a divisor (see :attr:`TargetData.divisor_factorization`).
+    the pairing at degree 0 only (at any basis index), divisor constants
+    matching the 2-point data, and a divisor factorization for every
+    class that is neither the identity nor a divisor (see
+    :attr:`TargetData.divisor_factorization`).
     """
     size = td.basis_size
     fund = td.fundamental_index
@@ -640,36 +607,35 @@ def validate_target(td: TargetData) -> None:
             raise ValueError(f"divisor {div} needs a positive degree")
 
     # Degree homogeneity: every stored constant sits at its forced degree.
+    degree, weights = td.grading.degree, td.grading.weights
+    on_identity = {}
     for (i, j, k, d), val in td.base3.items():
         if not val:
             raise ValueError("zero entries must be omitted from base3")
         if d < 0 or not (0 <= i <= j <= k < size):
             raise ValueError(f"bad base3 key {(i, j, k, d)}")
-        if td.grading.forced((i, j, k)) != d:
+        if degree(weights[i] + weights[j] + weights[k], 3) != d:
             raise ValueError(f"base3 entry {(i, j, k, d)} violates the degree axiom")
+        if fund in (i, j, k):
+            on_identity[i, j, k, d] = val
     for (i, j, d), val in td.base2.items():
         if not val:
             raise ValueError("zero entries must be omitted from base2")
         if d < 1 or not (0 <= i <= j < size):
             raise ValueError(f"bad base2 key {(i, j, d)}")
-        if td.grading.forced((i, j)) != d:
+        if degree(weights[i] + weights[j], 2) != d:
             raise ValueError(f"base2 entry {(i, j, d)} violates the degree axiom")
 
-    # The identity pairs classes at degree 0 and does nothing else.
-    for (i, j, k, d), val in td.base3.items():
-        if i == fund and (d != 0 or val != td.pairing[j][k]):
-            raise ValueError(f"base3 entry {(i, j, k, d)} breaks the identity axiom")
-    # Each nonzero eta_ij is <1, a_i, a_j>_0, and each such stored constant an eta_ij.
-    unpaired = "identity does not reproduce the pairing at degree 0"
-    for i, row in enumerate(td.pairing):
-        for j, g in enumerate(row):
-            if g and td.base3.get(tuple(sorted((fund, i, j))) + (0,)) != g:
-                raise ValueError(unpaired)
-    for (i, j, k, d), val in td.base3.items():
-        if d == 0 and fund in (i, j, k):
-            rest = (j, k) if i == fund else (i, k) if j == fund else (i, j)
-            if val != td.pairing[rest[0]][rest[1]]:
-                raise ValueError(unpaired)
+    # The identity pairs classes at degree 0 and does nothing else: the
+    # constants on it are exactly <1, a_i, a_j>_0 = eta_ij, eta_ij != 0.
+    for key in on_identity:
+        if key[3]:
+            raise ValueError(f"base3 entry {key} breaks the identity axiom")
+    eta = {
+        (*sorted((fund, i, j)), 0): g for i, row in enumerate(td.pairing) for j, g in enumerate(row) if g
+    }
+    if on_identity != eta:
+        raise ValueError("identity does not reproduce the pairing at degree 0")
 
     # Divisor insertions at positive degree reduce to 2-point data.
     for div in td.divisor_degree:

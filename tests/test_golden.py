@@ -111,7 +111,7 @@ class TestDataFileGuards:
             def read_bytes(self):
                 return blob
 
-        monkeypatch.setattr(golden_mod, "resources", Files())
+        monkeypatch.setattr(resources, "files", Files().files)
         monkeypatch.setattr(golden_mod, "_DATA_SHA256", hashlib.sha256(blob).hexdigest())
         golden_mod._load_tables.cache_clear()
         try:

@@ -129,7 +129,7 @@ class TestTargetData:
 
     @pytest.mark.parametrize(
         "part, field",
-        [("target", f) for f in TargetData._fields] + [("grading", f) for f in Grading.__slots__],
+        [("target", f) for f in TargetData._fields] + [("grading", f) for f in Grading._fields],
     )
     def test_fields_are_read_only(self, part, field):
         td = build_p1b(3)
@@ -325,6 +325,38 @@ class TestIdentityOffIndexZero:
         )
         with pytest.raises(ValueError, match=self.UNPAIRED):
             validate_target(td)
+
+    @staticmethod
+    def _surface(**changes):
+        """Basis h1, h2, pt, 1 in dimension 2 with h1.h2 = pt.1 = 1 and
+        divisors h1 and h2: h1 * h2 = pt, h1 * h1 = h2 * h2 = 0."""
+        return TargetData(
+            id="test", orbdeg=(F(2), F(2), F(4), F(0)), dim=F(2), c1_degree=F(2),
+            fundamental_index=3, divisor_degree={0: F(1), 1: F(1)},
+            pairing=((F(0), F(1), F(0), F(0)), (F(1), F(0), F(0), F(0)),
+                     (F(0), F(0), F(0), F(1)), (F(0), F(0), F(1), F(0))),
+            base3={(0, 1, 3, 0): F(1), (2, 3, 3, 0): F(1)},
+            base2={}, basis_names=("h1", "h2", "pt", "1"),
+        )._replace(**changes)
+
+    def test_identity_constant_at_positive_degree(self):
+        td = self._surface()
+        validate_target(td)
+        # <pt, pt, 1>_1 sits at the degree the axiom forces, but the
+        # identity axiom allows no constant on 1 at d > 0.
+        assert td.grading.forced((2, 2, 3)) == 1
+        stray = td._replace(base3={**td.base3, (2, 2, 3, 1): F(1)})
+        with pytest.raises(ValueError, match=r"base3 entry \(2, 2, 3, 1\) breaks the identity axiom"):
+            validate_target(stray)
+
+    def test_generation_by_two_divisors(self):
+        both = self._surface()
+        one = self._surface(divisor_degree={0: F(1)})
+        for lam in TestKernelsAgainstReference.LAMS:
+            mult = ref.specialize(ref.products(both), lam)
+            for td, full in ((both, True), (one, False)):
+                assert (ref.divisor_span_rank(td, mult) == td.basis_size) is full
+                assert divisor_generation_check(td, lam) is full
 
 
 def _dense_target():

@@ -46,9 +46,10 @@ EXIT_FILE = 3
 _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is
-# not given, checked before any target is built.  On one Xeon core the
-# full support takes about 0.25 s at b = 12 and 1.2 s at b = 16, and the
-# cost grows about 1.6- to 1.9-fold per step of b.
+# not given, checked before any target is built.  On one Xeon core
+# `table --b B` takes about 0.24 s at b = 12 and 0.96 s at b = 16 end to
+# end (medians of 5), and the cost grows about 1.4- to 2.1-fold per step
+# of b.
 _MAX_TABLE_ORDER = 16
 
 # Largest --max-n of a table with divisor insertions, checked before any

@@ -7,13 +7,23 @@ which WDVV associativity is the only nontrivial step:
   memo holds from the start next to the memoized n >= 4 values;
 * an identity insertion kills the invariant (n >= 4);
 * a divisor insertion comes out as a factor of d times its degree;
-* otherwise the insertion of largest orbifold degree is replaced
-  through its divisor factorization, and the WDVV relation for the
-  4-tuple (third, donor, partner, divisor) is solved for the target
-  invariant.  Every other term of the relation has either fewer
-  insertions or a larger maximal exponent, so on a power-basis target
-  the lexicographic measure (n, b - max exponent) strictly decreases
-  along every recursion path.
+* otherwise an insertion of lowest pivot rank (see
+  ``TargetData.pivot_rank``) is replaced through its divisor
+  factorization partner * divisor = coeff q^shift pivot, and the WDVV
+  relation for the 4-tuple (third, donor, partner, divisor) is solved
+  for the target invariant.
+
+Termination.  Measure a key by (n, r), lexicographically, with r the
+lowest pivot rank among its insertions.  A key with r = 0 holds the
+identity (value 0) or a divisor, which is stripped to n - 1 insertions.
+A key with r > 0 is reduced, and every other term of its relation has
+fewer than n insertions once divisors are stripped, except the full
+split of the swapped side: there the pivot gives way to its partner,
+of rank r - 1.  So (n, r) strictly decreases along every recursion
+path on any target whose partner chains end, whichever two insertions
+fill the donor and third slots; ``pivot_rank`` refuses a target with a
+chain that cycles.  The rank is b - t for a^t on P(1,b), and k - 1 for
+h^k on P^n, whose partner h^(k-1) lies below it.
 
 Degrees are never searched: an n-point invariant vanishes unless the
 insertion degrees force sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3) for a
@@ -24,10 +34,10 @@ so adding or removing an insertion is an integer add.  A key holds at
 most 2^FIELD - 1 insertions, which rules out carries between fields;
 longer inputs are rejected.  Sorted insertion tuples appear only where
 keys enter or leave: ``gw``/``gw_at``/``preload`` input,
-``enumerate_nonzero`` rows and ``snapshot()``.  The pivot choice on a
-memo miss sorts nothing: it reads the count vector in a class order
-fixed when the engine is built (orbifold degree descending, then index
-descending), so the insertions come out ranked.
+``enumerate_nonzero`` rows and ``snapshot()``.  The slot choice on a
+memo miss sorts nothing: it reads the count vector once in a class
+order fixed when the engine is built (pivot rank ascending, then
+orbifold degree descending, then index descending).
 
 A WDVV side splits the remaining insertions between its two factors.
 Insertions repeat (P^2's N_d has 3d - 1 copies of the point class), so
@@ -67,7 +77,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ring import TargetData, ZERO
 
-_DONOR_POLICIES = ("next_largest", "smallest")
+_DONOR_POLICIES = ("fewest_copies", "smallest")
 
 _FIELD = 16  # bits per class in a packed key
 _MASK = (1 << _FIELD) - 1
@@ -104,11 +114,18 @@ class InsertionKey(NamedTuple):
 class Reconstructor:
     """Evaluates genus-zero invariants of one target, memoized.
 
-    ``donor_policy`` picks the second WDVV slot when a pivot is
-    reduced: ``"next_largest"`` (default) takes the insertion of
-    second-largest orbifold degree, ``"smallest"`` the smallest one.
-    Any valid policy yields the same values; running both is a useful
-    consistency check.
+    The pivot of a reduction is always its first class in pivot order
+    (see the module docstring); ``donor_policy`` fills the donor and
+    third WDVV slots.  ``"fewest_copies"`` (default) takes the donor
+    from the class with the fewest copies left once the pivot is
+    removed, and the third slot from the class with the fewest copies
+    left once the donor is also removed, ties to the class first in
+    pivot order.  A WDVV side walks prod (m_k + 1) splits of the
+    remaining insertions, so removing a copy from the rarest class cuts
+    it the most.  ``"smallest"`` takes the donor from the class last in
+    pivot order and the third slot from the first class left after the
+    pivot.  Both policies yield the same values; running both is a
+    useful consistency check.
 
     ``cache``, keyed by packed count vectors (see the module docstring),
     holds the 2- and 3-point constants plus the memoized n >= 4
@@ -119,7 +136,7 @@ class Reconstructor:
     raises ``ValueError`` for a target without an integer form.
     """
 
-    def __init__(self, td: TargetData, donor_policy: str = "next_largest") -> None:
+    def __init__(self, td: TargetData, donor_policy: str = "fewest_copies") -> None:
         if donor_policy not in _DONOR_POLICIES:
             raise ValueError(f"unknown donor policy {donor_policy!r}")
         self.td = td
@@ -149,9 +166,13 @@ class Reconstructor:
             entry = (unit[i], unit[j], w[i], g)
             by_residue = buckets.setdefault(w[i] + w[j], {})
             by_residue.setdefault(w[i] % c1, []).append(entry)
-        # Pivot order: weight (so orbifold degree) descending, then index
-        # descending.
-        self._order = sorted(range(size), key=lambda k: (w[k], k), reverse=True)
+        # Pivot order: pivot rank ascending, then weight (so orbifold
+        # degree) descending, then index descending.
+        rank = td.pivot_rank
+        self._order = sorted(range(size), key=lambda k: (rank[k], -w[k], -k))
+        self._slots = (
+            self._smallest_slots if donor_policy == "smallest" else self._fewest_copies_slots
+        )
         self._divisors = tuple(gauge.divisor_factor.items())
         self._pivots = {
             t: (step.partner, step.divisor, step.shift, gauge.sign[t])
@@ -363,13 +384,7 @@ class Reconstructor:
                 value = factor * value
                 self.cache[outer] = value
             return value
-        # The insertions, largest orbifold degree first.
-        ranked = [k for k in self._order for _ in range((code >> (_FIELD * k)) & _MASK)]
-        pivot = ranked[0]
-        if self.donor_policy == "smallest":
-            donor, third = ranked[-1], ranked[1]
-        else:
-            donor, third = ranked[1], ranked[2]
+        pivot, donor, third = self._slots(code)
         partner, divisor, shift, sign = self._pivots[pivot]
         unit = self._unit
         splits = self._splits(code - unit[pivot] - unit[donor] - unit[third])
@@ -377,10 +392,53 @@ class Reconstructor:
         # WDVV for (third, donor, partner, divisor) and total degree
         # beta3: the full split of the donor side is coeff times the
         # target invariant, everything else is strictly smaller in the
-        # (n, b - max exponent) measure.  In the gauge coeff is the sign.
+        # (n, lowest rank) measure.  In the gauge coeff is the sign.
         swapped = self._walk(third, partner, donor, divisor, splits, beta3)
         partial = self._walk(third, donor, partner, divisor, splits, beta3, skip_full=True)
         return (swapped - partial) * sign
+
+    def _fewest_copies_slots(self, code: int) -> tuple[int, int, int]:
+        """(pivot, donor, third) of the ``"fewest_copies"`` rule, in one
+        pass over the pivot order: the pivot is the first class present,
+        the donor the first with the fewest copies once the pivot is
+        removed, and the third the donor's class again if it had at
+        least 2 copies, else the first of the other classes with the
+        fewest."""
+        pivot = donor = third = -1
+        fewest = second = _MAX_INSERTIONS + 1
+        for k in self._order:
+            c = (code >> (_FIELD * k)) & _MASK
+            if not c:
+                continue
+            if pivot < 0:
+                pivot = k
+                c -= 1
+                if not c:
+                    continue
+            if c < fewest:
+                third, second = donor, fewest
+                donor, fewest = k, c
+            elif c < second:
+                third, second = k, c
+        return pivot, donor, (third if fewest == 1 else donor)
+
+    def _smallest_slots(self, code: int) -> tuple[int, int, int]:
+        """(pivot, donor, third) of the ``"smallest"`` rule: the first
+        class present, the last one, and the class of the second
+        insertion in pivot order."""
+        pivot = donor = third = -1
+        for k in self._order:
+            c = (code >> (_FIELD * k)) & _MASK
+            if not c:
+                continue
+            if pivot < 0:
+                pivot = k
+                if c > 1:
+                    third = k
+            elif third < 0:
+                third = k
+            donor = k
+        return pivot, donor, third
 
     def _splits(self, code: int) -> list[tuple[int, int, int, int]]:
         """(code, excess, size, multiplicity) of every multiset split of

@@ -151,8 +151,9 @@ class TargetData(_TargetFields):
     not hashable.  ``_replace`` gives a new instance with some fields
     changed.  The data derived from the fields (``grading``,
     ``pairing_inverse``, ``pairing_inverse_entries``, ``products``,
-    ``divisor_factorization``, ``gauge``) is computed on first use and
-    cached per instance, so a replaced instance computes its own.
+    ``divisor_factorization``, ``pivot_rank``, ``gauge``) is computed on
+    first use and cached per instance, so a replaced instance computes
+    its own.
     ``divisor_degree`` maps each divisor class to its degree; every
     consumer takes the divisors in its key order.
 
@@ -255,6 +256,37 @@ class TargetData(_TargetFields):
                 )
             out[t] = steps[t]
         return out
+
+    @cached_property
+    def pivot_rank(self) -> tuple[int, ...]:
+        """The length of each class's partner chain down to the identity
+        or a divisor, indexed by class.
+
+        The identity and the divisors have rank 0, and a class t of
+        :attr:`divisor_factorization` has rank(t) = rank(partner) + 1.
+        The engine pivots on an insertion of lowest rank, and the
+        swapped side of its WDVV relation replaces that insertion by
+        the partner, one rank lower; this is what ends the recursion.
+        A partner chain that returns to a class raises ``ValueError``
+        naming it.
+        """
+        steps = self.divisor_factorization
+        rank = {t: 0 for t in range(self.basis_size) if t not in steps}
+        for start in steps:
+            chain: dict[int, None] = {}
+            t = start
+            while t not in rank:
+                if t in chain:
+                    raise ValueError(
+                        f"the partner chain of basis class {t} returns to it, so "
+                        f"the engine has no pivot order on {self.id}"
+                    )
+                chain[t] = None
+                t = steps[t].partner
+            below = rank[t]
+            for t in reversed(chain):
+                below = rank[t] = below + 1
+        return tuple(rank[t] for t in range(self.basis_size))
 
     @cached_property
     def gauge(self) -> Gauge:
@@ -584,8 +616,9 @@ def validate_target(td: TargetData) -> None:
     homogeneity of every stored constant, the identity acting through
     the pairing at degree 0 only (at any basis index), divisor constants
     matching the 2-point data, and a divisor factorization for every
-    class that is neither the identity nor a divisor (see
-    :attr:`TargetData.divisor_factorization`).
+    class that is neither the identity nor a divisor whose partner
+    chains end (see :attr:`TargetData.divisor_factorization` and
+    :attr:`TargetData.pivot_rank`).
     """
     size = td.basis_size
     fund = td.fundamental_index
@@ -656,4 +689,4 @@ def validate_target(td: TargetData) -> None:
                     f"base2 entry {(i, j, d)} disagrees with the divisor axiom"
                 )
 
-    td.divisor_factorization  # raises if a class has no divisor factorization
+    td.pivot_rank  # raises if a class has no divisor factorization or one cycles

@@ -1,13 +1,15 @@
 """References shared by the test modules, free of the engine's shortcuts:
 the degree axiom over the rationals, a plain WDVV side, dense ring
-kernels, and the closed forms for P(1,b) that the ring and the engine
-are checked against."""
+kernels, the closed forms for P(1,b) that the ring and the engine are
+checked against, and a hand-built P^n for its classical counts."""
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from typing import Optional
+
+from gwstack.ring import TargetData, validate_target
 
 
 def forced_degree(td, insertions) -> Optional[int]:
@@ -186,3 +188,42 @@ def divisor_span_rank(td, mult) -> int:
                 sum(vec[i] * mult[i][div][l] for i in range(size) if vec[i]) for l in range(size)
             ]
     return rank(list(monomials.values()))
+
+
+def build_pn(n: int):
+    """The projective space P^n as a target datum, built by hand.
+
+    Basis h^0..h^n with h^0 the identity and h the divisor of degree 1;
+    eta(h^i, h^j) = 1 when i + j = n, <h^i, h^j, h^k>_0 = 1 when
+    i + j + k = n, <h^i, h^j, h^k>_1 = 1 when i + j + k = 2n + 1, and
+    <h^n, h^n>_1 = 1 (one line through two points).  The degree axiom
+    leaves no other 2- or 3-point constant.  Each h^k with k >= 2 factors
+    as h^(k-1) * h with no q-shift, so its partner lies below it, unlike
+    on P(1,b).
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    one = Fraction(1)
+    size = n + 1
+    base3 = {}
+    for i in range(size):
+        for j in range(i, size):
+            for d, k in ((0, n - i - j), (1, 2 * n + 1 - i - j)):
+                if j <= k <= n:
+                    base3[(i, j, k, d)] = one
+    td = TargetData(
+        id=f"P{n}",
+        orbdeg=tuple(Fraction(2 * k) for k in range(size)),
+        dim=Fraction(n),
+        c1_degree=Fraction(n + 1),
+        fundamental_index=0,
+        divisor_degree={1: one},
+        pairing=tuple(
+            tuple(one if i + j == n else Fraction(0) for j in range(size)) for i in range(size)
+        ),
+        base3=base3,
+        base2={(n, n, 1): one},
+        basis_names=("1", "h") + tuple(f"h^{k}" for k in range(2, size)),
+    )
+    validate_target(td)
+    return td

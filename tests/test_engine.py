@@ -8,9 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwstack import Reconstructor, build_p1b, build_p2, validate_target
-from gwstack.engine import _FIELD, InsertionKey, _bounded_multisets, _pack, _unpack
+from gwstack.engine import (
+    _DONOR_POLICIES,
+    _FIELD,
+    InsertionKey,
+    _bounded_multisets,
+    _pack,
+    _unpack,
+)
 from gwstack.ring import Grading
-from reference import closed_4pt_deg0, closed_4pt_deg1, e_cut, forced_degree, wdvv_side
+from reference import (
+    build_pn,
+    closed_4pt_deg0,
+    closed_4pt_deg1,
+    e_cut,
+    forced_degree,
+    wdvv_side,
+)
 
 F = Fraction
 
@@ -40,10 +54,29 @@ class TestMemoCache:
             for d, ins, value in rec.snapshot():
                 digest.update(f"{label} {d} {','.join(map(str, ins))} {value}\n".encode())
                 rows += 1
-        assert rows == 3975
+        assert rows == 3307
         assert digest.hexdigest() == (
-            "d0b339d86428e1b1ee6e2a6ae420520ae0b0249e45cea1de5301d8046dafcd54"
+            "c595ccaf08fb063bda1c72045019e9c168c1e509905a09710d031d4358e134fd"
         )
+
+    def test_pinned_contents_agree_with_the_smallest_donor(self):
+        # The rows pinned above are the default rule's; every one of
+        # them is a value the other rule computes too.
+        for b in range(2, 11):
+            td = build_p1b(b)
+            rec = Reconstructor(td)
+            for _ in rec.enumerate_nonzero():
+                pass
+            alternate = Reconstructor(td, donor_policy="smallest")
+            for d, ins, value in rec.snapshot():
+                assert alternate.gw_at(ins, d) == value, (b, d, ins)
+
+    def test_work_is_pinned(self):
+        # The n >= 4 memo entries that the full support of P(1,12) stores.
+        rec = Reconstructor(build_p1b(12))
+        for _ in rec.enumerate_nonzero():
+            pass
+        assert len(rec.snapshot()) == 3592
 
     def test_smallest_donor_contents_are_pinned(self):
         # The memo rows of "smallest"-donor engines after the full
@@ -353,10 +386,53 @@ class TestWdvvSum:
         assert with_identity >= 2
 
 
+def _slots_by_sorting(order, counts, policy):
+    """(pivot, donor, third) of ``policy`` from the insertions ranked in
+    pivot ``order``: a reference for the engine's one-pass choice."""
+    ranked = [k for k in order for _ in range(counts[k])]
+    if policy == "smallest":
+        return ranked[0], ranked[-1], ranked[1]
+    position = {k: i for i, k in enumerate(order)}
+    left = list(counts)
+    slots = [ranked[0]]
+    left[ranked[0]] -= 1
+    for _ in range(2):
+        k = min((k for k in order if left[k]), key=lambda k: (left[k], position[k]))
+        slots.append(k)
+        left[k] -= 1
+    return tuple(slots)
+
+
 class TestDonorPolicy:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             Reconstructor(build_p1b(3), donor_policy="widest")
+
+    def test_default_is_fewest_copies(self):
+        assert _DONOR_POLICIES == ("fewest_copies", "smallest")
+        assert Reconstructor(build_p1b(3)).donor_policy == "fewest_copies"
+
+    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
+    def test_slots_match_sorting(self, policy):
+        rng = random.Random(16)
+        td = build_p1b(7)
+        rec = Reconstructor(td, donor_policy=policy)
+        for _ in range(2000):
+            counts = [0] * td.basis_size
+            for _ in range(rng.randrange(4, 14)):
+                counts[rng.choice((1, 2, 3, 4, 5, 6, 6, 6))] += 1
+            code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
+            assert rec._slots(code) == _slots_by_sorting(rec._order, counts, policy), counts
+
+    def test_fewest_copies_examples(self):
+        # P(1,7), pivot order a^6, a^5, ..., a.
+        rec = Reconstructor(build_p1b(7))
+        # a^6 is the pivot; a^4 is the rarest, then a^3 and a^5 tie at 2.
+        assert rec._slots(_pack((6, 5, 5, 4, 3, 3))) == (6, 4, 5)
+        # Every class keeps 2 copies: the donor's class fills the third slot.
+        assert rec._slots(_pack((6, 6, 6, 2, 2, 1, 1))) == (6, 6, 6)
+        # The pivot's last copy is gone, so the donor is the first of the rest.
+        assert rec._slots(_pack((6, 5, 2, 1))) == (6, 5, 2)
 
     @pytest.mark.parametrize("b", range(2, 11))
     def test_policies_agree(self, b):
@@ -499,10 +575,13 @@ class _TracingReconstructor(Reconstructor):
         super().__init__(td, **kwargs)
         self._stack = []
 
+    def _measure(self, ins):
+        return (len(ins), self.td.power_basis - max(ins))
+
     def _reduce(self, code, n, d):
         ins = _unpack(code)
         assert n == len(ins)
-        measure = (len(ins), self.td.power_basis - max(ins))
+        measure = self._measure(ins)
         if self._stack:
             assert measure < self._stack[-1], (measure, self._stack)
         self._stack.append(measure)
@@ -512,12 +591,65 @@ class _TracingReconstructor(Reconstructor):
             self._stack.pop()
 
 
+class _RankTracingReconstructor(_TracingReconstructor):
+    """Asserts the (n, lowest pivot rank) measure of the engine docstring
+    drops on every descent, on any target."""
+
+    def _measure(self, ins):
+        return (len(ins), min(self.td.pivot_rank[k] for k in ins))
+
+
 class TestTermination:
     @pytest.mark.parametrize("b,key", [(5, (4,) * 10), (6, (5,) * 12), (3, (1, 1, 2, 2))])
     def test_measure_strictly_decreases(self, b, key):
         rec = _TracingReconstructor(build_p1b(b))
         rec.gw(key)  # the tracer raises on any non-decreasing step
         assert not rec._stack
+
+    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
+    @pytest.mark.parametrize(
+        "make,key",
+        [
+            (lambda: build_p1b(6), (5,) * 12),
+            (lambda: build_p1b(7), (3, 4, 5, 5, 6, 6, 6)),
+            (build_p2, (2,) * 11),
+            (lambda: build_pn(3), (2,) * 12),
+            (lambda: build_pn(4), (2, 2, 3, 3, 3, 3, 4, 4)),
+        ],
+        ids=["P(1,6)", "P(1,7)", "P2", "P3", "P4"],
+    )
+    def test_rank_measure_strictly_decreases(self, make, key, policy):
+        rec = _RankTracingReconstructor(make(), donor_policy=policy)
+        assert rec.gw(key)  # nonzero, so the recursion ran
+        assert not rec._stack
+
+
+class TestProjectiveSpace:
+    """Classical counts on P^n, which the engine does not know: its pivot
+    h^k = h^(k-1) * h has its partner below it."""
+
+    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
+    def test_lines_meeting_codimension_two_planes(self, policy):
+        # The degree of the Grassmannian G(2, n + 1): Catalan numbers.
+        counts = [
+            Reconstructor(build_pn(n), donor_policy=policy).gw((2,) * (2 * (n - 1)))
+            for n in range(3, 8)
+        ]
+        assert counts == [2, 5, 14, 42, 132]
+
+    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
+    def test_curves_in_p3(self, policy):
+        rec = Reconstructor(build_pn(3), donor_policy=policy)
+        assert rec.gw((2,) * 8) == 92  # conics meeting 8 lines
+        assert rec.gw((3,) * 6) == 1  # twisted cubics through 6 points
+        assert rec.gw((2,) * 12) == 80160  # twisted cubics meeting 12 lines
+
+    def test_p2_is_build_pn_2(self):
+        td, ref = build_p2(), build_pn(2)
+        assert (ref.orbdeg, ref.pairing, ref.base3, ref.base2) == (
+            td.orbdeg, td.pairing, td.base3, td.base2
+        )
+        assert ref.pivot_rank == td.pivot_rank == (0, 0, 1)
 
 
 class TestEnumerate:

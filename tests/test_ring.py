@@ -87,6 +87,27 @@ class TestBuildP1b:
             }, b
         assert build_p2().divisor_factorization == {2: DivisorStep(1, 1, 0, F(1))}
 
+    def test_pivot_ranks(self):
+        # a^t has partner a^(t+1), so rank b - t; the identity and x have 0.
+        for b in range(1, 41):
+            assert build_p1b(b).pivot_rank == (0,) + tuple(range(b - 1, 0, -1)) + (0,), b
+        assert build_p2().pivot_rank == (0, 0, 1)
+        assert ref.build_pn(5).pivot_rank == (0, 0, 1, 2, 3, 4)
+
+    def test_cycling_partner_chain_is_refused(self):
+        # A hand-set factorization in which a and a^2 are each other's
+        # partner: no rank exists, and the engine would not terminate.
+        td = build_p1b(3)._replace()
+        td.__dict__["divisor_factorization"] = {
+            1: DivisorStep(partner=2, divisor=3, shift=1, coeff=F(1, 3)),
+            2: DivisorStep(partner=1, divisor=3, shift=1, coeff=F(1, 3)),
+        }
+        match = "the partner chain of basis class 1 returns to it"
+        with pytest.raises(ValueError, match=match):
+            validate_target(td)
+        with pytest.raises(ValueError, match=match):
+            Reconstructor(td)
+
     def test_b1_degenerates_to_projective_line(self):
         td = build_p1b(1)
         assert td.basis_size == 2

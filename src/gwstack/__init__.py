@@ -8,30 +8,38 @@ the projective plane, where it reproduces the classical counts of
 rational plane curves.
 """
 
-from .engine import Reconstructor
-from .golden import golden_rows, verify
-from .ring import (
-    basis_element,
-    build_p1b,
-    build_p2,
-    divisor_generation_check,
-    qmul,
-    specialize,
-    validate_target,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  A name is imported
+# on first use (PEP 562), so ``import gwstack`` -- and through it every
+# CLI command, which starts a fresh interpreter -- loads no submodule it
+# does not run.
+_HOMES = {
+    "Reconstructor": "engine",
+    "basis_element": "ring",
+    "build_p1b": "ring",
+    "build_p2": "ring",
+    "divisor_generation_check": "ring",
+    "golden_rows": "golden",
+    "qmul": "ring",
+    "specialize": "ring",
+    "validate_target": "ring",
+    "verify": "golden",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Reconstructor",
-    "basis_element",
-    "build_p1b",
-    "build_p2",
-    "divisor_generation_check",
-    "golden_rows",
-    "qmul",
-    "specialize",
-    "validate_target",
-    "verify",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES))

@@ -8,9 +8,19 @@ Subcommands:
 * ``ring``    -- print the multiplication table at a chosen q;
 * ``cache``   -- validate or normalize a record file.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error,
+Exit codes: 0 success, also when the reader of stdout closes it early
+(``gwstack table ... | head``); 1 verification mismatch; 2 usage error;
 3 unreadable or malformed file.  All printed values are exact
 rationals; the output is deterministic byte for byte.
+
+Every command runs in a fresh interpreter, and where no bytecode is
+written (``PYTHONDONTWRITEBYTECODE``) each module it imports is compiled
+from source again.  So this module imports only ``ring``, which every
+command uses, and a command imports the rest when it runs: ``compute``
+and ``table`` add ``engine``, ``table --format jsonl`` adds ``json``,
+reading or writing a record file (``--cache``, ``cache``) adds
+``engine`` and ``records``, and ``verify`` adds ``golden``, which
+imports both.  ``ring`` adds nothing.
 
 ``compute`` and ``table`` optionally persist their memo to the record
 file named by ``--cache`` and preload it on the next run.  A record
@@ -24,16 +34,24 @@ stored unchecked, so ``verify`` is their integrity check.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .engine import Reconstructor
-from .golden import TABLE_ORDERS, mults_from_insertions, verify
-from .records import GWRecord, RecordError, load_records, render_records, save_records
-from .ring import TargetData, build_p1b, divisor_generation_check, specialize
+from .ring import (
+    TABLE_ORDERS,
+    TargetData,
+    build_p1b,
+    divisor_generation_check,
+    mults_from_insertions,
+    specialize,
+)
+
+if TYPE_CHECKING:
+    from .engine import Reconstructor
+    from .records import GWRecord
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -67,6 +85,13 @@ _MAX_LAMBDA_LENGTH = 100
 @lru_cache(maxsize=None)
 def _target_for(b: int) -> TargetData:
     return build_p1b(b)
+
+
+def _engine_for(b: int) -> Reconstructor:
+    """A fresh engine on P(1,b); ``engine`` is first imported here."""
+    from .engine import Reconstructor
+
+    return Reconstructor(_target_for(b))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,13 +200,30 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except RecordError as exc:
+    except _record_error() as exc:
         print(f"gwstack: {exc}", file=sys.stderr)
         return EXIT_FILE
 
 
+def _record_error():
+    """``RecordError`` once ``records`` is loaded, else no class at all:
+    a record file error can only come from that module."""
+    records = sys.modules.get("gwstack.records")
+    return () if records is None else records.RecordError
+
+
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as ``gwstack table ... | head`` does.
+        # Point stdout at devnull so the interpreter's last flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_OK
+    sys.exit(code)
 
 
 # -- argument helpers ----------------------------------------------------------
@@ -232,6 +274,8 @@ def _preload_cache(rec: Reconstructor, path):
 
 def _preload_records(path, engines: dict[int, Reconstructor]) -> list[GWRecord]:
     """Preload each record of ``path`` into ``engines[b]``, adding engines as needed."""
+    from .records import RecordError, load_records
+
     pairs = load_records(path)
     for lineno, recd in pairs:
         if recd.b > _MAX_ORDER:
@@ -239,8 +283,7 @@ def _preload_records(path, engines: dict[int, Reconstructor]) -> list[GWRecord]:
     for lineno, recd in pairs:
         eng = engines.get(recd.b)
         if eng is None:
-            eng = Reconstructor(_target_for(recd.b))
-            engines[recd.b] = eng
+            eng = engines[recd.b] = _engine_for(recd.b)
         try:
             eng.preload([(recd.d, recd.insertions, recd.value)])
         except ValueError as exc:
@@ -251,6 +294,8 @@ def _preload_records(path, engines: dict[int, Reconstructor]) -> list[GWRecord]:
 def _store_cache(rec: Reconstructor, path, loaded) -> None:
     if not path:
         return
+    from .records import GWRecord, save_records
+
     merged = {(r.b, r.insertions): r for r in loaded}
     b = rec.td.power_basis
     for d, ins, value in rec.snapshot():
@@ -266,7 +311,7 @@ def _cmd_compute(args) -> int:
     ins = _parse_insertions(args, b)
     if args.degree is not None and args.degree < 0:
         args.parser.error(f"--degree must be nonnegative, got {args.degree}")
-    rec = Reconstructor(_target_for(b))
+    rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
         if args.degree is None:
@@ -306,7 +351,7 @@ def _cmd_table(args) -> int:
             f"the full support is tabulated for b <= {_MAX_TABLE_ORDER} only, "
             f"got {b}; give --max-n to cap the insertion count"
         )
-    rec = Reconstructor(_target_for(b))
+    rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
         rows = list(
@@ -319,6 +364,8 @@ def _cmd_table(args) -> int:
     except ValueError as exc:  # --max-n beyond what one key holds
         args.parser.error(str(exc))
     if args.format == "jsonl":
+        import json
+
         rows.sort()  # keys are unique, so this orders by (d, insertions)
         for key, value in rows:
             print(
@@ -366,6 +413,8 @@ def _cmd_verify(args) -> int:
                 f"--b must be one of {', '.join(map(str, TABLE_ORDERS))}, or 'all'"
             )
         orders = (order,)
+    from .golden import verify
+
     reports = [verify(b) for b in orders]
     for report in reports:
         print(report.render())
@@ -409,6 +458,8 @@ def _render_combo(td: TargetData, vec) -> str:
 
 
 def _cmd_cache(args) -> int:
+    from .records import render_records
+
     loaded = _preload_records(args.path, {})
     if args.emit:
         sys.stdout.write(render_records(loaded))

@@ -18,36 +18,20 @@ from typing import NamedTuple, Optional
 
 from .engine import InsertionKey, Reconstructor
 from .records import RecordError, iter_record_lines, parse_rational
-from .ring import TargetData, build_p1b
+# The table's orders and row counts and the multiplicity-vector converters
+# are defined in ring, which the CLI's parser needs anyway, and re-exported
+# here beside the rows they describe.
+from .ring import (
+    ROW_COUNTS,
+    TABLE_ORDERS,
+    TargetData,
+    build_p1b,
+    insertions_from_mults,
+    mults_from_insertions,
+)
 
 _DATA_NAME = "p1b_tables.dat"
 _DATA_SHA256 = "0ba2a34964544be2e83518459645a57a3af16b4bd4533e2ddb4379af45b1433c"
-
-ROW_COUNTS = {2: 1, 3: 3, 4: 9, 5: 22, 6: 46}
-TABLE_ORDERS = tuple(sorted(ROW_COUNTS))
-
-
-def insertions_from_mults(mults) -> tuple[int, ...]:
-    """Expand a multiplicity vector (k_1, ..., k_{b-1}) to sorted exponents."""
-    out = []
-    for idx, count in enumerate(mults, start=1):
-        if count < 0:
-            raise ValueError(f"negative multiplicity in {tuple(mults)}")
-        out.extend([idx] * count)
-    return tuple(out)
-
-
-def mults_from_insertions(b: int, insertions) -> tuple[int, ...]:
-    """Inverse of :func:`insertions_from_mults`; exponents must be twisted
-    non-divisor classes (1..b-1)."""
-    counts = [0] * (b - 1)
-    for k in insertions:
-        if not 1 <= k <= b - 1:
-            raise ValueError(
-                f"exponent {k} has no slot in a multiplicity vector for b={b}"
-            )
-        counts[k - 1] += 1
-    return tuple(counts)
 
 
 class GoldenRow(NamedTuple):

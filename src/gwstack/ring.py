@@ -429,6 +429,36 @@ def build_p1b(b: int) -> TargetData:
     return td
 
 
+# Rows of the shipped golden table per order of P(1,b).  They live here,
+# not in golden, because the CLI's parser names TABLE_ORDERS and every
+# command imports this module anyway.
+ROW_COUNTS = {2: 1, 3: 3, 4: 9, 5: 22, 6: 46}
+TABLE_ORDERS = tuple(sorted(ROW_COUNTS))
+
+
+def insertions_from_mults(mults) -> tuple[int, ...]:
+    """Expand a multiplicity vector (k_1, ..., k_{b-1}) to sorted exponents."""
+    out = []
+    for idx, count in enumerate(mults, start=1):
+        if count < 0:
+            raise ValueError(f"negative multiplicity in {tuple(mults)}")
+        out.extend([idx] * count)
+    return tuple(out)
+
+
+def mults_from_insertions(b: int, insertions) -> tuple[int, ...]:
+    """Inverse of :func:`insertions_from_mults`; exponents must be twisted
+    non-divisor classes (1..b-1)."""
+    counts = [0] * (b - 1)
+    for k in insertions:
+        if not 1 <= k <= b - 1:
+            raise ValueError(
+                f"exponent {k} has no slot in a multiplicity vector for b={b}"
+            )
+        counts[k - 1] += 1
+    return tuple(counts)
+
+
 def build_p2() -> TargetData:
     """Target datum for the projective plane.
 

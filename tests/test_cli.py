@@ -287,7 +287,6 @@ class TestVerify:
 
         fake = (GoldenRow(2, 0, (4,), Fraction(1, 7)),)
         monkeypatch.setattr(golden_mod, "golden_rows", lambda b: fake)
-        monkeypatch.setattr(cli, "verify", golden_mod.verify)
         code, out, _ = run("verify", "--b", "2")
         assert code == 1
         assert "0/1 rows match" in out
@@ -495,6 +494,25 @@ class TestUsage:
     def test_module_entry_point(self):
         done = _spawn("compute", "--b", "3", "--insertions", "1,1,2,2")
         assert (done.returncode, done.stdout) == (0, "-1/9\n")
+
+    def test_closed_stdout_exits_zero(self):
+        """``gwstack table ... | head -1``: the reader leaves, the command
+        stops quietly.  The table is about 430 kB, far past what a pipe
+        buffers, so the command is still writing when the pipe closes."""
+        argv = "table --b 3 --include-divisor --max-n 400 --max-d 1 --format jsonl"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        with subprocess.Popen(
+            [sys.executable, "-m", "gwstack.cli", *argv.split()],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first.startswith(b'{"b":3,')
+        assert (code, err) == (0, b"")
 
     def test_no_arguments(self, run):
         assert run()[0] == 2

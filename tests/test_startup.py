@@ -2,8 +2,10 @@
 
 Every CLI command runs in its own interpreter, so each module that
 ``import gwstack.cli`` pulls in is paid on every command.  These tests
-name the standard-library modules gwstack must not load at import time;
-they check module names, not times, so they are deterministic.
+name the standard-library modules gwstack must not load at import time,
+and the modules each command loads; they check module names, not
+times, so they are deterministic.  The package serves its public names
+on first use, and the last tests check that it serves the same objects.
 """
 
 from __future__ import annotations
@@ -47,3 +49,67 @@ def test_import_loads_no_heavy_modules(module):
 def test_golden_rows_checks_the_checksum():
     loaded = _loaded_by("import gwstack.golden\ngwstack.golden.golden_rows(2)")
     assert "hashlib" in loaded
+
+
+def _gwstack_modules(code: str) -> set[str]:
+    """The gwstack modules, and ``json``, that running ``code`` loads."""
+    return {m for m in _loaded_by(code) if m.split(".")[0] in ("gwstack", "json")}
+
+
+BASE = {"gwstack", "gwstack.cli", "gwstack.ring"}
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        ("import gwstack", {"gwstack"}),
+        ("import gwstack.cli", BASE),
+    ],
+    ids=["gwstack", "gwstack.cli"],
+)
+def test_import_loads_only_what_it_runs(code, expected):
+    assert _gwstack_modules(code) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        ("ring --b 3 --lambda 1", set()),
+        ("compute --b 3 --insertions 1,1,2,2", {"gwstack.engine"}),
+        ("table --b 3 --format tsv", {"gwstack.engine"}),
+    ],
+    ids=["ring", "compute", "table-tsv"],
+)
+def test_command_loads_only_what_it_runs(argv, added):
+    # The command's own output goes to a buffer, not into the probe's list.
+    code = (
+        "import contextlib, io, gwstack.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert gwstack.cli.main({argv.split()!r}) == 0"
+    )
+    assert _gwstack_modules(code) == BASE | added
+
+
+@pytest.mark.parametrize("name", sorted(set(gwstack.__all__) - {"__version__"}))
+def test_public_name_is_its_home_module_object(name):
+    value = getattr(gwstack, name)
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace: dict = {}
+    exec("from gwstack import *", namespace)
+    assert set(gwstack.__all__) <= set(namespace)
+    assert set(gwstack.__all__) <= set(dir(gwstack))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gwstack.no_such_name
+
+
+def test_submodules_import_by_name():
+    from gwstack import golden
+
+    assert golden is sys.modules["gwstack.golden"]
+    assert golden.TABLE_ORDERS == (2, 3, 4, 5, 6)

@@ -59,8 +59,8 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 
 # Largest b accepted from --b or a record file, checked before any target
-# is built.  On one Xeon core build_p1b takes 0.15-0.25 s at b = 100,
-# 0.7-1.2 s at b = 200 and about 4 s at b = 400.
+# is built.  On one Xeon core (Python 3.11, medians) build_p1b takes
+# about 20 ms at b = 100, 70 ms at b = 200 and 0.43 s at b = 400.
 _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is

@@ -145,10 +145,13 @@ class Reconstructor:
         gauge = self._gauge = td.gauge
         # Read on every reduction and WDVV walk, so kept on the engine.
         grading = self._grading = td.grading
-        self._fund_shift = _FIELD * td.fundamental_index
         w, c1, degree = grading.weights, grading.c1, grading.degree
         size = td.basis_size
         unit = self._unit = tuple(1 << (_FIELD * k) for k in range(size))
+        # The count fields of the identity and of the divisors: an n >= 4
+        # key with an identity, or a divisor at degree 0, is 0 by that axiom.
+        self._identity_field = _MASK * unit[td.fundamental_index]
+        self._divisor_fields = sum(_MASK * unit[v] for v in td.divisor_degree)
         # The memo starts with the 2- and 3-point constants.  Only those at
         # their forced degree (d > 0 for two points) are read: keys omit d.
         cache = self.cache
@@ -349,15 +352,17 @@ class Reconstructor:
         if value is not None:
             return value
         if n > 3:
-            value = self.cache[code] = self._reduce(code, n, d)
+            if code & self._identity_field or not d and code & self._divisor_fields:
+                value = 0
+            else:
+                value = self._reduce(code, n, d)
+            self.cache[code] = value
             return value
         if n == 2 and d == 0:
             raise ValueError("the 2-point invariant at degree 0 is degenerate")
         return 0
 
     def _reduce(self, code: int, n: int, d: int) -> int:
-        if (code >> self._fund_shift) & _MASK:
-            return 0
         # Divisor axiom, one divisor per pass of a loop rather than per
         # recursion level, so a long run of divisors costs no stack.  The
         # strip stops at three insertions or at a memoized key; every key
@@ -371,8 +376,6 @@ class Reconstructor:
             )
             if div is None:
                 break
-            if d == 0:
-                return 0
             stripped.append((key, d * factor))
             key -= self._unit[div]
             n -= 1

@@ -186,15 +186,24 @@ class TargetData(_TargetFields):
         )
 
     @cached_property
+    def _pairing_rows(self) -> tuple[dict[int, Fraction], ...]:
+        # The one scan of the pairing: each row's nonzero entries by column.
+        # The shared ZERO of the constructors skips Fraction.__bool__.
+        return tuple({j: g for j, g in enumerate(row) if g is not ZERO and g} for row in self.pairing)
+
+    @cached_property
     def pairing_inverse(self) -> Matrix:
         """Inverse of the intersection pairing."""
-        return _invert(self.pairing)
+        rows = [[ZERO] * self.basis_size for _ in range(self.basis_size)]
+        for i, j, g in self.pairing_inverse_entries:
+            rows[i][j] = g
+        return tuple(map(tuple, rows))
 
     @cached_property
     def pairing_inverse_entries(self) -> tuple[tuple[int, int, Fraction], ...]:
         """The nonzero entries of ``pairing_inverse`` as ``(i, j, g)``, row by row."""
         return tuple(
-            (i, j, g) for i, row in enumerate(self.pairing_inverse) for j, g in enumerate(row) if g
+            (i, j, row[j]) for i, row in enumerate(_invert(self._pairing_rows)) for j in sorted(row)
         )
 
     @cached_property
@@ -206,24 +215,33 @@ class TargetData(_TargetFields):
         then index, computed from the 3-point constants alone:
         a_i * a_j = sum_d q^d sum_{k,l} <a_i, a_j, a_k>_d g^{kl} a_l.
         One pass over the stored constants: for each distinct k of an
-        entry, val * g^{kl} is computed once per nonzero g^{kl} and
-        added to the product of the other two indices, which serves
-        both orders.  A cell's first term is stored, later ones added.
+        entry, val * g^{kl} is added to the product of the other two
+        indices, which serves both orders.  The sums run on integer
+        numerators over one denominator, the lcm of the constants'
+        denominators times that of the inverse pairing's, and each
+        distinct nonzero sum becomes one ``Fraction``, shared by every
+        term that has it.
         """
         size = self.basis_size
+        entries = self.pairing_inverse_entries
+        g_den = lcm(*(g.denominator for _, _, g in entries))
+        v_den = lcm(*(v.denominator for v in self.base3.values()))
         ginv_rows = [[] for _ in range(size)]
-        for k, l, g in self.pairing_inverse_entries:
-            ginv_rows[k].append((l, g))
+        for k, l, g in entries:
+            ginv_rows[k].append((l, g.numerator * (g_den // g.denominator)))
         cells: dict[tuple[int, int], dict] = {}
         for (i, j, k, d), val in self.base3.items():
+            v = val.numerator * (v_den // val.denominator)
             for m, x, y in {(k, i, j), (j, i, k), (i, j, k)}:
                 acc = cells.setdefault((x, y) if x <= y else (y, x), {})
                 for l, g in ginv_rows[m]:
-                    c = val * g
-                    acc[d, l] = acc[d, l] + c if (d, l) in acc else c
+                    key = d, l
+                    acc[key] = acc.get(key, 0) + v * g
+        nums = {c for acc in cells.values() for c in acc.values() if c}
+        coeff = {c: Fraction(c, v_den * g_den) for c in nums}
         table = [[()] * size for _ in range(size)]
         for (x, y), acc in cells.items():
-            table[x][y] = table[y][x] = tuple([(*dl, c) for dl, c in sorted(acc.items()) if c])
+            table[x][y] = table[y][x] = tuple([(*dl, coeff[c]) for dl, c in sorted(acc.items()) if c])
         return tuple(map(tuple, table))
 
     @cached_property
@@ -497,13 +515,13 @@ def build_p2() -> TargetData:
 # -- pairing inversion and structure constants -------------------------------
 
 
-def _invert(matrix: Matrix) -> Matrix:
-    n = len(matrix)
+def _invert(rows) -> list[dict[int, Fraction]]:
+    """The inverse of a square matrix given as the nonzero entries of its
+    rows, by column (``TargetData._pairing_rows``), in the same form."""
+    n = len(rows)
     # Each row of [matrix | identity] keeps only its nonzero entries, so
     # pivot search, division and elimination never touch a zero.
-    aug = [{k: a for k, a in enumerate(row) if a} for row in matrix]
-    for i, row in enumerate(aug):
-        row[n + i] = ONE
+    aug = [{**row, n + i: ONE} for i, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if col in aug[r]), None)
         if piv is None:
@@ -518,7 +536,7 @@ def _invert(matrix: Matrix) -> Matrix:
                         target[k] = v
                     else:
                         del target[k]
-    return tuple(tuple(row.get(n + j, ZERO) for j in range(n)) for row in aug)
+    return [{k - n: a for k, a in row.items() if k >= n} for row in aug]
 
 
 def basis_element(td: TargetData, index: int) -> QRingElem:
@@ -570,21 +588,28 @@ def _lam_powers(td: TargetData, lam: Fraction) -> list[Fraction]:
 def specialize(td: TargetData, lam) -> SpecializedRing:
     """The ring with q set to ``lam`` (0 gives orbifold cohomology).
 
-    A term c q^dq a_l adds c lam^dq to slot l, multiplied only when
-    dq > 0; the first term is stored, later ones added.  The table is
-    symmetric, so each unordered pair is specialized once.
+    A term c q^dq a_l adds c lam^dq to slot l.  That product is taken
+    once per distinct (dq, coefficient object) in the call, and only
+    when dq > 0: equal coefficients of ``td.products`` are one object.
+    A slot still holding ``ZERO`` takes its first term as it is.  The
+    table is symmetric, so each unordered pair is specialized once.
     """
     lam = Fraction(lam)
     powers = _lam_powers(td, lam)
     size = td.basis_size
+    scaled: dict[tuple[int, int], Fraction] = {}  # (dq, id(c)) -> c lam^dq
     mult = [[None] * size for _ in range(size)]
     for i, row in enumerate(td.products):
         for j in range(i, size):
             vec = [ZERO] * size
             for dq, l, c in row[j]:
                 if dq:
-                    c = c * powers[dq]
-                vec[l] = vec[l] + c if vec[l] else c
+                    key = dq, id(c)
+                    x = scaled.get(key)
+                    if x is None:
+                        x = scaled[key] = c * powers[dq]
+                    c = x
+                vec[l] = c if vec[l] is ZERO else vec[l] + c
             mult[i][j] = mult[j][i] = tuple(vec)
     return SpecializedRing(lam=lam, mult_table=tuple(map(tuple, mult)))
 
@@ -605,33 +630,31 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
         [[(l, c * powers[dq] if dq else c) for dq, l, c in row[div]] for row in td.products]
         for div in td.divisor_degree
     ]
-    rows: list[tuple[int, list]] = []  # (pivot column, unit-pivot row's nonzero (index, entry))
-    start = [ZERO] * size
-    start[td.fundamental_index] = ONE
-    queue = deque([start])
+    rows: list[tuple[int, dict]] = []  # (pivot column, unit-pivot row's nonzero entries)
+    queue = deque([{td.fundamental_index: ONE}])
     while queue:
         vec = queue.popleft()
-        w = list(vec)
+        w = dict(vec)
         for piv, row in rows:
-            c = w[piv]
+            c = w.get(piv)
             if c:
-                for k, r in row:
-                    w[k] -= c * r
-        piv = next((k for k, a in enumerate(w) if a), None)
-        if piv is None:
+                for k, r in row.items():
+                    w[k] = w.get(k, ZERO) - c * r
+        w = {k: x for k, x in w.items() if x}
+        if not w:
             continue
+        piv = min(w)
         a = w[piv]
-        rows.append((piv, [(k, x / a) for k, x in enumerate(w) if x]))
+        rows.append((piv, {k: x / a for k, x in w.items()}))
         if len(rows) == size:
             return True
         for column in columns:
-            out = [ZERO] * size
-            for i, v in enumerate(vec):
-                if v:
-                    for l, c in column[i]:
-                        x = v * c
-                        out[l] = out[l] + x if out[l] else x
-            queue.append(out)
+            out: dict[int, Fraction] = {}
+            for i, v in vec.items():
+                for l, c in column[i]:
+                    x = v * c
+                    out[l] = out[l] + x if l in out else x
+            queue.append({l: x for l, x in out.items() if x})
     return False
 
 
@@ -660,9 +683,10 @@ def validate_target(td: TargetData) -> None:
         raise ValueError("c1 degree must be positive")
     if len(td.pairing) != size or any(len(row) != size for row in td.pairing):
         raise ValueError("pairing matrix has the wrong shape")
-    if tuple(map(tuple, td.pairing)) != tuple(zip(*td.pairing)):
+    rows = td._pairing_rows
+    if any(rows[j].get(i) != g for i, row in enumerate(rows) for j, g in row.items()):
         raise ValueError("pairing matrix is not symmetric")
-    td.pairing_inverse  # raises if singular
+    td.pairing_inverse_entries  # raises if singular
     for div in td.divisor_degree:
         if div == fund or not 0 <= div < size:
             raise ValueError(f"bad divisor index {div}")
@@ -694,9 +718,7 @@ def validate_target(td: TargetData) -> None:
     for key in on_identity:
         if key[3]:
             raise ValueError(f"base3 entry {key} breaks the identity axiom")
-    eta = {
-        (*sorted((fund, i, j)), 0): g for i, row in enumerate(td.pairing) for j, g in enumerate(row) if g
-    }
+    eta = {(*sorted((fund, i, j)), 0): g for i, row in enumerate(rows) for j, g in row.items()}
     if on_identity != eta:
         raise ValueError("identity does not reproduce the pairing at degree 0")
 

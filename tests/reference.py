@@ -1,7 +1,8 @@
 """References shared by the test modules, free of the engine's shortcuts:
 the degree axiom over the rationals, a plain WDVV side, dense ring
 kernels, the closed forms for P(1,b) that the ring and the engine are
-checked against, and a hand-built P^n for its classical counts."""
+checked against, a rescaling of any target, and a hand-built P^n for its
+classical counts."""
 
 from __future__ import annotations
 
@@ -188,6 +189,40 @@ def divisor_span_rank(td, mult) -> int:
                 sum(vec[i] * mult[i][div][l] for i in range(size) if vec[i]) for l in range(size)
             ]
     return rank(list(monomials.values()))
+
+
+def rescaled(td, lam=Fraction(1), q=Fraction(1), classes=None):
+    """``td`` with the potential times lam, q times q and basis class k
+    times ``classes[k]`` (default 1).
+
+    The pairing entry (i, j) is multiplied by lam c_i c_j, a constant at
+    degree d by lam q^d and by c_k for each insertion k, and a divisor's
+    degree by its c.  WDVV is homogeneous in all three, so every
+    invariant at degree d of the result is lam q^d prod c_k times the
+    original.  The inverse pairing is divided by lam, which makes it
+    non-integral on P(1,b) and P^2 for lam = 2.
+    """
+    c = [Fraction(1)] * td.basis_size
+    for k, ck in (classes or {}).items():
+        c[k] = ck
+
+    def times(ins, d):
+        out = lam * q**d
+        for k in ins:
+            out *= c[k]
+        return out
+
+    out = td._replace(
+        divisor_degree={k: c[k] * v for k, v in td.divisor_degree.items()},
+        pairing=tuple(
+            tuple(times((i, j), 0) * g for j, g in enumerate(row))
+            for i, row in enumerate(td.pairing)
+        ),
+        base3={key: times(key[:3], key[3]) * value for key, value in td.base3.items()},
+        base2={key: times(key[:2], key[2]) * value for key, value in td.base2.items()},
+    )
+    validate_target(out)
+    return out
 
 
 def build_pn(n: int):

@@ -23,6 +23,7 @@ from reference import (
     closed_4pt_deg1,
     e_cut,
     forced_degree,
+    rescaled as _rescaled,
     wdvv_side,
 )
 
@@ -34,6 +35,37 @@ class TestMemoCache:
         rec = Reconstructor(build_p1b(3))
         assert rec.gw((0, 2, 2, 2)) == 0  # forced degree 0, killed by the identity
         assert (0, (0, 2, 2, 2), 0) in rec.snapshot()
+
+    def test_axiom_zeros_are_stored_without_a_reduction(self):
+        # An n >= 4 key with the identity, or with the divisor at degree
+        # 0, is 0 by that axiom: a memo miss on it stores 0 and reduces
+        # nothing.  The full support of P(1,5) walks past many such keys.
+        b = 5
+        reduced = []
+
+        class Recording(Reconstructor):
+            def _reduce(self, code, n, d):
+                reduced.append((d, _unpack(code)))
+                return super()._reduce(code, n, d)
+
+        rec = Recording(build_p1b(b))
+        for _ in rec.enumerate_nonzero():
+            pass
+
+        def by_axiom(d, ins):
+            return 0 in ins or (d == 0 and b in ins)
+
+        zeros = [(d, ins) for d, ins, value in rec.snapshot() if by_axiom(d, ins)]
+        assert len(zeros) > 20
+        assert all(value == 0 for d, ins, value in rec.snapshot() if by_axiom(d, ins))
+        assert reduced and not any(by_axiom(d, ins) for d, ins in reduced)
+
+        reduced.clear()
+        rec = Recording(build_p1b(b))
+        keys = [(0, 2, 4, 4), (0, 3, 4, 4, 4), (1, 2, 2, 5)]  # all at forced degree 0
+        assert [rec.gw(ins) for ins in keys] == [0, 0, 0]
+        assert {(d, ins) for d, ins, _ in rec.snapshot()} == {(0, ins) for ins in keys}
+        assert not reduced
 
     def test_contents_are_pinned(self):
         # The memo rows, zeros included, after the full support of
@@ -441,40 +473,6 @@ class TestDonorPolicy:
         alternate = Reconstructor(td, donor_policy="smallest")
         for key, value in default.enumerate_nonzero():
             assert alternate.gw_at(key.insertions, key.d) == value
-
-
-def _rescaled(td, lam=F(1), q=F(1), classes=None):
-    """``td`` with the potential times lam, q times q and basis class k
-    times ``classes[k]`` (default 1).
-
-    The pairing entry (i, j) is multiplied by lam c_i c_j, a constant at
-    degree d by lam q^d and by c_k for each insertion k, and a divisor's
-    degree by its c.  WDVV is homogeneous in all three, so every
-    invariant at degree d of the result is lam q^d prod c_k times the
-    original.  The inverse pairing is divided by lam, which makes it
-    non-integral on P(1,b) and P^2 for lam = 2.
-    """
-    c = [F(1)] * td.basis_size
-    for k, ck in (classes or {}).items():
-        c[k] = ck
-
-    def times(ins, d):
-        out = lam * q**d
-        for k in ins:
-            out *= c[k]
-        return out
-
-    out = td._replace(
-        divisor_degree={k: c[k] * v for k, v in td.divisor_degree.items()},
-        pairing=tuple(
-            tuple(times((i, j), 0) * g for j, g in enumerate(row))
-            for i, row in enumerate(td.pairing)
-        ),
-        base3={key: times(key[:3], key[3]) * value for key, value in td.base3.items()},
-        base2={key: times(key[:2], key[2]) * value for key, value in td.base2.items()},
-    )
-    validate_target(out)
-    return out
 
 
 class TestRescaling:

@@ -446,6 +446,112 @@ class TestKernelsAgainstReference:
             assert divisor_generation_check(td, lam) is full is (lam != 0 or b == 1)
 
 
+def _cancelling_target():
+    """Two classes whose pairing ((0, 1), (1, 1/2)) has the inverse
+    ((-1/2, 1), (1, 0)).  The q^0 part of a_1 * a_1 on class 0 is
+    -1/2 <a1, a1, 1>_0 + <a1, a1, a1>_0, which these constants cancel;
+    on class 1 it is <a1, a1, 1>_0 = 2/3.  Not validated: a test input
+    for the kernels, with denominators 2 in the inverse pairing and 3
+    in the constants."""
+    return TargetData(
+        id="cancel", orbdeg=(F(0), F(1)), dim=F(1), c1_degree=F(1), fundamental_index=0,
+        divisor_degree={}, pairing=((F(0), F(1)), (F(1), F(1, 2))),
+        base3={(0, 0, 1, 0): F(1), (0, 1, 1, 0): F(2, 3), (1, 1, 1, 0): F(1, 3)},
+        base2={}, basis_names=("1", "a"),
+    )
+
+
+def _int_constants(td):
+    """``td`` with every integral 2- and 3-point constant given as an int."""
+    def ints(entries):
+        return {k: int(v) if v.denominator == 1 else v for k, v in entries.items()}
+
+    return td._replace(base3=ints(td.base3), base2=ints(td.base2))
+
+
+# Targets for the products kernel and the pairing scan: mixed signs and
+# denominators, int constants, a dense pairing and a cancelled cell.
+KERNEL_TARGETS = [
+    pytest.param(lambda: ref.rescaled(build_p1b(3), q=F(2)), id="P(1,3)-q-rescaled"),
+    pytest.param(lambda: ref.rescaled(build_p1b(5), q=F(2)), id="P(1,5)-q-rescaled"),
+    pytest.param(
+        lambda: ref.rescaled(
+            build_p1b(4), lam=F(-2, 3), q=F(3, 7), classes={1: F(-5, 2), 2: F(7, 4), 4: F(3)}
+        ),
+        id="P(1,4)-mixed-signs",
+    ),
+    pytest.param(lambda: ref.rescaled(build_p2(), q=F(1, 8), classes={1: F(2), 2: F(-4)}), id="P2-rescaled"),
+    pytest.param(lambda: _int_constants(build_p2()), id="P2-int-constants"),
+    pytest.param(lambda: _int_constants(ref.build_pn(4)), id="P4-int-constants"),
+    pytest.param(build_p2, id="P2"),
+    pytest.param(partial(ref.build_pn, 3), id="P3"),
+    pytest.param(partial(ref.build_pn, 5), id="P5"),
+    pytest.param(partial(build_p1b, 7), id="P(1,7)"),
+    pytest.param(_dense_target, id="dense"),
+    pytest.param(_cancelling_target, id="cancel"),
+]
+
+
+class TestIntegerProducts:
+    """``products`` sums integer numerators over one denominator and
+    makes one ``Fraction`` per distinct coefficient; ``specialize``
+    scales each distinct (q-degree, coefficient) once."""
+
+    @pytest.mark.parametrize("build", KERNEL_TARGETS)
+    def test_against_reference(self, build):
+        td = build()
+        table = ref.products(td)
+        assert td.products == table
+        coeffs = [c for row in td.products for cell in row for _, _, c in cell]
+        assert all(type(c) is F for c in coeffs)
+        assert len({id(c) for c in coeffs}) == len(set(coeffs))  # one object per value
+        for lam in TestKernelsAgainstReference.LAMS:
+            mult = specialize(td, lam).mult_table
+            assert mult == ref.specialize(table, lam)
+            assert all(type(c) is F for row in mult for vec in row for c in vec)
+
+    def test_cancelled_term_is_absent(self):
+        td = _cancelling_target()
+        assert td.pairing_inverse == ((F(-1, 2), 1), (1, 0))
+        assert td.products[1][1] == ((0, 1, F(2, 3)),)
+
+    def test_int_constants_give_the_same_table(self):
+        for td in (build_p2(), ref.build_pn(4)):
+            ints = _int_constants(td)
+            assert any(type(v) is int for v in ints.base3.values())
+            assert ints.products == td.products
+            assert all(type(c) is F for row in ints.products for cell in row for _, _, c in cell)
+
+
+class TestPairingScan:
+    @pytest.mark.parametrize("build", KERNEL_TARGETS)
+    def test_entries_are_the_dense_scan(self, build):
+        td = build()
+        assert td.pairing_inverse_entries == tuple(
+            (i, j, g) for i, row in enumerate(td.pairing_inverse) for j, g in enumerate(row) if g
+        )
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param({(0, 2): F(1, 3)}, "pairing matrix is not symmetric", id="unequal"),
+            pytest.param({(0, 1): F(1, 3)}, "pairing matrix is not symmetric", id="one-sided"),
+            pytest.param({(1, 1): F(0)}, "pairing matrix is singular", id="zero-row"),
+            pytest.param(
+                {(0, 0): F(1, 2), (2, 2): F(1, 2)}, "pairing matrix is singular", id="equal-rows"
+            ),
+        ],
+    )
+    def test_broken_pairing_messages(self, entries, message):
+        td = build_p1b(2)
+        rows = [list(r) for r in td.pairing]
+        for (i, j), g in entries.items():
+            rows[i][j] = g
+        broken = td._replace(pairing=tuple(map(tuple, rows)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_target(broken)
+
+
 class TestPairingInverse:
     def test_p1b(self):
         td = build_p1b(3)
@@ -555,7 +661,7 @@ class TestQMul:
         with pytest.raises(ValueError, match="basis-size"):
             qmul(build_p1b(2), basis_element(build_p1b(2), 0), basis_element(build_p1b(3), 0))
 
-    @pytest.mark.parametrize("b", range(1, 13))
+    @pytest.mark.parametrize("b", range(1, 49))
     def test_power_route_matches_pairing_route(self, b):
         # Exponent addition in Q[q][a] / (b a^(b+1) - q) against the
         # product contracted from the 3-point constants.

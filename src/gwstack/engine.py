@@ -18,12 +18,13 @@ lowest pivot rank among its insertions.  A key with r = 0 holds the
 identity (value 0) or a divisor, which is stripped to n - 1 insertions.
 A key with r > 0 is reduced, and every other term of its relation has
 fewer than n insertions once divisors are stripped, except the full
-split of the swapped side: there the pivot gives way to its partner,
-of rank r - 1.  So (n, r) strictly decreases along every recursion
-path on any target whose partner chains end, whichever two insertions
-fill the donor and third slots; ``pivot_rank`` refuses a target with a
-chain that cycles.  The rank is b - t for a^t on P(1,b), and k - 1 for
-h^k on P^n, whose partner h^(k-1) lies below it.
+split of the contraction that joins the partner to the third slot:
+there the pivot gives way to its partner, of rank r - 1.  So (n, r)
+strictly decreases along every recursion path on any target whose
+partner chains end, whichever two insertions fill the donor and third
+slots; ``pivot_rank`` refuses a target with a chain that cycles.  The
+rank is b - t for a^t on P(1,b), and k - 1 for h^k on P^n, whose
+partner h^(k-1) lies below it.
 
 Degrees are never searched: an n-point invariant vanishes unless the
 insertion degrees force sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3) for a
@@ -39,22 +40,27 @@ memo miss sorts nothing: it reads the count vector once in a class
 order fixed when the engine is built (pivot rank ascending, then
 orbifold degree descending, then index descending).
 
-A WDVV side splits the remaining insertions between its two factors.
-Insertions repeat (P^2's N_d has 3d - 1 copies of the point class), so
-the splits are walked as multisets: a count a_k of the m_k copies of
-each class goes left, and the term is weighted by prod C(m_k, a_k),
-which gives prod (m_k + 1) splits instead of 2^m subsets.  Each
-split's packed key, excess (weight sum minus scale times size), size
-and multiplicity are folded from per-class options once per
-reduction: both sides of a relation split the same insertions, so
-they walk one list, and a factor's key is one integer add away from
-the split's.  Degrees stay integers: the excess turns the degree axiom
-of each factor into c1 d = base +- excess + weight of its pairing
-index, with a base fixed per side, so no degree is solved per split.
-The nonzero inverse-pairing entries (i, j) are bucketed by the weight
-sum of i and j, which one side's total degree pins, and then by the
-weight of i modulo the scaled c1, so each split visits only the
-entries that give both factors integer degrees adding up to the total.
+A WDVV relation is the difference of two contractions, each of which
+splits the remaining insertions between its two factors; the second
+swaps two of the four fixed insertions.  Insertions repeat (P^2's N_d
+has 3d - 1 copies of the point class), so the splits are walked as
+multisets: a count a_k of the m_k copies of each class goes left, and
+the term is weighted by prod C(m_k, a_k), which gives prod (m_k + 1)
+splits instead of 2^m subsets.  Each split's packed key, excess (weight
+sum minus scale times size), size and multiplicity are folded from
+per-class options once per relation, and both contractions are
+evaluated in one pass over that list; a factor's key is one integer add
+away from the split's.  Degrees stay integers: the excess turns the
+degree axiom of each factor into c1 d = base +- excess + weight of its
+pairing index, with a base fixed per contraction, so no degree is
+solved per split.  The nonzero inverse-pairing entries (i, j) are
+bucketed by the weight sum of i and j, which the relation's total
+degree pins for both contractions alike, and then by the weight of i
+modulo the scaled c1, so each split visits only the entries that give
+both factors integer degrees adding up to the total.  A term whose
+factor has more than three insertions and holds the identity, or a
+divisor at that factor's degree 0, is 0 by the axioms and is skipped
+before either factor is looked up, so a relation stores no such key.
 
 The recursion runs on integers.  WDVV is unchanged when the classes, q
 or the whole potential are rescaled, and the target's gauge (see
@@ -120,7 +126,7 @@ class Reconstructor:
     from the class with the fewest copies left once the pivot is
     removed, and the third slot from the class with the fewest copies
     left once the donor is also removed, ties to the class first in
-    pivot order.  A WDVV side walks prod (m_k + 1) splits of the
+    pivot order.  A WDVV relation walks prod (m_k + 1) splits of the
     remaining insertions, so removing a copy from the rarest class cuts
     it the most.  ``"smallest"`` takes the donor from the class last in
     pivot order and the third slot from the first class left after the
@@ -129,11 +135,15 @@ class Reconstructor:
 
     ``cache``, keyed by packed count vectors (see the module docstring),
     holds the 2- and 3-point constants plus the memoized n >= 4
-    invariants, zeros included, as gauged ints: the invariant of a key
-    with n insertions at degree d is ``td.gauge.unscale(value, n, d)``.
-    ``snapshot()`` gives the n >= 4 values as ``Fraction`` with sorted
-    insertion tuples.  Building an engine reads ``td.gauge``, which
-    raises ``ValueError`` for a target without an integer form.
+    invariants as gauged ints: the invariant of a key with n insertions
+    at degree d is ``td.gauge.unscale(value, n, d)``.  Its n >= 4 zeros
+    are the values a WDVV relation or divisor strip gave 0, and the
+    identity or divisor-at-degree-0 keys that ``gw``, ``gw_at``,
+    ``enumerate_nonzero`` or ``preload`` were given; a relation skips
+    such a factor without storing it.  ``snapshot()`` gives the n >= 4
+    values as ``Fraction`` with sorted insertion tuples.  Building an
+    engine reads ``td.gauge``, which raises ``ValueError`` for a target
+    without an integer form.
     """
 
     def __init__(self, td: TargetData, donor_policy: str = "fewest_copies") -> None:
@@ -162,13 +172,13 @@ class Reconstructor:
             if d and degree(w[i] + w[j], 2) == d:
                 cache[unit[i] + unit[j]] = value
         # Gauged nonzero inverse-pairing entries (unit[i], unit[j], w[i], g),
-        # by w[i] + w[j], which one WDVV side's total degree pins, then by
-        # w[i] mod c1, which per split makes d1 an integer.
+        # by w[i] + w[j], which a relation's total degree pins, then in a
+        # list indexed by -w[i] mod c1: a split whose c1 d1 is base + w[i]
+        # reads index base mod c1, where every entry makes d1 an integer.
         buckets = self._buckets = {}
         for i, j, g in gauge.pairing_inverse_entries:
-            entry = (unit[i], unit[j], w[i], g)
-            by_residue = buckets.setdefault(w[i] + w[j], {})
-            by_residue.setdefault(w[i] % c1, []).append(entry)
+            by_residue = buckets.setdefault(w[i] + w[j], [()] * c1)
+            by_residue[-w[i] % c1] += ((unit[i], unit[j], w[i], g),)
         # Pivot order: pivot rank ascending, then weight (so orbifold
         # degree) descending, then index descending.
         rank = td.pivot_rank
@@ -215,10 +225,8 @@ class Reconstructor:
         deltas = tuple(deltas)
         self._check_indices(fixed + deltas)
         splits = self._splits(_pack(deltas))
-        difference = self._walk(g1, g2, g3, g4, splits, beta3) - self._walk(
-            g1, g3, g2, g4, splits, beta3
-        )
-        return self._gauge.unscale(difference, len(deltas) + 3, beta3)
+        first, second = self._relation(g1, g2, g3, g4, splits, beta3)
+        return self._gauge.unscale(first - second, len(deltas) + 3, beta3)
 
     def enumerate_nonzero(
         self,
@@ -369,13 +377,10 @@ class Reconstructor:
         # passed on the way is then memoized, innermost first.
         stripped = []
         key = code
-        while True:
+        while key & self._divisor_fields:
             div, factor = next(
-                ((v, f) for v, f in self._divisors if (key >> (_FIELD * v)) & _MASK),
-                (None, 0),
+                (v, f) for v, f in self._divisors if (key >> (_FIELD * v)) & _MASK
             )
-            if div is None:
-                break
             stripped.append((key, d * factor))
             key -= self._unit[div]
             n -= 1
@@ -392,13 +397,15 @@ class Reconstructor:
         unit = self._unit
         splits = self._splits(code - unit[pivot] - unit[donor] - unit[third])
         beta3 = d + shift
-        # WDVV for (third, donor, partner, divisor) and total degree
-        # beta3: the full split of the donor side is coeff times the
-        # target invariant, everything else is strictly smaller in the
-        # (n, lowest rank) measure.  In the gauge coeff is the sign.
-        swapped = self._walk(third, partner, donor, divisor, splits, beta3)
-        partial = self._walk(third, donor, partner, divisor, splits, beta3, skip_full=True)
-        return (swapped - partial) * sign
+        # WDVV for (third, partner, donor, divisor) and total degree
+        # beta3: the full split of the swapped contraction, which joins
+        # third and donor, is coeff times the target invariant, and
+        # everything else is strictly smaller in the (n, lowest rank)
+        # measure.  In the gauge coeff is the sign.
+        first, second = self._relation(
+            third, partner, donor, divisor, splits, beta3, skip_full=True
+        )
+        return (first - second) * sign
 
     def _fewest_copies_slots(self, code: int) -> tuple[int, int, int]:
         """(pivot, donor, third) of the ``"fewest_copies"`` rule, in one
@@ -465,21 +472,24 @@ class Reconstructor:
                 ]
         return splits
 
-    def _walk(
+    def _relation(
         self,
-        x1: int,
-        x2: int,
-        y1: int,
-        y2: int,
+        g1: int,
+        g2: int,
+        g3: int,
+        g4: int,
         splits: list[tuple[int, int, int, int]],
         beta3: int,
         skip_full: bool = False,
-    ) -> int:
-        """One side of the WDVV relation: sum over ``splits`` of the
-        insertions ``deltas`` (built by ``_splits``) into a left part A
-        (joining x1, x2) and right part B (joining y1, y2), contracted
-        through the inverse pairing, over all degree splits d1 + d2 =
-        beta3.
+    ) -> tuple[int, int]:
+        """Both contractions of the WDVV relation for (g1, g2, g3, g4) in
+        one pass over ``splits`` (built by ``_splits``) of the insertions
+        ``deltas``: ``(first, second)``, where ``first`` joins a left part
+        A to g1, g2 and the rest B to g3, g4, ``second`` swaps g2 and g3,
+        and each sums over the splits, the inverse pairing and the degree
+        splits d1 + d2 = beta3.  ``skip_full`` leaves the split a = m (A =
+        deltas) out of ``second``: it is the term the pivot reduction
+        solves for.
 
         Splits that differ only in which copy of a repeated insertion
         goes left give the same term, so the walk is over multisets:
@@ -487,73 +497,79 @@ class Reconstructor:
         vector a (0 <= a_k <= m_k copies of k on the left), and its term
         carries the weight prod C(m_k, a_k), the number of subsets of
         ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
-        than 2^m.  The split list depends on ``deltas`` alone, so
-        ``_reduce`` and ``wdvv_residual`` build it once and walk it for
-        both sides of their relation.
+        than 2^m.
 
         Degrees are integers throughout.  A split carries its excess
-        e = weight(A) - scale |A|, so with left_base = w[x1] + w[x2] -
-        dim and right_base = w[y1] + w[y2] + e(deltas) - dim the degree
-        axiom reads c1 d1 = left_base + e + w[i] and c1 d2 = right_base
-        - e + w[j].  Their sum, c1 beta3 = left_base + right_base + w[i]
-        + w[j], does not involve the split, so the side visits only the
-        inverse-pairing entries with that w[i] + w[j], and per split
-        only those whose w[i] makes d1 an integer; d1 is then an exact
-        division and d2 = beta3 - d1 needs no check.  At most one degree
-        split survives per (A, i, j).
-        The factors and g are gauged integers, so the side is one
-        integer sum of left * right * g * mult, with a split's
-        multiplicity applied once to its partial sum; a zero left factor
-        skips the right factor's lookup.  On m deltas the side is a
-        gauged value on m + 3 insertions at degree beta3.
-        ``skip_full`` omits the split a = m (A = deltas), which is the
-        term the pivot reduction solves for.
+        e = weight(A) - scale |A|, so with left_base = w of the two left
+        slots - dim and right_base = w of the two right slots +
+        e(deltas) - dim the degree axiom reads c1 d1 = left_base + e +
+        w[i] and c1 d2 = right_base - e + w[j].  Their sum, c1 beta3 =
+        left_base + right_base + w[i] + w[j], involves neither the split
+        nor the contraction, so the relation reads one inverse-pairing
+        bucket, and per split and contraction only the entries whose
+        w[i] makes d1 an integer; d1 is then an exact division and d2 =
+        beta3 - d1 needs no check.  At most one degree split survives
+        per (A, i, j).
+
+        A term is skipped before any lookup when a factor with more than
+        three insertions holds the identity, or a divisor at its degree
+        0: the axioms make it 0.  The right factor is tested first, and
+        a zero left factor skips the right one's lookup.  Three-point
+        factors, the left one of a = 0 and the right one of a = m, are
+        never skipped.  The factors and g are gauged integers, so each
+        contraction is one integer sum; on m deltas it is a gauged value
+        on m + 3 insertions at degree beta3.
         """
         w, _, c1, dim = self._grading
         unit = self._unit
         full_code, full_excess, m, _ = splits[-1]
-        left_base = w[x1] + w[x2] - dim
-        right_base = w[y1] + w[y2] + full_excess - dim
-        buckets = self._buckets.get(c1 * beta3 - left_base - right_base)
-        if buckets is None:
-            return 0
-        if skip_full:
-            splits = splits[:-1]
-        left_code = unit[x1] + unit[x2]
-        right_code = unit[y1] + unit[y2] + full_code
         top = c1 * beta3
+        buckets = self._buckets.get(top - w[g1] - w[g2] - w[g3] - w[g4] - full_excess + 2 * dim)
+        if buckets is None:
+            return 0, 0
+        # (left code, right code, left_base, slot) of each contraction.
+        sides = (
+            (unit[g1] + unit[g2], unit[g3] + unit[g4] + full_code, w[g1] + w[g2] - dim, 0),
+            (unit[g1] + unit[g3], unit[g2] + unit[g4] + full_code, w[g1] + w[g3] - dim, 1),
+        )
+        ident = self._identity_field
+        divs = self._divisor_fields
         cache = self.cache
-        total = 0
+        totals = [0, 0]
+        # The axiom masks of each factor: a key that meets its identity
+        # mask, or its divisor mask at degree 0, is 0.  Both are 0 while
+        # the factor has three insertions.
+        lid = ldiv = 0
+        rid, rdiv = ident, divs
         for code, excess, size, mult in splits:
-            base = left_base + excess
-            bucket = buckets.get(-base % c1)
-            if bucket is None:
-                continue
-            nl = 3 + size
-            nr = 3 + m - size
-            lcode = left_code + code
-            rcode = right_code - code
-            part = 0
-            for ui, uj, wi, g in bucket:
-                t = base + wi  # c1 d1
-                if t < 0 or t > top:
-                    continue
-                d1 = t // c1
-                key = lcode + ui
-                left = cache.get(key)
-                if left is None:
-                    left = self._eval(key, nl, d1)
-                if not left:
-                    continue
-                key = rcode + uj
-                right = cache.get(key)
-                if right is None:
-                    right = self._eval(key, nr, beta3 - d1)
-                if right:
-                    part += left * right * g
-            if part:
-                total += part * mult
-        return total
+            if size == m:
+                rid = rdiv = 0
+                if skip_full:
+                    sides = sides[:1]
+            for left_code, right_code, left_base, slot in sides:
+                base = left_base + excess
+                for ui, uj, wi, g in buckets[base % c1]:
+                    t = base + wi  # c1 d1
+                    if t < 0 or t > top:
+                        continue
+                    rkey = right_code - code + uj
+                    if rkey & rid or t == top and rkey & rdiv:
+                        continue
+                    lkey = left_code + code + ui
+                    if lkey & lid or not t and lkey & ldiv:
+                        continue
+                    left = cache.get(lkey)
+                    if left is None:
+                        left = self._eval(lkey, 3 + size, t // c1)
+                    if not left:
+                        continue
+                    right = cache.get(rkey)
+                    if right is None:
+                        right = self._eval(rkey, 3 + m - size, beta3 - t // c1)
+                    if right:
+                        totals[slot] += left * right * g * mult
+            lid, ldiv = ident, divs
+        return totals[0], totals[1]
 
 
 def _bounded_multisets(

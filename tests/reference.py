@@ -33,8 +33,9 @@ def forced_degree(td, insertions) -> Optional[int]:
 def wdvv_side(rec, x1, x2, y1, y2, deltas, beta3, skip_full=False) -> Fraction:
     """One side of the WDVV relation by the plain walk over all 2^m
     subsets of ``deltas`` and every degree split, each factor evaluated
-    through ``rec.gw_at``: a reference for ``Reconstructor._walk``
-    that needs no multiplicity weights and no degree filters.
+    through ``rec.gw_at``: a reference for each contraction of
+    ``Reconstructor._relation`` that needs no multiplicity weights, no
+    degree filters and no axiom skip.
 
     ``skip_full`` leaves out the subset holding every delta.
     """

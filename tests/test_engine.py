@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -38,8 +39,10 @@ class TestMemoCache:
 
     def test_axiom_zeros_are_stored_without_a_reduction(self):
         # An n >= 4 key with the identity, or with the divisor at degree
-        # 0, is 0 by that axiom: a memo miss on it stores 0 and reduces
-        # nothing.  The full support of P(1,5) walks past many such keys.
+        # 0, is 0 by that axiom.  A WDVV relation skips such a factor
+        # without a lookup, so the full support of P(1,5), whose
+        # relations pass many of them, neither stores nor reduces one;
+        # a direct ``gw`` on one stores 0 and reduces nothing.
         b = 5
         reduced = []
 
@@ -55,9 +58,9 @@ class TestMemoCache:
         def by_axiom(d, ins):
             return 0 in ins or (d == 0 and b in ins)
 
-        zeros = [(d, ins) for d, ins, value in rec.snapshot() if by_axiom(d, ins)]
-        assert len(zeros) > 20
-        assert all(value == 0 for d, ins, value in rec.snapshot() if by_axiom(d, ins))
+        snapshot = rec.snapshot()
+        assert len(snapshot) > 20
+        assert not [(d, ins) for d, ins, _ in snapshot if by_axiom(d, ins)]
         assert reduced and not any(by_axiom(d, ins) for d, ins in reduced)
 
         reduced.clear()
@@ -68,8 +71,9 @@ class TestMemoCache:
         assert not reduced
 
     def test_contents_are_pinned(self):
-        # The memo rows, zeros included, after the full support of
-        # P(1,2..10) and after N_1..N_25 of P^2 on one engine.
+        # The memo rows after the full support of P(1,2..10) and after
+        # N_1..N_25 of P^2 on one engine: the zeros that WDVV gave, and
+        # none that an axiom gives (see the test above).
         digest = hashlib.sha256()
         rows = 0
         engines = []
@@ -86,9 +90,9 @@ class TestMemoCache:
             for d, ins, value in rec.snapshot():
                 digest.update(f"{label} {d} {','.join(map(str, ins))} {value}\n".encode())
                 rows += 1
-        assert rows == 3307
+        assert rows == 1431
         assert digest.hexdigest() == (
-            "c595ccaf08fb063bda1c72045019e9c168c1e509905a09710d031d4358e134fd"
+            "61362d2c8b9c63ee360e384b4dc76016332a6bdd08d28be4022984410f9b7bbb"
         )
 
     def test_pinned_contents_agree_with_the_smallest_donor(self):
@@ -108,7 +112,7 @@ class TestMemoCache:
         rec = Reconstructor(build_p1b(12))
         for _ in rec.enumerate_nonzero():
             pass
-        assert len(rec.snapshot()) == 3592
+        assert len(rec.snapshot()) == 1460
 
     def test_smallest_donor_contents_are_pinned(self):
         # The memo rows of "smallest"-donor engines after the full
@@ -130,9 +134,9 @@ class TestMemoCache:
             for d, ins, value in rec.snapshot():
                 digest.update(f"{label} {d} {','.join(map(str, ins))} {value}\n".encode())
                 rows += 1
-        assert rows == 1125
+        assert rows == 486
         assert digest.hexdigest() == (
-            "38f2606ddf8cd1ec12bfdf57ef977b795c131c35c7f55e7766d9eff99e3610c5"
+            "391a6a90eb06b3557a7acf740cf7001bbe30501fa18a353e870984399c8fa851"
         )
 
     def test_rows_past_the_memo_pin_are_pinned(self):
@@ -370,52 +374,83 @@ class TestWdvvResidual:
 class TestWdvvSum:
     @pytest.mark.parametrize("b", [2, 3, 4, 5, 6, None], ids=lambda b: b or "P2")
     def test_matches_subset_walk(self, engines, b):
+        # Each contraction of ``_relation`` against the plain subset walk.
         # Few distinct classes among up to eight deltas, so most of the
-        # 2^m subsets collapse onto one multiset split.  Both sides can
-        # be nonzero only at the total degree beta3 with
+        # 2^m subsets collapse onto one multiset split.  Both contractions
+        # can be nonzero only at the total degree beta3 with
         # sum(weights) = c1 beta3 + dim + scale m, so draws without an
-        # integer beta3 are skipped, and one degree off it both sides
-        # vanish.  The identity class is drawn too, in the fixed slots
-        # and among the deltas, though rarely: it kills every factor
-        # with more than three insertions.  It comes from a stream of
-        # its own, so the other draws stay what they would be without it.
+        # integer beta3 are skipped, and one degree off it both vanish.
+        # The identity class is drawn too, in the fixed slots and among
+        # the deltas, though rarely: it kills every factor with more than
+        # three insertions.  It comes from a stream of its own, so the
+        # other draws stay what they would be without it.  Draws with 0
+        # to 2 deltas come last, from a stream of their own and with the
+        # identity more often: their three-point factors hold the
+        # identity or a divisor at degree 0 and are not zero.
         rec = engines.p2() if b is None else engines.p1b(b)
         td = rec.td
         w = td.grading.weights
+        one = td.fundamental_index
         rng = random.Random(20261018 + (b or 0))
         identity = random.Random(-20261018 - (b or 0))
 
-        def draw():
+        def draw(rng, p):
             k = rng.randrange(1, td.basis_size)
-            return td.fundamental_index if identity.random() < 0.1 else k
+            return one if identity.random() < p else k
 
-        checked = nonzero = with_identity = 0
-        while checked < 16:
-            fixed = [draw() for _ in range(4)]
-            pool = [draw() for _ in range(2)]
-            deltas = tuple(rng.choice(pool) for _ in range(rng.randint(3, 8)))
-            slots = fixed + list(deltas)
-            forced = td.grading.degree(sum(w[k] for k in slots), len(deltas) + 3)
+        def check(fixed, deltas):
+            """The number of nonzero contractions at the forced degree."""
+            n = len(deltas) + 3
+            forced = td.grading.degree(sum(w[k] for k in fixed + deltas), n)
             if forced is None:
-                continue
-            checked += 1
-            with_identity += td.fundamental_index in slots
+                return None
+            g1, g2, g3, g4 = fixed
+            splits = rec._splits(_pack(deltas))
+            nonzero = 0
             for beta3 in (forced - 1, forced, forced + 1):
                 if beta3 < 0:
                     continue
+                want = wdvv_side(rec, g1, g2, g3, g4, deltas, beta3)
                 for skip_full in (False, True):
-                    gauged = rec._walk(*fixed, rec._splits(_pack(deltas)), beta3, skip_full)
-                    assert type(gauged) is int
-                    value = td.gauge.unscale(gauged, len(deltas) + 3, beta3)
-                    assert value == wdvv_side(rec, *fixed, deltas, beta3, skip_full), (
-                        fixed, deltas, beta3, skip_full
-                    )
+                    pair = rec._relation(*fixed, splits, beta3, skip_full)
+                    assert [type(v) for v in pair] == [int, int]
+                    first, second = (td.gauge.unscale(v, n, beta3) for v in pair)
+                    where = (fixed, deltas, beta3, skip_full)
+                    assert first == want, where
+                    assert second == wdvv_side(
+                        rec, g1, g3, g2, g4, deltas, beta3, skip_full
+                    ), where
                     if beta3 == forced:
-                        nonzero += value != 0
+                        nonzero += (first != 0) + (second != 0)
                     else:
-                        assert value == 0, (fixed, deltas, beta3, skip_full)
-        assert nonzero >= 6
+                        assert first == second == 0, where
+            return nonzero
+
+        checked = nonzero = with_identity = 0
+        while checked < 16:
+            fixed = tuple(draw(rng, 0.1) for _ in range(4))
+            pool = [draw(rng, 0.1) for _ in range(2)]
+            deltas = tuple(rng.choice(pool) for _ in range(rng.randint(3, 8)))
+            found = check(fixed, deltas)
+            if found is None:
+                continue
+            checked += 1
+            nonzero += found
+            with_identity += one in fixed + deltas
+        assert nonzero >= 10
         assert with_identity >= 2
+
+        small = random.Random(20261019 + (b or 0))
+        checked = kept = 0
+        while checked < 24:
+            fixed = tuple(draw(small, 0.3) for _ in range(4))
+            deltas = tuple(draw(small, 0.3) for _ in range(small.randint(0, 2)))
+            found = check(fixed, deltas)
+            if found is None:
+                continue
+            checked += 1
+            kept += found if one in fixed else 0
+        assert kept >= 10
 
 
 def _slots_by_sorting(order, counts, policy):
@@ -722,6 +757,38 @@ class TestPreload:
         with pytest.raises(ValueError, match=r"-1/8 is not a value of P\(1,3\)"):
             rec.preload([(0, (1, 1, 2, 2), F(-1, 8))])
         assert rec.snapshot() == []
+
+    def test_axiom_zero_rows_still_preload(self):
+        # Record files written while a WDVV relation still stored every
+        # axiom-zero factor it met hold such rows: the first two are
+        # from ``compute --b 3 --insertions 1,1,2,2 --cache`` then.  On
+        # P(1,5) the support and every axiom-zero key of 4 to 7
+        # insertions are stored.  Both sets preload, and no value moves.
+        old = [
+            (0, (0, 1, 2, 3), F(0)),
+            (0, (1, 1, 1, 3), F(0)),
+            (0, (1, 1, 2, 2), F(-1, 9)),
+            (1, (1, 3, 3, 3), F(1, 27)),
+        ]
+        writer = Reconstructor(build_p1b(5))
+        for _ in writer.enumerate_nonzero():
+            pass
+        for n in range(4, 8):
+            for ins in itertools.combinations_with_replacement(range(6), n):
+                if 0 in ins or 5 in ins and writer.td.grading.forced(ins) == 0:
+                    writer.gw(ins)
+        assert sum(0 in ins or 5 in ins and not d for d, ins, _ in writer.snapshot()) == 62
+        for b, rows in ((3, old), (5, writer.snapshot())):
+            rec = Reconstructor(build_p1b(b))
+            rec.preload(rows)
+            assert rec.snapshot() == rows
+            fresh = Reconstructor(build_p1b(b))
+            for d, ins, value in rows:
+                assert rec.gw_at(ins, d) == fresh.gw_at(ins, d) == value, (b, d, ins)
+            assert list(rec.enumerate_nonzero()) == list(fresh.enumerate_nonzero())
+            assert list(rec.enumerate_nonzero(max_n=6, max_d=2, include_divisor=True)) == list(
+                fresh.enumerate_nonzero(max_n=6, max_d=2, include_divisor=True)
+            )
 
     def test_degree_mismatch_rejected(self):
         rec = Reconstructor(build_p1b(3))

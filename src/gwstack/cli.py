@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, also when the reader of stdout closes it early
 (``gwstack table ... | head``); 1 verification mismatch; 2 usage error;
-3 unreadable or malformed file.  All printed values are exact
-rationals; the output is deterministic byte for byte.
+3 unreadable or malformed file, the shipped golden table included.  All
+printed values are exact rationals; the output is deterministic byte for
+byte.
 
 Every command runs in a fresh interpreter, and where no bytecode is
 written (``PYTHONDONTWRITEBYTECODE``) each module it imports is compiled

@@ -83,8 +83,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ring import TargetData, ZERO
 
-_DONOR_POLICIES = ("fewest_copies", "smallest")
-
 _FIELD = 16  # bits per class in a packed key
 _MASK = (1 << _FIELD) - 1
 _MAX_INSERTIONS = _MASK  # one field's largest count
@@ -121,17 +119,15 @@ class Reconstructor:
     """Evaluates genus-zero invariants of one target, memoized.
 
     The pivot of a reduction is always its first class in pivot order
-    (see the module docstring); ``donor_policy`` fills the donor and
-    third WDVV slots.  ``"fewest_copies"`` (default) takes the donor
-    from the class with the fewest copies left once the pivot is
-    removed, and the third slot from the class with the fewest copies
-    left once the donor is also removed, ties to the class first in
-    pivot order.  A WDVV relation walks prod (m_k + 1) splits of the
-    remaining insertions, so removing a copy from the rarest class cuts
-    it the most.  ``"smallest"`` takes the donor from the class last in
-    pivot order and the third slot from the first class left after the
-    pivot.  Both policies yield the same values; running both is a
-    useful consistency check.
+    (see the module docstring).  The donor comes from the class with the
+    fewest copies left once the pivot is removed, and the third WDVV
+    slot from the class with the fewest copies left once the donor is
+    also removed, ties to the class first in pivot order.  A WDVV
+    relation walks prod (m_k + 1) splits of the remaining insertions, so
+    removing a copy from the rarest class cuts it the most.  The values
+    do not depend on this choice; ``tests/reference.py`` solves each
+    WDVV stratum as a linear system, with no reduction rule at all, to
+    check them.
 
     ``cache``, keyed by packed count vectors (see the module docstring),
     holds the 2- and 3-point constants plus the memoized n >= 4
@@ -146,11 +142,8 @@ class Reconstructor:
     without an integer form.
     """
 
-    def __init__(self, td: TargetData, donor_policy: str = "fewest_copies") -> None:
-        if donor_policy not in _DONOR_POLICIES:
-            raise ValueError(f"unknown donor policy {donor_policy!r}")
+    def __init__(self, td: TargetData) -> None:
         self.td = td
-        self.donor_policy = donor_policy
         self.cache: dict[int, int] = {}
         gauge = self._gauge = td.gauge
         # Read on every reduction and WDVV walk, so kept on the engine.
@@ -183,9 +176,6 @@ class Reconstructor:
         # degree) descending, then index descending.
         rank = td.pivot_rank
         self._order = sorted(range(size), key=lambda k: (rank[k], -w[k], -k))
-        self._slots = (
-            self._smallest_slots if donor_policy == "smallest" else self._fewest_copies_slots
-        )
         self._divisors = tuple(gauge.divisor_factor.items())
         self._pivots = {
             t: (step.partner, step.divisor, step.shift, gauge.sign[t])
@@ -392,7 +382,7 @@ class Reconstructor:
                 value = factor * value
                 self.cache[outer] = value
             return value
-        pivot, donor, third = self._slots(code)
+        pivot, donor, third = self._fewest_copies_slots(code)
         partner, divisor, shift, sign = self._pivots[pivot]
         unit = self._unit
         splits = self._splits(code - unit[pivot] - unit[donor] - unit[third])
@@ -408,12 +398,11 @@ class Reconstructor:
         return (first - second) * sign
 
     def _fewest_copies_slots(self, code: int) -> tuple[int, int, int]:
-        """(pivot, donor, third) of the ``"fewest_copies"`` rule, in one
-        pass over the pivot order: the pivot is the first class present,
-        the donor the first with the fewest copies once the pivot is
-        removed, and the third the donor's class again if it had at
-        least 2 copies, else the first of the other classes with the
-        fewest."""
+        """(pivot, donor, third) of a reduction, in one pass over the
+        pivot order: the pivot is the first class present, the donor the
+        first with the fewest copies once the pivot is removed, and the
+        third the donor's class again if it had at least 2 copies, else
+        the first of the other classes with the fewest."""
         pivot = donor = third = -1
         fewest = second = _MAX_INSERTIONS + 1
         for k in self._order:
@@ -431,24 +420,6 @@ class Reconstructor:
             elif c < second:
                 third, second = k, c
         return pivot, donor, (third if fewest == 1 else donor)
-
-    def _smallest_slots(self, code: int) -> tuple[int, int, int]:
-        """(pivot, donor, third) of the ``"smallest"`` rule: the first
-        class present, the last one, and the class of the second
-        insertion in pivot order."""
-        pivot = donor = third = -1
-        for k in self._order:
-            c = (code >> (_FIELD * k)) & _MASK
-            if not c:
-                continue
-            if pivot < 0:
-                pivot = k
-                if c > 1:
-                    third = k
-            elif third < 0:
-                third = k
-            donor = k
-        return pivot, donor, third
 
     def _splits(self, code: int) -> list[tuple[int, int, int, int]]:
         """(code, excess, size, multiplicity) of every multiset split of

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from gwstack import Reconstructor, build_p1b, build_p2
+from reference import wdvv_strata
 
 
 class EngineRegistry:
@@ -23,6 +24,14 @@ class EngineRegistry:
 
     def p2(self) -> Reconstructor:
         return self._get("P2", lambda: Reconstructor(build_p2()))
+
+    def strata(self, b: int) -> dict:
+        """``wdvv_strata`` of P(1,b) up to 2b insertions, the most that a
+        twisted key with a forced degree holds, solved once per session."""
+        key = ("strata", b)
+        if key not in self.memo:
+            self.memo[key] = wdvv_strata(build_p1b(b), 2 * b)
+        return self.memo[key]
 
     def _get(self, key: str, make) -> Reconstructor:
         eng = self._engines.get(key)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from gwstack.ring import TargetData, validate_target
@@ -263,3 +264,155 @@ def build_pn(n: int):
     )
     validate_target(td)
     return td
+
+
+def wdvv_strata(td, max_n: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The twisted invariants of ``td`` with 4..max_n insertions, each
+    stratum of n insertions solved as one exact linear system: an oracle
+    for the engine that reads only ``td`` and ``forced_degree``.
+
+    A class is twisted when it is neither the identity nor a divisor.
+    The unknowns of stratum n are the twisted n-insertion multisets with
+    a forced degree.  The equations are the WDVV relations on n + 1
+    insertions whose fixed slot g4 is a divisor, whose fixed slots g1,
+    g2, g3 are twisted or divisor classes and whose n - 3 deltas are
+    twisted.  A factor that holds the identity or a divisor is brought
+    down by that axiom, one of three insertions is read from
+    ``td.base3`` and one of an earlier stratum is taken from this solve;
+    what is left is an unknown, in a term whose other factor has three
+    insertions.  The reconstruction theorem says the relations determine
+    the unknowns, so each stratum must have full rank and every surplus
+    relation must hold; an ``AssertionError`` names the stratum where
+    either fails.
+
+    Returns ``{(d, insertions): value}`` for every unknown, zeros
+    included, with sorted insertions and d the forced degree.
+    """
+    ident = td.fundamental_index
+    divisor = td.divisor_degree
+    orbdeg = td.orbdeg
+    twisted = tuple(k for k in range(td.basis_size) if k != ident and k not in divisor)
+    slots = twisted + tuple(sorted(divisor))
+    ginv = [
+        (i, j, g) for i, row in enumerate(td.pairing_inverse) for j, g in enumerate(row) if g
+    ]
+    # The fixed slots (g1, g2, g3, g4) by the sum of their orbifold degrees;
+    # swapping g2 and g3 only negates a relation, so g2 < g3.
+    by_weight: dict[Fraction, list[tuple[int, int, int, int]]] = {}
+    for g4 in sorted(divisor):
+        for g1 in slots:
+            for g2, g3 in itertools.combinations(slots, 2):
+                fixed = (g1, g2, g3, g4)
+                by_weight.setdefault(sum(orbdeg[k] for k in fixed), []).append(fixed)
+    solved: dict[tuple[int, ...], Fraction] = {}  # the strata solved so far
+    factors: dict[tuple[int, ...], tuple] = {}
+
+    def factor(ins):
+        """(c, key) for sorted ``ins``: its invariant at the forced degree
+        is c, times the unknown ``key`` unless that is ``None``; c is 0
+        when no degree is forced."""
+        found = factors.get(ins)
+        if found is not None:
+            return found
+        d = forced_degree(td, ins)
+        c = Fraction(d is not None)
+        rest = list(ins)
+        while c and len(rest) > 3:
+            div = next((k for k in rest if k in divisor), None)
+            if ident in rest:
+                c = 0
+            elif div is not None:
+                c *= d * divisor[div]
+                rest.remove(div)
+            else:
+                break
+        key = tuple(rest)
+        if c and len(key) == 3:
+            c *= td.base3.get((*key, d), 0)
+        elif c and key in solved:
+            c *= solved[key]
+        elif c:
+            return c, key  # an unknown of the stratum being solved
+        found = factors[ins] = c, None
+        return found
+
+    for n in range(4, max_n + 1):
+        unknowns = (
+            key
+            for key in itertools.combinations_with_replacement(twisted, n)
+            if forced_degree(td, key) is not None
+        )
+        index = {key: col for col, key in enumerate(unknowns)}
+        pivots: dict[int, list[Fraction]] = {}
+        for deltas in itertools.combinations_with_replacement(twisted, n - 3):
+            # Each term's two factors hold the n + 1 insertions and an
+            # inverse-pairing pair, whose orbifold degrees add up to 2 dim,
+            # on n + 3 points.  By the degree axiom of both, a relation is
+            # empty unless 2 c1 beta = weight - 2 dim - 2 (n - 3) for an
+            # integer beta = d1 + d2 >= 0.
+            rest = sum((orbdeg[k] for k in deltas), -2 * td.dim - 2 * (n - 3))
+            splits = None
+            for weight, fixed in by_weight.items():
+                beta = (weight + rest) / (2 * td.c1_degree)
+                if beta < 0 or beta.denominator != 1:
+                    continue
+                if splits is None:
+                    splits = _multiset_splits(deltas)
+                for g1, g2, g3, g4 in fixed:
+                    row = [Fraction(0)] * (len(index) + 1)
+                    for x, y, sign in ((g2, g3, 1), (g3, g2, -1)):
+                        for left, right, mult in splits:
+                            for i, j, g in ginv:
+                                lc, lkey = factor(tuple(sorted((g1, x, i) + left)))
+                                if not lc:
+                                    continue
+                                rc, rkey = factor(tuple(sorted((j, y, g4) + right)))
+                                if not rc:
+                                    continue
+                                key = lkey or rkey
+                                row[index[key] if key else -1] += sign * mult * g * lc * rc
+                    _eliminate(pivots, row, f"{(g1, g2, g3, g4) + deltas} at n={n}")
+        missing = [key for key, col in index.items() if col not in pivots]
+        assert not missing, (
+            f"stratum n={n} of {td.id} has rank {len(pivots)} for {len(index)} "
+            f"unknowns; {missing[0]} is not determined"
+        )
+        for key, col in index.items():
+            solved[key] = -pivots[col][-1]
+    return {(forced_degree(td, key), key): value for key, value in solved.items()}
+
+
+def _multiset_splits(deltas):
+    """(left, right, weight) for every split of the sorted ``deltas`` into
+    two sub-multisets, weighted by the number of subsets it stands for."""
+    counts = [(k, deltas.count(k)) for k in sorted(set(deltas))]
+    splits = []
+    for take in itertools.product(*(range(m + 1) for _, m in counts)):
+        left, right, weight = (), (), 1
+        for (k, m), a in zip(counts, take):
+            left += (k,) * a
+            right += (k,) * (m - a)
+            weight *= comb(m, a)
+        splits.append((left, right, weight))
+    return splits
+
+
+def _eliminate(pivots, row, relation) -> None:
+    """Reduce ``row`` (coefficients of the unknowns, then the constant)
+    by ``pivots``, each a row with 1 at its column and 0 at every other
+    pivot column, and keep what is left as a new pivot; a row left with
+    no coefficient is a surplus relation and must hold."""
+    for col, prow in pivots.items():
+        c = row[col]
+        if c:
+            row = [a - c * p for a, p in zip(row, prow)]
+    col = next((col for col, c in enumerate(row[:-1]) if c), None)
+    if col is None:
+        assert not row[-1], f"surplus relation {relation} fails by {row[-1]}"
+        return
+    row = [a / row[col] for a in row]
+    for other, prow in pivots.items():
+        p = prow[col]
+        if p:
+            pivots[other] = [a - p * r for a, r in zip(prow, row)]
+    pivots[col] = row

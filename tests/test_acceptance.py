@@ -252,15 +252,18 @@ def test_criterion_7_plane_curve_counts(engines):
     )
 
 
-def test_pivot_policy_invariance_on_golden_keys():
-    from gwstack import Reconstructor
-
+def test_wdvv_strata_oracle_certifies_golden_tables(engines):
+    # The golden rows, values and support, from WDVV alone with no engine
+    # involved: each stratum of insertion counts solved as one linear
+    # system, which asserts its full rank and every surplus relation.
     rows_checked = 0
     for b in GOLDEN_ORDERS:
-        td = build_p1b(b)
-        alternate = Reconstructor(td, donor_policy="smallest")
-        for row in golden_rows(b):
-            assert alternate.gw_at(row.insertions(), row.d) == row.value, row.label()
-            rows_checked += 1
+        solved = engines.strata(b)
+        table = {(row.d, row.insertions()): row.value for row in golden_rows(b)}
+        assert {key: value for key, value in solved.items() if value} == table
+        rows_checked += len(table)
     assert rows_checked == 81
-    print("pivot invariance PASS: the smallest-donor policy reproduces all 81 rows")
+    print(
+        "oracle PASS: the WDVV strata of P(1,2..6) have full rank and their "
+        "nonzero solutions are exactly the 81 golden rows"
+    )

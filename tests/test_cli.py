@@ -289,8 +289,22 @@ class TestVerify:
         monkeypatch.setattr(golden_mod, "golden_rows", lambda b: fake)
         code, out, _ = run("verify", "--b", "2")
         assert code == 1
-        assert "0/1 rows match" in out
-        assert "consistently disagrees" in out
+        assert out.splitlines() == ["P(1,2): 0/1 rows match", "  N_0(4): table 1/7, engine -1/4"]
+
+    def test_corrupt_golden_table_exits_three(self, run, monkeypatch):
+        from gwstack import golden as golden_mod
+
+        monkeypatch.setattr(golden_mod, "_DATA_SHA256", "0" * 64)
+        golden_mod._load_tables.cache_clear()
+        try:
+            code, out, err = run("verify", "--b", "2")
+        finally:
+            monkeypatch.undo()
+            golden_mod._load_tables.cache_clear()
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("gwstack: golden data checksum mismatch")
 
 
 class TestRing:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from gwstack import Reconstructor, build_p1b, build_p2, validate_target
 from gwstack.engine import (
-    _DONOR_POLICIES,
     _FIELD,
     InsertionKey,
     _bounded_multisets,
@@ -95,49 +94,12 @@ class TestMemoCache:
             "61362d2c8b9c63ee360e384b4dc76016332a6bdd08d28be4022984410f9b7bbb"
         )
 
-    def test_pinned_contents_agree_with_the_smallest_donor(self):
-        # The rows pinned above are the default rule's; every one of
-        # them is a value the other rule computes too.
-        for b in range(2, 11):
-            td = build_p1b(b)
-            rec = Reconstructor(td)
-            for _ in rec.enumerate_nonzero():
-                pass
-            alternate = Reconstructor(td, donor_policy="smallest")
-            for d, ins, value in rec.snapshot():
-                assert alternate.gw_at(ins, d) == value, (b, d, ins)
-
     def test_work_is_pinned(self):
         # The n >= 4 memo entries that the full support of P(1,12) stores.
         rec = Reconstructor(build_p1b(12))
         for _ in rec.enumerate_nonzero():
             pass
         assert len(rec.snapshot()) == 1460
-
-    def test_smallest_donor_contents_are_pinned(self):
-        # The memo rows of "smallest"-donor engines after the full
-        # support of P(1,2..8) and after N_1..N_12 of P^2: the other
-        # pivot order reaches other keys.
-        digest = hashlib.sha256()
-        rows = 0
-        engines = []
-        for b in range(2, 9):
-            rec = Reconstructor(build_p1b(b), donor_policy="smallest")
-            for _ in rec.enumerate_nonzero():
-                pass
-            engines.append((b, rec))
-        rec = Reconstructor(build_p2(), donor_policy="smallest")
-        for d in range(1, 13):
-            rec.gw((2,) * (3 * d - 1))
-        engines.append(("P2", rec))
-        for label, rec in engines:
-            for d, ins, value in rec.snapshot():
-                digest.update(f"{label} {d} {','.join(map(str, ins))} {value}\n".encode())
-                rows += 1
-        assert rows == 486
-        assert digest.hexdigest() == (
-            "391a6a90eb06b3557a7acf740cf7001bbe30501fa18a353e870984399c8fa851"
-        )
 
     def test_rows_past_the_memo_pin_are_pinned(self):
         # The enumerated rows of P(1,11..14), whose gauged values carry
@@ -453,12 +415,10 @@ class TestWdvvSum:
         assert kept >= 10
 
 
-def _slots_by_sorting(order, counts, policy):
-    """(pivot, donor, third) of ``policy`` from the insertions ranked in
-    pivot ``order``: a reference for the engine's one-pass choice."""
+def _slots_by_sorting(order, counts):
+    """(pivot, donor, third) from the insertions ranked in pivot
+    ``order``: a reference for the engine's one-pass choice."""
     ranked = [k for k in order for _ in range(counts[k])]
-    if policy == "smallest":
-        return ranked[0], ranked[-1], ranked[1]
     position = {k: i for i, k in enumerate(order)}
     left = list(counts)
     slots = [ranked[0]]
@@ -471,43 +431,28 @@ def _slots_by_sorting(order, counts, policy):
 
 
 class TestDonorPolicy:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Reconstructor(build_p1b(3), donor_policy="widest")
+    """The one rule that fills the donor and third WDVV slots."""
 
-    def test_default_is_fewest_copies(self):
-        assert _DONOR_POLICIES == ("fewest_copies", "smallest")
-        assert Reconstructor(build_p1b(3)).donor_policy == "fewest_copies"
-
-    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
-    def test_slots_match_sorting(self, policy):
+    def test_slots_match_sorting(self):
         rng = random.Random(16)
         td = build_p1b(7)
-        rec = Reconstructor(td, donor_policy=policy)
+        rec = Reconstructor(td)
         for _ in range(2000):
             counts = [0] * td.basis_size
             for _ in range(rng.randrange(4, 14)):
                 counts[rng.choice((1, 2, 3, 4, 5, 6, 6, 6))] += 1
             code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
-            assert rec._slots(code) == _slots_by_sorting(rec._order, counts, policy), counts
+            assert rec._fewest_copies_slots(code) == _slots_by_sorting(rec._order, counts), counts
 
     def test_fewest_copies_examples(self):
         # P(1,7), pivot order a^6, a^5, ..., a.
         rec = Reconstructor(build_p1b(7))
         # a^6 is the pivot; a^4 is the rarest, then a^3 and a^5 tie at 2.
-        assert rec._slots(_pack((6, 5, 5, 4, 3, 3))) == (6, 4, 5)
+        assert rec._fewest_copies_slots(_pack((6, 5, 5, 4, 3, 3))) == (6, 4, 5)
         # Every class keeps 2 copies: the donor's class fills the third slot.
-        assert rec._slots(_pack((6, 6, 6, 2, 2, 1, 1))) == (6, 6, 6)
+        assert rec._fewest_copies_slots(_pack((6, 6, 6, 2, 2, 1, 1))) == (6, 6, 6)
         # The pivot's last copy is gone, so the donor is the first of the rest.
-        assert rec._slots(_pack((6, 5, 2, 1))) == (6, 5, 2)
-
-    @pytest.mark.parametrize("b", range(2, 11))
-    def test_policies_agree(self, b):
-        td = build_p1b(b)
-        default = Reconstructor(td)
-        alternate = Reconstructor(td, donor_policy="smallest")
-        for key, value in default.enumerate_nonzero():
-            assert alternate.gw_at(key.insertions, key.d) == value
+        assert rec._fewest_copies_slots(_pack((6, 5, 2, 1))) == (6, 5, 2)
 
 
 class TestRescaling:
@@ -604,8 +549,8 @@ class TestRescaling:
 class _TracingReconstructor(Reconstructor):
     """Asserts the (n, b - max exponent) measure drops on every descent."""
 
-    def __init__(self, td, **kwargs):
-        super().__init__(td, **kwargs)
+    def __init__(self, td):
+        super().__init__(td)
         self._stack = []
 
     def _measure(self, ins):
@@ -639,7 +584,6 @@ class TestTermination:
         rec.gw(key)  # the tracer raises on any non-decreasing step
         assert not rec._stack
 
-    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
     @pytest.mark.parametrize(
         "make,key",
         [
@@ -651,8 +595,8 @@ class TestTermination:
         ],
         ids=["P(1,6)", "P(1,7)", "P2", "P3", "P4"],
     )
-    def test_rank_measure_strictly_decreases(self, make, key, policy):
-        rec = _RankTracingReconstructor(make(), donor_policy=policy)
+    def test_rank_measure_strictly_decreases(self, make, key):
+        rec = _RankTracingReconstructor(make())
         assert rec.gw(key)  # nonzero, so the recursion ran
         assert not rec._stack
 
@@ -661,18 +605,13 @@ class TestProjectiveSpace:
     """Classical counts on P^n, which the engine does not know: its pivot
     h^k = h^(k-1) * h has its partner below it."""
 
-    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
-    def test_lines_meeting_codimension_two_planes(self, policy):
+    def test_lines_meeting_codimension_two_planes(self):
         # The degree of the Grassmannian G(2, n + 1): Catalan numbers.
-        counts = [
-            Reconstructor(build_pn(n), donor_policy=policy).gw((2,) * (2 * (n - 1)))
-            for n in range(3, 8)
-        ]
+        counts = [Reconstructor(build_pn(n)).gw((2,) * (2 * (n - 1))) for n in range(3, 8)]
         assert counts == [2, 5, 14, 42, 132]
 
-    @pytest.mark.parametrize("policy", _DONOR_POLICIES)
-    def test_curves_in_p3(self, policy):
-        rec = Reconstructor(build_pn(3), donor_policy=policy)
+    def test_curves_in_p3(self):
+        rec = Reconstructor(build_pn(3))
         assert rec.gw((2,) * 8) == 92  # conics meeting 8 lines
         assert rec.gw((3,) * 6) == 1  # twisted cubics through 6 points
         assert rec.gw((2,) * 12) == 80160  # twisted cubics meeting 12 lines

@@ -6,7 +6,8 @@ which WDVV associativity is the only nontrivial step:
 * two and three insertions read the structure constants, which the
   memo holds from the start next to the memoized n >= 4 values;
 * an identity insertion kills the invariant (n >= 4);
-* a divisor insertion comes out as a factor of d times its degree;
+* divisors are stripped in one step to the twisted part or to three
+  insertions, each copy a factor of d times its degree;
 * otherwise an insertion of lowest pivot rank (see
   ``TargetData.pivot_rank``) is replaced through its divisor
   factorization partner * divisor = coeff q^shift pivot, and the WDVV
@@ -15,16 +16,16 @@ which WDVV associativity is the only nontrivial step:
 
 Termination.  Measure a key by (n, r), lexicographically, with r the
 lowest pivot rank among its insertions.  A key with r = 0 holds the
-identity (value 0) or a divisor, which is stripped to n - 1 insertions.
-A key with r > 0 is reduced, and every other term of its relation has
-fewer than n insertions once divisors are stripped, except the full
-split of the contraction that joins the partner to the third slot:
-there the pivot gives way to its partner, of rank r - 1.  So (n, r)
-strictly decreases along every recursion path on any target whose
-partner chains end, whichever two insertions fill the donor and third
-slots; ``pivot_rank`` refuses a target with a chain that cycles.  The
-rank is b - t for a^t on P(1,b), and k - 1 for h^k on P^n, whose
-partner h^(k-1) lies below it.
+identity (value 0) or divisors, stripped in one step to the twisted
+part or to three insertions.  A key with r > 0 is reduced, and every
+other term of its relation has fewer than n insertions once divisors
+are stripped, except the full split of the contraction that joins the
+partner to the third slot: there the pivot gives way to its partner,
+of rank r - 1.  So (n, r) strictly decreases along every recursion
+path on any target whose partner chains end, whichever two insertions
+fill the donor and third slots; ``pivot_rank`` refuses a target with a
+chain that cycles.  The rank is b - t for a^t on P(1,b), and k - 1 for
+h^k on P^n, whose partner h^(k-1) lies below it.
 
 Degrees are never searched: an n-point invariant vanishes unless the
 insertion degrees force sum(orbdeg) = 2 d c1 + 2 dim + 2(n - 3) for a
@@ -130,16 +131,17 @@ class Reconstructor:
     check them.
 
     ``cache``, keyed by packed count vectors (see the module docstring),
-    holds the 2- and 3-point constants plus the memoized n >= 4
-    invariants as gauged ints: the invariant of a key with n insertions
-    at degree d is ``td.gauge.unscale(value, n, d)``.  Its n >= 4 zeros
-    are the values a WDVV relation or divisor strip gave 0, and the
-    identity or divisor-at-degree-0 keys that ``gw``, ``gw_at``,
-    ``enumerate_nonzero`` or ``preload`` were given; a relation skips
-    such a factor without storing it.  ``snapshot()`` gives the n >= 4
-    values as ``Fraction`` with sorted insertion tuples.  Building an
-    engine reads ``td.gauge``, which raises ``ValueError`` for a target
-    without an integer form.
+    holds the 2- and 3-point constants plus each evaluated n >= 4 key,
+    and no intermediate strip rows, as gauged ints: the invariant of a
+    key with n insertions at degree d is ``td.gauge.unscale(value, n,
+    d)``.  Its n >= 4 zeros are the values a WDVV relation or divisor
+    strip gave 0, and the identity or divisor-at-degree-0 keys that
+    ``gw``, ``gw_at``, ``enumerate_nonzero`` or ``preload`` were given;
+    a relation skips such a factor without storing it.  ``snapshot()``
+    gives the n >= 4 values as ``Fraction`` with sorted insertion
+    tuples.  Building an engine reads ``td.gauge``, which raises
+    ``ValueError`` for a target without an integer form or whose quantum
+    product is not associative.
     """
 
     def __init__(self, td: TargetData) -> None:
@@ -350,8 +352,19 @@ class Reconstructor:
         if value is not None:
             return value
         if n > 3:
-            if code & self._identity_field or not d and code & self._divisor_fields:
+            divisors = code & self._divisor_fields
+            if code & self._identity_field or divisors and not d:
                 value = 0
+            elif divisors:
+                # Divisor axiom: s copies of divisor v come out as (d f_v)^s,
+                # down to the twisted part or to three insertions.
+                key, value = code, 1
+                for v, factor in self._divisors:
+                    s = min((code >> (_FIELD * v)) & _MASK, n - 3)
+                    key -= s * self._unit[v]
+                    n -= s
+                    value *= (d * factor) ** s
+                value *= self._eval(key, n, d)
             else:
                 value = self._reduce(code, n, d)
             self.cache[code] = value
@@ -361,27 +374,6 @@ class Reconstructor:
         return 0
 
     def _reduce(self, code: int, n: int, d: int) -> int:
-        # Divisor axiom, one divisor per pass of a loop rather than per
-        # recursion level, so a long run of divisors costs no stack.  The
-        # strip stops at three insertions or at a memoized key; every key
-        # passed on the way is then memoized, innermost first.
-        stripped = []
-        key = code
-        while key & self._divisor_fields:
-            div, factor = next(
-                (v, f) for v, f in self._divisors if (key >> (_FIELD * v)) & _MASK
-            )
-            stripped.append((key, d * factor))
-            key -= self._unit[div]
-            n -= 1
-            if n == 3 or key in self.cache:
-                break
-        if stripped:
-            value = self._eval(key, n, d)
-            for outer, factor in reversed(stripped):
-                value = factor * value
-                self.cache[outer] = value
-            return value
         pivot, donor, third = self._fewest_copies_slots(code)
         partner, divisor, shift, sign = self._pivots[pivot]
         unit = self._unit

@@ -315,7 +315,9 @@ class TargetData(_TargetFields):
         |coeff| s of the lowest class whose pivot has q-shift 1, else 1.
         ``ValueError`` names the first pivot sign that is not +-1, or the
         first 2- or 3-point constant whose gauged value is not an
-        integer: the engine does not run on such a target.
+        integer: the engine does not run on such a target.  Then a target
+        whose quantum product is not associative raises ``ValueError``
+        naming a triple of :func:`_noncommuting_triple`.
         """
         s = lcm(*(delta.denominator for delta in self.divisor_degree.values()))
         alpha = lcm(*((g / s).denominator for _, _, g in self.pairing_inverse_entries))
@@ -342,7 +344,7 @@ class TargetData(_TargetFields):
                 )
             return t
 
-        return gauge._replace(
+        out = gauge._replace(
             base3={key: integer(key, v) for key, v in self.base3.items()},
             base2={key: integer(key, v) for key, v in self.base2.items()},
             pairing_inverse_entries=tuple(
@@ -350,6 +352,13 @@ class TargetData(_TargetFields):
             ),
             divisor_factor={k: int(delta * s) for k, delta in self.divisor_degree.items()},
         )
+        triple = _noncommuting_triple(self)
+        if triple is not None:
+            raise ValueError(
+                f"{self.id}: the quantum product is not associative: (x a_i) a_k != "
+                f"(a_i a_k) x at (x, i, k) = {triple}"
+            )
+        return out
 
 
 class _QRingFields(NamedTuple):
@@ -658,6 +667,43 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
     return False
 
 
+def _noncommuting_triple(td: TargetData) -> Optional[tuple[int, int, int]]:
+    """The first (x, i, k), x a divisor, at which ``td.products`` has
+    (x a_i) a_k != (a_i a_k) x, or ``None``.
+
+    The product is commutative, so this says that multiplication by each
+    divisor commutes with every L_k.  Where the divisors generate the
+    ring, the identity is a cyclic vector of theirs, so every L_k is a
+    polynomial in them and the product is associative.  The terms are
+    read as integers over the table's common denominator, each with the
+    key q_degree * size + index, and a side is summed only when its
+    terms differ from the other side's.
+    """
+    size = td.basis_size
+    den = lcm(*{c.denominator for row in td.products for cell in row for _, _, c in cell})
+    table = [
+        [tuple([(dq * size, l, c.numerator * (den // c.denominator)) for dq, l, c in cell])
+         for cell in row]
+        for row in td.products
+    ]
+
+    def total(terms):
+        out: dict[int, int] = {}
+        for key, v in terms:
+            out[key] = out.get(key, 0) + v
+        return {key: v for key, v in out.items() if v}
+
+    for x in td.divisor_degree:
+        by_x = table[x]
+        for i, row in enumerate(table):
+            for k in range(size):
+                left = [(s + t + l, c * e) for s, m, c in by_x[i] for t, l, e in table[m][k]]
+                right = [(s + t + l, c * e) for s, m, c in row[k] for t, l, e in by_x[m]]
+                if left != right and total(left) != total(right):
+                    return x, i, k
+    return None
+
+
 # -- construction-time validation --------------------------------------------
 
 
@@ -666,8 +712,8 @@ def validate_target(td: TargetData) -> None:
 
     Raises ``ValueError`` on the first violation.  Everything here is a
     structural axiom the reconstruction engine relies on: degree
-    homogeneity of every stored constant, the identity acting through
-    the pairing at degree 0 only (at any basis index), divisor constants
+    homogeneity of every stored constant, the identity as the unit of
+    the quantum product (at any basis index), divisor constants
     matching the 2-point data, and a divisor factorization for every
     class that is neither the identity nor a divisor whose partner
     chains end (see :attr:`TargetData.divisor_factorization` and
@@ -695,7 +741,6 @@ def validate_target(td: TargetData) -> None:
 
     # Degree homogeneity: every stored constant sits at its forced degree.
     degree, weights = td.grading.degree, td.grading.weights
-    on_identity = {}
     for (i, j, k, d), val in td.base3.items():
         if not val:
             raise ValueError("zero entries must be omitted from base3")
@@ -703,8 +748,6 @@ def validate_target(td: TargetData) -> None:
             raise ValueError(f"bad base3 key {(i, j, k, d)}")
         if degree(weights[i] + weights[j] + weights[k], 3) != d:
             raise ValueError(f"base3 entry {(i, j, k, d)} violates the degree axiom")
-        if fund in (i, j, k):
-            on_identity[i, j, k, d] = val
     for (i, j, d), val in td.base2.items():
         if not val:
             raise ValueError("zero entries must be omitted from base2")
@@ -713,32 +756,22 @@ def validate_target(td: TargetData) -> None:
         if degree(weights[i] + weights[j], 2) != d:
             raise ValueError(f"base2 entry {(i, j, d)} violates the degree axiom")
 
-    # The identity pairs classes at degree 0 and does nothing else: the
-    # constants on it are exactly <1, a_i, a_j>_0 = eta_ij, eta_ij != 0.
-    for key in on_identity:
-        if key[3]:
-            raise ValueError(f"base3 entry {key} breaks the identity axiom")
-    eta = {(*sorted((fund, i, j)), 0): g for i, row in enumerate(rows) for j, g in row.items()}
-    if on_identity != eta:
-        raise ValueError("identity does not reproduce the pairing at degree 0")
+    # The identity is the unit of the quantum product.  As the pairing is
+    # invertible, this says <1, a_i, a_j>_d = eta_ij at d = 0 and 0 at d > 0.
+    for j, terms in enumerate(td.products[fund]):
+        if terms != ((0, j, ONE),):
+            raise ValueError(f"the identity is not the unit of the quantum product at class {j}")
 
-    # Divisor insertions at positive degree reduce to 2-point data.
-    for div in td.divisor_degree:
-        weight = td.divisor_degree[div]
-        for (i, j, k, d), val in td.base3.items():
-            if d < 1 or div not in (i, j, k):
-                continue
-            rest = [i, j, k]
-            rest.remove(div)
-            if val != d * weight * td.base2.get((*rest, d), ZERO):
-                raise ValueError(
-                    f"base3 entry {(i, j, k, d)} disagrees with the divisor axiom"
-                )
-        for (i, j, d), val in td.base2.items():
-            key = tuple(sorted((i, j, div))) + (d,)
-            if td.base3.get(key, ZERO) != d * weight * val:
-                raise ValueError(
-                    f"base2 entry {(i, j, d)} disagrees with the divisor axiom"
-                )
+    # Divisor axiom: a divisor D's 3-point constants at d >= 1 are exactly
+    # <a_i, a_j, D>_d = d deg(D) <a_i, a_j>_d.
+    for div, weight in td.divisor_degree.items():
+        held = {key: v for key, v in td.base3.items() if key[3] and div in key[:3]}
+        axiom = {(*sorted((i, j, div)), d): d * weight * v for (i, j, d), v in td.base2.items()}
+        if held != axiom:
+            key = min(k for k in held.keys() | axiom.keys() if held.get(k) != axiom.get(k))
+            raise ValueError(
+                f"base3 entry {key} is {held.get(key, ZERO)}, but the divisor axiom "
+                f"gives {axiom.get(key, ZERO)}"
+            )
 
     td.pivot_rank  # raises if a class has no divisor factorization or one cycles

@@ -1,8 +1,8 @@
 """References shared by the test modules, free of the engine's shortcuts:
 the degree axiom over the rationals, a plain WDVV side, dense ring
-kernels, the closed forms for P(1,b) that the ring and the engine are
-checked against, a rescaling of any target, and a hand-built P^n for its
-classical counts."""
+kernels, the full associativity law, the closed forms for P(1,b) that
+the ring and the engine are checked against, a rescaling of any target,
+and a hand-built P^n for its classical counts."""
 
 from __future__ import annotations
 
@@ -137,6 +137,31 @@ def products(td):
             row.append(tuple(terms))
         table.append(tuple(row))
     return tuple(table)
+
+
+def nonassociative_triples(td) -> list[tuple[int, int, int]]:
+    """Every basis triple (i, j, k) with (a_i a_j) a_k != a_i (a_j a_k)
+    over Q[q], from the full-contraction table of :func:`products`: the
+    whole associativity law, with no argument that a part of it is
+    enough.  The table is symmetric, so a_i (a_j a_k) is (a_j a_k) a_i."""
+    table = products(td)
+
+    def times(vec, j):
+        out = {}
+        for (d, l), c in vec.items():
+            for e, m, x in table[l][j]:
+                out[d + e, m] = out.get((d + e, m), 0) + c * x
+        return {key: c for key, c in out.items() if c}
+
+    def basis(i):
+        return {(0, i): Fraction(1)}
+
+    size = td.basis_size
+    return [
+        (i, j, k)
+        for i, j, k in itertools.product(range(size), repeat=3)
+        if times(times(basis(i), j), k) != times(times(basis(j), k), i)
+    ]
 
 
 def specialize(table, lam):

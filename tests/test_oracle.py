@@ -2,22 +2,30 @@
 insertion counts solved as an exact linear system, with no pivot order,
 reduction rule or memo, against the engine, the classical plane curve
 counts, the benchmark's pinned rows and targets whose quantum product is
-not associative."""
+not associative.  On each target, the engine's associativity check
+agrees with the full law of ``reference.nonassociative_triples``, and
+``divisor_generation_check`` at one nonzero q agrees with the oracle's
+full rank, as the paper's second reconstruction theorem allows."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gwstack import Reconstructor, build_p1b, build_p2, validate_target
-from gwstack.ring import ROW_COUNTS
-from reference import build_pn, forced_degree, rescaled, wdvv_strata
+from gwstack import Reconstructor, build_p1b, build_p2, divisor_generation_check, validate_target
+from gwstack.ring import ROW_COUNTS, _noncommuting_triple
+from reference import build_pn, forced_degree, nonassociative_triples, rescaled, wdvv_strata
 
 F = Fraction
 
 SUPPORT_FILE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "p1b_support.txt"
+
+
+# Nonzero values of q at which divisor generation is checked.
+LAMS = (F(1), F(-2, 3))
 
 
 def _assert_engine_agrees(rec, solved):
@@ -25,11 +33,25 @@ def _assert_engine_agrees(rec, solved):
         assert rec.gw_at(ins, d) == value, (d, ins)
 
 
+def _associative(td) -> bool:
+    """Whether the product of ``td`` is associative, once the engine's
+    divisor-commutation check is asserted to agree with the full triple
+    check: both pass, or both fail and the engine names a failing triple."""
+    triple = _noncommuting_triple(td)
+    failures = nonassociative_triples(td)
+    assert (triple is None) == (not failures)
+    assert triple is None or triple in failures
+    return not failures
+
+
 @pytest.mark.parametrize("b", sorted(ROW_COUNTS))
 def test_strata_match_the_engine(b, engines):
     solved = engines.strata(b)
     assert sum(1 for value in solved.values() if value) == ROW_COUNTS[b]
-    _assert_engine_agrees(engines.p1b(b), solved)
+    rec = engines.p1b(b)
+    _assert_engine_agrees(rec, solved)
+    assert _associative(rec.td)
+    assert all(divisor_generation_check(rec.td, lam) for lam in LAMS)
 
 
 @pytest.mark.parametrize("b", sorted(ROW_COUNTS))
@@ -46,7 +68,10 @@ def test_no_twisted_key_past_2b_insertions(b):
 
 def test_plane_curve_counts():
     # N_d = <pt^(3d - 1)>_d, from d = 2 (five points) on.
-    solved = wdvv_strata(build_p2(), 20)
+    td = build_p2()
+    assert _associative(td)
+    assert all(divisor_generation_check(td, lam) for lam in LAMS)
+    solved = wdvv_strata(td, 20)
     assert solved == {
         (d, (2,) * (3 * d - 1)): count
         for d, count in zip(range(2, 8), (1, 12, 620, 87304, 26312976, 14616808192))
@@ -72,6 +97,8 @@ def test_projective_space(n, max_n, counts):
     solved = wdvv_strata(td, max_n)
     assert {key: solved[key] for key in counts} == counts
     _assert_engine_agrees(Reconstructor(td), solved)
+    assert _associative(td)
+    assert all(divisor_generation_check(td, lam) for lam in LAMS)
 
 
 def test_rescaled_target():
@@ -80,6 +107,8 @@ def test_rescaled_target():
     solved = wdvv_strata(td, 8)
     assert sum(1 for value in solved.values() if value) == ROW_COUNTS[4]
     _assert_engine_agrees(Reconstructor(td), solved)
+    assert _associative(td)
+    assert all(divisor_generation_check(td, lam) for lam in LAMS)
 
 
 @pytest.mark.parametrize("b", [2, 3, 4])
@@ -94,25 +123,31 @@ def test_classical_ring_leaves_the_strata_undetermined(b):
     )
     with pytest.raises(AssertionError, match=r"stratum n=4 of P\(1,\d\) has rank 0"):
         wdvv_strata(classical, 2 * b)
+    assert _associative(classical)
+    assert not any(divisor_generation_check(classical, lam) for lam in LAMS)
 
 
 @pytest.mark.parametrize(
-    "b, key, value",
+    "b, key, value, triple",
     [
-        (3, (1, 1, 1, 0), F(2, 3)),
-        (4, (1, 1, 2, 0), F(1, 2)),
-        (5, (1, 2, 2, 0), F(3, 5)),
+        (3, (1, 1, 1, 0), F(2, 3), (3, 1, 1)),
+        (4, (1, 1, 2, 0), F(1, 2), (4, 1, 1)),
+        (5, (1, 2, 2, 0), F(3, 5), (5, 1, 2)),
     ],
     ids=["P(1,3)-aaa", "P(1,4)-aaa2", "P(1,5)-aa2a2"],
 )
-def test_non_associative_targets_fail(b, key, value):
+def test_non_associative_targets_fail(b, key, value, triple):
     # One degree-0 twisted constant changed: validate_target accepts the
-    # target, yet its quantum product is not associative, and a surplus
-    # relation of the first stratum fails.
+    # target, yet its quantum product is not associative, so building an
+    # engine refuses it, and a surplus relation of the first stratum fails.
     td = build_p1b(b)
     assert key in td.base3 and td.base3[key] != value
     bad = td._replace(base3={**td.base3, key: value})
     validate_target(bad)
+    assert not _associative(bad)
+    refused = f"not associative: (x a_i) a_k != (a_i a_k) x at (x, i, k) = {triple}"
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        Reconstructor(bad)
     with pytest.raises(AssertionError, match=r"surplus relation .* at n=4 fails"):
         wdvv_strata(bad, 2 * b)
 

@@ -270,14 +270,16 @@ class TestValidateTarget:
             pytest.param(
                 P1B3,
                 lambda td: {"base3": {k: v for k, v in td.base3.items() if k != (0, 1, 2, 0)}},
-                "identity does not reproduce the pairing", id="identity-pairing",
+                "the identity is not the unit of the quantum product at class 1",
+                id="identity-pairing",
             ),
             pytest.param(
-                # Without <a^2, a^2, x>_1 the base3 loop sees no divisor
-                # entry to check, so the base2 side must catch it.
+                # Without <a^2, a^2, x>_1 only the side that the divisor
+                # axiom builds from base2 holds the key.
                 P1B3,
                 lambda td: {"base3": {k: v for k, v in td.base3.items() if k != (2, 2, 3, 1)}},
-                r"base2 entry \(2, 2, 1\) disagrees with the divisor axiom", id="base2-divisor",
+                r"base3 entry \(2, 2, 3, 1\) is 0, but the divisor axiom gives 1/9",
+                id="base2-divisor",
             ),
         ],
     )
@@ -312,7 +314,7 @@ class TestIdentityOffIndexZero:
     # P(1,3) renumbered 1, a, a^2, x -> 3, 0, 1, 2: the identity sorts
     # last in every key it is part of.
     PERM = (3, 0, 1, 2)
-    UNPAIRED = "identity does not reproduce the pairing at degree 0"
+    NOT_UNIT = "the identity is not the unit of the quantum product at class 0"
 
     def test_identity_last_is_accepted(self):
         td = _permuted(build_p1b(3), self.PERM)
@@ -328,7 +330,7 @@ class TestIdentityOffIndexZero:
         td = _permuted(build_p1b(3), self.PERM)
         base3 = dict(td.base3)
         del base3[(0, 1, 3, 0)]  # <a, a^2, 1>_0 = 1/3
-        with pytest.raises(ValueError, match=self.UNPAIRED):
+        with pytest.raises(ValueError, match=self.NOT_UNIT):
             validate_target(td._replace(base3=base3))
 
     def test_stray_identity_constant(self):
@@ -344,7 +346,7 @@ class TestIdentityOffIndexZero:
             base3={(0, 1, 3, 0): F(1), (2, 3, 3, 0): F(1), (0, 0, 3, 0): F(1)},
             base2={}, basis_names=("e1", "e2", "pt", "1"),
         )
-        with pytest.raises(ValueError, match=self.UNPAIRED):
+        with pytest.raises(ValueError, match=self.NOT_UNIT):
             validate_target(td)
 
     @staticmethod
@@ -367,7 +369,7 @@ class TestIdentityOffIndexZero:
         # identity axiom allows no constant on 1 at d > 0.
         assert td.grading.forced((2, 2, 3)) == 1
         stray = td._replace(base3={**td.base3, (2, 2, 3, 1): F(1)})
-        with pytest.raises(ValueError, match=r"base3 entry \(2, 2, 3, 1\) breaks the identity axiom"):
+        with pytest.raises(ValueError, match="not the unit of the quantum product at class 2"):
             validate_target(stray)
 
     def test_generation_by_two_divisors(self):

@@ -25,11 +25,11 @@ imports both.  ``ring`` adds nothing.
 
 ``compute`` and ``table`` optionally persist their memo to the record
 file named by ``--cache`` and preload it on the next run.  A record
-with an impossible degree, a 2- or 3-point record that contradicts
-the structure constants, a key given two different values, or an n > 3
-value that is not an integer in the target's gauge (see
-``TargetData.gauge``) rejects the whole file.  Other n > 3 records are
-stored unchecked, so ``verify`` is their integrity check.
+with an impossible degree, one that contradicts the structure constants
+or the identity and divisor axioms, a key given two different values,
+or a twisted n > 3 value that is not an integer in the target's gauge
+(see ``TargetData.gauge``) rejects the whole file.  Other twisted
+records are stored unchecked, so ``verify`` is their integrity check.
 """
 
 from __future__ import annotations

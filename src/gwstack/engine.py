@@ -11,7 +11,7 @@ which WDVV associativity is the only nontrivial step:
 * otherwise an insertion of lowest pivot rank (see
   ``TargetData.pivot_rank``) is replaced through its divisor
   factorization partner * divisor = coeff q^shift pivot, and the WDVV
-  relation for the 4-tuple (third, donor, partner, divisor) is solved
+  relation for the 4-tuple (third, partner, donor, divisor) is solved
   for the target invariant.
 
 Termination.  Measure a key by (n, r), lexicographically, with r the
@@ -71,9 +71,9 @@ divisor factors integers and each pivot coefficient a sign.  The memo
 holds the gauged values T, a WDVV side is one integer sum, a reduction
 multiplies by the pivot's sign and a divisor strip by d times the
 gauged divisor factor, so nothing divides.  Values become ``Fraction``
-only where they leave the engine: ``gw``, ``gw_at``, ``wdvv_residual``,
-``enumerate_nonzero`` and ``snapshot()``; ``preload`` gauges what comes
-in and rejects a value whose T is not an integer.
+only where they leave the engine: ``gw``, ``gw_at``, ``enumerate_nonzero``
+and ``snapshot()``; ``preload`` gauges what comes in and rejects a value
+whose T is not an integer.
 """
 
 from __future__ import annotations
@@ -201,25 +201,6 @@ class Reconstructor:
             return ZERO
         return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
-    def wdvv_residual(
-        self, g1: int, g2: int, g3: int, g4: int, deltas=(), beta3: int = 0
-    ) -> Fraction:
-        """Difference of the two WDVV contractions; always 0 in a
-        consistent theory.
-
-        Both sides sum over splittings of ``deltas`` and over curve
-        degrees adding up to ``beta3``, contracted through the inverse
-        pairing; the second side swaps g2 and g3.
-        """
-        if beta3 < 0:
-            raise ValueError(f"total degree must be nonnegative, got {beta3}")
-        fixed = (g1, g2, g3, g4)
-        deltas = tuple(deltas)
-        self._check_indices(fixed + deltas)
-        splits = self._splits(_pack(deltas))
-        first, second = self._relation(g1, g2, g3, g4, splits, beta3)
-        return self._gauge.unscale(first - second, len(deltas) + 3, beta3)
-
     def enumerate_nonzero(
         self,
         max_n: Optional[int] = None,
@@ -275,11 +256,12 @@ class Reconstructor:
     def preload(self, entries: Iterable[tuple[int, tuple[int, ...], Fraction]]):
         """Seed the memo from ``(d, insertions, value)`` triples.
 
-        Every entry is validated: the degree must be the forced one,
-        2- or 3-point entries must agree with the structure constants
-        (a degree-0 2-point entry is degenerate), a key already in the
-        memo must not be re-bound to a different value, and a new value
-        must have an integer gauged value (see ``TargetData.gauge``).
+        Every entry is validated: the degree must be the forced one, an
+        entry that ``_eval`` decides without WDVV (2 or 3 points, an
+        identity or a divisor; a degree-0 2-point entry is degenerate) or
+        finds in the memo must agree with it, and only a new twisted
+        value is stored, if its gauged value is an integer (see
+        ``TargetData.gauge``).
         """
         gauge = self._gauge
         for d, insertions, value in entries:
@@ -290,15 +272,8 @@ class Reconstructor:
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
             code = _pack(ins)
-            if n > 3:
-                old = self.cache.get(code)
-                if old is not None:
-                    old = gauge.unscale(old, n, d)
-                    if old != value:
-                        raise ValueError(
-                            f"key {ins} already holds {old}, refusing to store {value}"
-                        )
-                    continue
+            twisted = n > 3 and not code & (self._identity_field | self._divisor_fields)
+            if twisted and code not in self.cache:
                 gauged = gauge.gauged(value, n, d)
                 if gauged is None:
                     raise ValueError(
@@ -306,11 +281,21 @@ class Reconstructor:
                         f"gauged value is not an integer"
                     )
                 self.cache[code] = gauged
-            elif gauge.unscale(self._eval(code, n, d), n, d) != value:
-                raise ValueError(
-                    f"entry {ins} at degree {d} conflicts with the structure "
-                    f"constants of {self.td.id}"
-                )
+                continue
+            want = gauge.unscale(self._eval(code, n, d), n, d)
+            if want == value:
+                continue
+            if twisted:
+                raise ValueError(f"key {ins} already holds {want}, refusing to store {value}")
+            if n <= 3:
+                source = f"the structure constants of {self.td.id}"
+            elif code & self._identity_field:
+                source = "the identity axiom"
+            else:
+                source = "the divisor axiom"
+            raise ValueError(
+                f"entry {ins} at degree {d} conflicts with {source}: {want}, not {value}"
+            )
 
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
         """The n >= 4 memo values as sorted ``(d, insertions, value)`` triples."""
@@ -332,20 +317,14 @@ class Reconstructor:
         ins = tuple(sorted(insertions))
         if len(ins) < 2:
             raise ValueError("at least two insertions are required")
-        self._check_indices(ins)
-        return ins
-
-    def _check_indices(self, indices) -> None:
-        if len(indices) > _MAX_INSERTIONS:
+        if len(ins) > _MAX_INSERTIONS:
             raise ValueError(
-                f"at most {_MAX_INSERTIONS} insertions are supported, got {len(indices)}"
+                f"at most {_MAX_INSERTIONS} insertions are supported, got {len(ins)}"
             )
-        size = len(self._unit)
-        for k in indices:
-            if not 0 <= k < size:
-                raise ValueError(
-                    f"basis index {k} out of range for {self.td.id}"
-                )
+        for k in (ins[0], ins[-1]):
+            if not 0 <= k < len(self._unit):
+                raise ValueError(f"basis index {k} out of range for {self.td.id}")
+        return ins
 
     def _eval(self, code: int, n: int, d: int) -> int:
         value = self.cache.get(code)
@@ -384,9 +363,7 @@ class Reconstructor:
         # third and donor, is coeff times the target invariant, and
         # everything else is strictly smaller in the (n, lowest rank)
         # measure.  In the gauge coeff is the sign.
-        first, second = self._relation(
-            third, partner, donor, divisor, splits, beta3, skip_full=True
-        )
+        first, second = self._relation(third, partner, donor, divisor, splits, beta3)
         return (first - second) * sign
 
     def _fewest_copies_slots(self, code: int) -> tuple[int, int, int]:
@@ -437,22 +414,21 @@ class Reconstructor:
 
     def _relation(
         self,
-        g1: int,
-        g2: int,
-        g3: int,
-        g4: int,
+        third: int,
+        partner: int,
+        donor: int,
+        divisor: int,
         splits: list[tuple[int, int, int, int]],
         beta3: int,
-        skip_full: bool = False,
     ) -> tuple[int, int]:
-        """Both contractions of the WDVV relation for (g1, g2, g3, g4) in
-        one pass over ``splits`` (built by ``_splits``) of the insertions
-        ``deltas``: ``(first, second)``, where ``first`` joins a left part
-        A to g1, g2 and the rest B to g3, g4, ``second`` swaps g2 and g3,
-        and each sums over the splits, the inverse pairing and the degree
-        splits d1 + d2 = beta3.  ``skip_full`` leaves the split a = m (A =
-        deltas) out of ``second``: it is the term the pivot reduction
-        solves for.
+        """Both contractions of the WDVV relation that ``_reduce`` solves,
+        for (g1, g2, g3, g4) = (third, partner, donor, divisor), in one
+        pass over ``splits`` (built by ``_splits``) of the other
+        insertions ``deltas``: ``(first, second)``, where ``first`` joins
+        a left part A to g1, g2 and the rest B to g3, g4, ``second`` swaps
+        g2 and g3 but leaves out the split a = m (A = deltas), the term the
+        reduction solves for, and each sums over the splits, the inverse
+        pairing and the degree splits d1 + d2 = beta3.
 
         Splits that differ only in which copy of a repeated insertion
         goes left give the same term, so the walk is over multisets:
@@ -476,8 +452,9 @@ class Reconstructor:
 
         A term is skipped before any lookup when a factor with more than
         three insertions holds the identity, or a divisor at its degree
-        0: the axioms make it 0.  The right factor is tested first, and
-        a zero left factor skips the right one's lookup.  Three-point
+        0: the axioms make it 0.  The right factor, tested first, holds
+        g4, the reduction's divisor, so it is skipped at every d2 = 0; a
+        zero left factor skips the right one's lookup.  Three-point
         factors, the left one of a = 0 and the right one of a = m, are
         never skipped.  The factors and g are gauged integers, so each
         contraction is one integer sum; on m deltas it is a gauged value
@@ -487,28 +464,29 @@ class Reconstructor:
         unit = self._unit
         full_code, full_excess, m, _ = splits[-1]
         top = c1 * beta3
-        buckets = self._buckets.get(top - w[g1] - w[g2] - w[g3] - w[g4] - full_excess + 2 * dim)
+        slots = w[third] + w[partner] + w[donor] + w[divisor]
+        buckets = self._buckets.get(top - slots - full_excess + 2 * dim)
         if buckets is None:
             return 0, 0
         # (left code, right code, left_base, slot) of each contraction.
+        rest = unit[divisor] + full_code
         sides = (
-            (unit[g1] + unit[g2], unit[g3] + unit[g4] + full_code, w[g1] + w[g2] - dim, 0),
-            (unit[g1] + unit[g3], unit[g2] + unit[g4] + full_code, w[g1] + w[g3] - dim, 1),
+            (unit[third] + unit[partner], unit[donor] + rest, w[third] + w[partner] - dim, 0),
+            (unit[third] + unit[donor], unit[partner] + rest, w[third] + w[donor] - dim, 1),
         )
         ident = self._identity_field
         divs = self._divisor_fields
         cache = self.cache
         totals = [0, 0]
-        # The axiom masks of each factor: a key that meets its identity
-        # mask, or its divisor mask at degree 0, is 0.  Both are 0 while
-        # the factor has three insertions.
+        # The axiom masks: a factor key that meets its identity mask, the
+        # left one at d1 = 0 that meets ldiv, or the right one at d2 = 0,
+        # is 0.  All are 0 while the factor has three insertions.
         lid = ldiv = 0
-        rid, rdiv = ident, divs
+        rid = ident
         for code, excess, size, mult in splits:
             if size == m:
-                rid = rdiv = 0
-                if skip_full:
-                    sides = sides[:1]
+                rid = 0
+                sides = sides[:1]
             for left_code, right_code, left_base, slot in sides:
                 base = left_base + excess
                 for ui, uj, wi, g in buckets[base % c1]:
@@ -516,7 +494,7 @@ class Reconstructor:
                     if t < 0 or t > top:
                         continue
                     rkey = right_code - code + uj
-                    if rkey & rid or t == top and rkey & rdiv:
+                    if rkey & rid or t == top and rid:
                         continue
                     lkey = left_code + code + ui
                     if lkey & lid or not t and lkey & ldiv:

@@ -1,5 +1,5 @@
 """References shared by the test modules, free of the engine's shortcuts:
-the degree axiom over the rationals, a plain WDVV side, dense ring
+the degree axiom over the rationals, a plain WDVV side and residual, dense ring
 kernels, the full associativity law, the closed forms for P(1,b) that
 the ring and the engine are checked against, a rescaling of any target,
 and a hand-built P^n for its classical counts."""
@@ -58,6 +58,44 @@ def wdvv_side(rec, x1, x2, y1, y2, deltas, beta3, skip_full=False) -> Fraction:
                         * rec.gw_at((x1, x2, *left, i), d1)
                         * rec.gw_at((y1, y2, *right, j), beta3 - d1)
                     )
+    return total
+
+
+def wdvv_residual(rec, g1, g2, g3, g4, deltas, beta3) -> Fraction:
+    """The difference of the two contractions of the WDVV relation for
+    (g1, g2, g3, g4) on ``deltas`` at total degree ``beta3``, each factor
+    read through ``rec.gw_at``: 0 in a consistent theory, and a check of
+    the engine's values that shares none of its relation code.
+
+    The first contraction joins a part A of ``deltas`` to g1, g2 and the
+    rest to g3, g4 through the inverse pairing; the second swaps g2 and
+    g3.  The parts are the ``_multiset_splits``, and each term is read at
+    the one degree split where ``forced_degree`` gives the left factor's
+    degree.
+    """
+    td = rec.td
+    deltas = tuple(deltas)
+    total = Fraction(0)
+    # The two factors of a term hold the fixed slots, the deltas and an
+    # inverse-pairing pair, whose orbifold degrees add up to 2 dim, on
+    # m + 6 points.  By the degree axiom of both, every term is 0 unless
+    # 2 c1 beta3 = orbdeg(g1, g2, g3, g4, deltas) - 2 dim - 2 m.
+    weight = sum((td.orbdeg[k] for k in (g1, g2, g3, g4) + deltas), -2 * td.dim)
+    if weight - 2 * len(deltas) != 2 * td.c1_degree * beta3:
+        return total
+    ginv = [
+        (i, j, g) for i, row in enumerate(td.pairing_inverse) for j, g in enumerate(row) if g
+    ]
+    for x, y, sign in ((g2, g3, 1), (g3, g2, -1)):
+        for left, right, mult in _multiset_splits(deltas):
+            for i, j, g in ginv:
+                ins = (g1, x, i) + left
+                d1 = forced_degree(td, ins)
+                if d1 is None or d1 > beta3:
+                    continue
+                value = rec.gw_at(ins, d1)
+                if value:
+                    total += sign * mult * g * value * rec.gw_at((y, g4, j) + right, beta3 - d1)
     return total
 
 

@@ -25,7 +25,7 @@ from gwstack import (
     verify,
 )
 from gwstack.golden import ROW_COUNTS
-from reference import closed_4pt_deg0, closed_4pt_deg1, forced_degree, qreduce
+from reference import closed_4pt_deg0, closed_4pt_deg1, forced_degree, qreduce, wdvv_residual
 
 F = Fraction
 
@@ -81,7 +81,7 @@ def _wdvv_sweep(engines):
                 picks = [rng.randrange(size) for _ in range(4)]
                 deltas = tuple(rng.randrange(size) for _ in range(rng.randrange(5)))
                 beta3 = rng.randrange(4)
-                residual = rec.wdvv_residual(*picks, deltas, beta3)
+                residual = wdvv_residual(rec, *picks, deltas, beta3)
                 assert residual == 0, (rec.td.id, picks, deltas, beta3, residual)
                 checked += 1
         engines.memo["wdvv_checked"] = checked

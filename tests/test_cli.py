@@ -413,6 +413,27 @@ class TestCache:
         if code:
             assert "memo.rec:1:" in err and reason in err
 
+    @pytest.mark.parametrize(
+        "record, ins, axiom",
+        [
+            ("3 0 0,2,2,2 7", "0,2,2,2", "identity axiom: 0,"),
+            ("3 1 1,3,3,3 7", "1,3,3,3", "divisor axiom: 1/27,"),
+        ],
+        ids=["identity", "divisor"],
+    )
+    def test_axiom_records_are_checked(self, run, tmp_path, record, ins, axiom):
+        # A record on a key that an axiom decides is checked against it,
+        # after a valid twisted record on line 1.
+        path = tmp_path / "memo.rec"
+        path.write_text(f"3 0 1,1,2,2 -1/9\n{record}\n")
+        for argv in (
+            ("compute", "--b", "3", "--insertions", ins, "--cache", str(path)),
+            ("cache", "--path", str(path)),
+        ):
+            code, out, err = run(*argv)
+            assert (code, out) == (3, ""), argv
+            assert f"memo.rec:2: entry" in err and f"conflicts with the {axiom} not 7" in err
+
     def test_emit_normalizes(self, run, tmp_path):
         path = tmp_path / "memo.rec"
         path.write_text("# note\n3 0 2,1,2,1 -1/9\n")

@@ -24,6 +24,7 @@ from reference import (
     e_cut,
     forced_degree,
     rescaled as _rescaled,
+    wdvv_residual,
     wdvv_side,
 )
 
@@ -311,10 +312,13 @@ class TestKontsevichNumbers:
 
 
 class TestWdvvResidual:
+    """The engine's values in WDVV relations it never solves, summed by
+    ``reference.wdvv_residual``."""
+
     def test_spot_instances(self, engines):
-        assert engines.p1b(4).wdvv_residual(3, 3, 2, 3, (), 1) == 0
-        assert engines.p1b(6).wdvv_residual(5, 5, 4, 5, (5,), 2) == 0
-        assert engines.p2().wdvv_residual(2, 2, 2, 2, (2, 2), 2) == 0
+        assert wdvv_residual(engines.p1b(4), 3, 3, 2, 3, (), 1) == 0
+        assert wdvv_residual(engines.p1b(6), 5, 5, 4, 5, (5,), 2) == 0
+        assert wdvv_residual(engines.p2(), 2, 2, 2, 2, (2, 2), 2) == 0
 
     def test_randomized_sample(self, engines):
         rng = random.Random(7)
@@ -324,42 +328,41 @@ class TestWdvvResidual:
                 picks = [rng.randrange(size) for _ in range(4)]
                 deltas = tuple(rng.randrange(size) for _ in range(rng.randrange(4)))
                 beta3 = rng.randrange(3)
-                assert rec.wdvv_residual(*picks, deltas, beta3) == 0
-
-    def test_input_validation(self, engines):
-        rec = engines.p1b(3)
-        with pytest.raises(ValueError):
-            rec.wdvv_residual(1, 1, 1, 1, (), -1)
-        with pytest.raises(ValueError):
-            rec.wdvv_residual(1, 1, 9, 1, (), 0)
+                assert wdvv_residual(rec, *picks, deltas, beta3) == 0
 
 
 class TestWdvvSum:
     @pytest.mark.parametrize("b", [2, 3, 4, 5, 6, None], ids=lambda b: b or "P2")
     def test_matches_subset_walk(self, engines, b):
-        # Each contraction of ``_relation`` against the plain subset walk.
-        # Few distinct classes among up to eight deltas, so most of the
-        # 2^m subsets collapse onto one multiset split.  Both contractions
-        # can be nonzero only at the total degree beta3 with
+        # Each contraction of ``_relation`` against the plain subset walk,
+        # the second one without its full split, which the reduction
+        # solves for.  The fourth slot is a divisor, as in every
+        # reduction.  Few distinct classes among up to eight deltas, so
+        # most of the 2^m subsets collapse onto one multiset split.  Both
+        # contractions can be nonzero only at the total degree beta3 with
         # sum(weights) = c1 beta3 + dim + scale m, so draws without an
         # integer beta3 are skipped, and one degree off it both vanish.
-        # The identity class is drawn too, in the fixed slots and among
-        # the deltas, though rarely: it kills every factor with more than
-        # three insertions.  It comes from a stream of its own, so the
-        # other draws stay what they would be without it.  Draws with 0
-        # to 2 deltas come last, from a stream of their own and with the
+        # The identity class is drawn too, in the other fixed slots and
+        # among the deltas, though rarely: it kills every factor with more
+        # than three insertions.  It comes from a stream of its own, so
+        # the other draws stay what they would be without it.  Draws with
+        # 0 to 2 deltas come last, from a stream of their own and with the
         # identity more often: their three-point factors hold the
         # identity or a divisor at degree 0 and are not zero.
         rec = engines.p2() if b is None else engines.p1b(b)
         td = rec.td
         w = td.grading.weights
         one = td.fundamental_index
+        divisors = sorted(td.divisor_degree)
         rng = random.Random(20261018 + (b or 0))
         identity = random.Random(-20261018 - (b or 0))
 
         def draw(rng, p):
             k = rng.randrange(1, td.basis_size)
             return one if identity.random() < p else k
+
+        def fixed_slots(rng, p):
+            return tuple(draw(rng, p) for _ in range(3)) + (rng.choice(divisors),)
 
         def check(fixed, deltas):
             """The number of nonzero contractions at the forced degree."""
@@ -373,25 +376,23 @@ class TestWdvvSum:
             for beta3 in (forced - 1, forced, forced + 1):
                 if beta3 < 0:
                     continue
-                want = wdvv_side(rec, g1, g2, g3, g4, deltas, beta3)
-                for skip_full in (False, True):
-                    pair = rec._relation(*fixed, splits, beta3, skip_full)
-                    assert [type(v) for v in pair] == [int, int]
-                    first, second = (td.gauge.unscale(v, n, beta3) for v in pair)
-                    where = (fixed, deltas, beta3, skip_full)
-                    assert first == want, where
-                    assert second == wdvv_side(
-                        rec, g1, g3, g2, g4, deltas, beta3, skip_full
-                    ), where
-                    if beta3 == forced:
-                        nonzero += (first != 0) + (second != 0)
-                    else:
-                        assert first == second == 0, where
+                pair = rec._relation(*fixed, splits, beta3)
+                assert [type(v) for v in pair] == [int, int]
+                first, second = (td.gauge.unscale(v, n, beta3) for v in pair)
+                where = (fixed, deltas, beta3)
+                assert first == wdvv_side(rec, g1, g2, g3, g4, deltas, beta3), where
+                assert second == wdvv_side(
+                    rec, g1, g3, g2, g4, deltas, beta3, skip_full=True
+                ), where
+                if beta3 == forced:
+                    nonzero += (first != 0) + (second != 0)
+                else:
+                    assert first == second == 0, where
             return nonzero
 
         checked = nonzero = with_identity = 0
-        while checked < 16:
-            fixed = tuple(draw(rng, 0.1) for _ in range(4))
+        while checked < 40:
+            fixed = fixed_slots(rng, 0.1)
             pool = [draw(rng, 0.1) for _ in range(2)]
             deltas = tuple(rng.choice(pool) for _ in range(rng.randint(3, 8)))
             found = check(fixed, deltas)
@@ -405,8 +406,8 @@ class TestWdvvSum:
 
         small = random.Random(20261019 + (b or 0))
         checked = kept = 0
-        while checked < 24:
-            fixed = tuple(draw(small, 0.3) for _ in range(4))
+        while checked < 48:
+            fixed = fixed_slots(small, 0.3)
             deltas = tuple(draw(small, 0.3) for _ in range(small.randint(0, 2)))
             found = check(fixed, deltas)
             if found is None:
@@ -730,6 +731,19 @@ class TestPreload:
                 fresh.enumerate_nonzero(max_n=6, max_d=2, include_divisor=True)
             )
 
+    @pytest.mark.parametrize(
+        "d, ins, axiom",
+        [(0, (0, 2, 2, 2), "identity axiom: 0,"), (1, (1, 3, 3, 3), "divisor axiom: 1/27,")],
+        ids=["identity", "divisor"],
+    )
+    def test_axiom_records_checked_against_the_axioms(self, d, ins, axiom):
+        # A key with an identity or a divisor is decided without WDVV, so
+        # a record on it is checked, not stored as given.
+        rec = Reconstructor(build_p1b(3))
+        with pytest.raises(ValueError, match=f"conflicts with the {axiom} not 7"):
+            rec.preload([(d, ins, F(7))])
+        assert rec.gw_at(ins, d) != 7
+
     def test_degree_mismatch_rejected(self):
         rec = Reconstructor(build_p1b(3))
         with pytest.raises(ValueError, match="not forced"):
@@ -785,7 +799,6 @@ class TestPackedKeys:
         for call in (
             lambda: rec.gw(too_many),
             lambda: rec.gw_at(too_many, 0),
-            lambda: rec.wdvv_residual(1, 1, 1, 1, (1,) * (most - 3), 0),
             lambda: rec.preload([(0, too_many, F(1))]),
         ):
             with pytest.raises(ValueError, match=f"at most {most} insertions"):

@@ -1,8 +1,8 @@
 """The WDVV-stratum oracle of ``reference.wdvv_strata``: each stratum of
 insertion counts solved as an exact linear system, with no pivot order,
-reduction rule or memo, against the engine, the classical plane curve
-counts, the benchmark's pinned rows and targets whose quantum product is
-not associative.  On each target, the engine's associativity check
+reduction rule or memo, against the engine (in the low strata up to
+b = 24), the classical plane curve counts, the benchmark's pinned rows
+and targets whose quantum product is not associative.  On each target, the engine's associativity check
 agrees with the full law of ``reference.nonassociative_triples``, and
 ``divisor_generation_check`` at one nonzero q agrees with the oracle's
 full rank, as the paper's second reconstruction theorem allows."""
@@ -52,6 +52,23 @@ def test_strata_match_the_engine(b, engines):
     _assert_engine_agrees(rec, solved)
     assert _associative(rec.td)
     assert all(divisor_generation_check(rec.td, lam) for lam in LAMS)
+
+
+@pytest.mark.parametrize(
+    "b, max_n, unknowns",
+    [
+        (12, 5, 187),
+        pytest.param(16, 5, 508, marks=pytest.mark.slow),
+        pytest.param(24, 4, 504, marks=pytest.mark.slow),
+    ],
+)
+def test_low_strata_match_the_engine_at_large_b(b, max_n, unknowns):
+    # Past the pinned rows, where the 4-point closed forms were the only
+    # check of the engine that does not run it.
+    td = build_p1b(b)
+    solved = wdvv_strata(td, max_n)
+    assert len(solved) == unknowns
+    _assert_engine_agrees(Reconstructor(td), solved)
 
 
 @pytest.mark.parametrize("b", sorted(ROW_COUNTS))

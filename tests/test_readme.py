@@ -6,7 +6,8 @@ next command or the end of the block.  The commands of one block run in
 order in a fresh working directory, so an example may read a file that
 an earlier command of its block wrote.  The ``python`` block of the
 Library section is executed, and that section documents exactly the
-names in ``gwstack.__all__``.
+names in ``gwstack.__all__`` and shows every public method of
+``Reconstructor`` as ``rec.<name>``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import gwstack
-from gwstack import cli
+from gwstack import Reconstructor, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PROMPT = "$ gwstack "
@@ -90,3 +91,11 @@ def test_library_section_is_the_api():
     }
     assert imported, "the Library block imports nothing from gwstack"
     assert imported <= exported, f"imported but not exported: {imported - exported}"
+
+
+def test_library_section_shows_the_engine():
+    section, _ = _library()
+    public = {name for name in vars(Reconstructor) if not name.startswith("_")}
+    assert public, "Reconstructor has no public names"
+    missing = {name for name in public if f"rec.{name}" not in section}
+    assert not missing, f"public on Reconstructor but not in the README Library section: {missing}"

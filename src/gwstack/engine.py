@@ -36,10 +36,10 @@ so adding or removing an insertion is an integer add.  A key holds at
 most 2^FIELD - 1 insertions, which rules out carries between fields;
 longer inputs are rejected.  Sorted insertion tuples appear only where
 keys enter or leave: ``gw``/``gw_at``/``preload`` input,
-``enumerate_nonzero`` rows and ``snapshot()``.  The slot choice on a
-memo miss sorts nothing: it reads the count vector once in a class
-order fixed when the engine is built (pivot rank ascending, then
-orbifold degree descending, then index descending).
+``enumerate_nonzero`` rows and ``snapshot()``.  A reduction sorts
+nothing: one read of the count vector in pivot order (pivot rank
+ascending, then orbifold degree descending, then index descending)
+gives its present classes, its slots and its split list.
 
 A WDVV relation is the difference of two contractions, each of which
 splits the remaining insertions between its two factors; the second
@@ -49,18 +49,12 @@ multisets: a count a_k of the m_k copies of each class goes left, and
 the term is weighted by prod C(m_k, a_k), which gives prod (m_k + 1)
 splits instead of 2^m subsets.  Each split's packed key, excess (weight
 sum minus scale times size), size and multiplicity are folded from
-per-class options once per relation, and both contractions are
-evaluated in one pass over that list; a factor's key is one integer add
-away from the split's.  Degrees stay integers: the excess turns the
-degree axiom of each factor into c1 d = base +- excess + weight of its
-pairing index, with a base fixed per contraction, so no degree is
-solved per split.  The nonzero inverse-pairing entries (i, j) are
-bucketed by the weight sum of i and j, which the relation's total
-degree pins for both contractions alike, and then by the weight of i
-modulo the scaled c1, so each split visits only the entries that give
-both factors integer degrees adding up to the total.  A term whose
-factor has more than three insertions and holds the identity, or a
-divisor at that factor's degree 0, is 0 by the axioms and is skipped
+per-class options, built once per class and count, and both
+contractions are evaluated in one pass over that list: a factor's key
+is one integer add away from the split's, and the excess gives its
+degree by one exact division (see ``Reconstructor._relation``).  A term
+whose factor has more than three insertions and holds the identity, or
+a divisor at that factor's degree 0, is 0 by the axioms and is skipped
 before either factor is looked up, so a relation stores no such key.
 
 The recursion runs on integers.  WDVV is unchanged when the classes, q
@@ -74,13 +68,16 @@ gauged divisor factor, so nothing divides.  Values become ``Fraction``
 only where they leave the engine: ``gw``, ``gw_at``, ``enumerate_nonzero``
 and ``snapshot()``; ``preload`` gauges what comes in and rejects a value
 whose T is not an integer.
+
+Everything the engine derives from the target alone is one
+:class:`Plan` (``td.plan``), built once per ``TargetData``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .ring import TargetData, ZERO
 
@@ -116,19 +113,116 @@ class InsertionKey(NamedTuple):
     insertions: tuple[int, ...]
 
 
+class Plan:
+    """The engine's tables for one target (``td.plan``), built once per
+    ``TargetData`` and shared by every engine on it.  No engine changes
+    them; ``options`` only gains the split options of a (class, count)
+    on first use.
+
+    ``unit[k]`` is one copy of class k as a packed key; an n >= 4 key
+    that meets ``identity_field``, or ``divisor_fields`` at degree 0,
+    is 0 by that axiom.  ``constants`` holds the gauged 2- and 3-point
+    constants at their forced degree (d > 0 for two points) by packed
+    key, ``buckets`` the gauged nonzero inverse-pairing entries (unit[i],
+    unit[j], w[i], g) by w[i] + w[j] and then -w[i] mod c1 (see
+    ``Reconstructor._relation``), ``order`` the pivot classes, the only
+    ones a reduced key holds, with their fields' bit offsets in pivot
+    order, and ``pivots`` each one's (partner, divisor, q-shift, sign).
+    """
+
+    __slots__ = (
+        "gauge", "grading", "unit", "identity_field", "divisor_fields",
+        "constants", "buckets", "order", "pivots", "options",
+    )
+
+    def __init__(self, td: TargetData) -> None:
+        """Raises as ``td.gauge`` and ``td.pivot_rank`` do."""
+        gauge = self.gauge = td.gauge
+        grading = self.grading = td.grading
+        w, c1, degree = grading.weights, grading.c1, grading.degree
+        unit = self.unit = tuple(1 << (_FIELD * k) for k in range(td.basis_size))
+        self.identity_field = _MASK * unit[td.fundamental_index]
+        self.divisor_fields = sum(_MASK * unit[v] for v in td.divisor_degree)
+        constants = self.constants = {}
+        for (i, j, k, d), value in gauge.base3.items():
+            if degree(w[i] + w[j] + w[k], 3) == d:
+                constants[unit[i] + unit[j] + unit[k]] = value
+        for (i, j, d), value in gauge.base2.items():
+            if d and degree(w[i] + w[j], 2) == d:
+                constants[unit[i] + unit[j]] = value
+        buckets = self.buckets = {}
+        for i, j, g in gauge.pairing_inverse_entries:
+            by_residue = buckets.setdefault(w[i] + w[j], [()] * c1)
+            by_residue[-w[i] % c1] += ((unit[i], unit[j], w[i], g),)
+        rank = td.pivot_rank
+        steps = td.divisor_factorization
+        order = sorted(steps, key=lambda k: (rank[k], -w[k], -k))
+        self.order = tuple((k, _FIELD * k) for k in order)
+        self.pivots = {t: (s.partner, s.divisor, s.shift, gauge.sign[t]) for t, s in steps.items()}
+        self.options = {}
+
+    def scan(self, code: int) -> tuple[int, int, int, Sequence[tuple]]:
+        """(pivot, donor, third, splits) of the reduction of the packed
+        insertions ``code``, from one read of its count vector in pivot
+        order.  The pivot is the first class present, the donor the first
+        with the fewest copies once the pivot is removed, and the third
+        the donor's class again if it had at least 2 copies, else the
+        first of the other classes with the fewest.  ``splits`` is
+        :meth:`fold` of what is left once the three are removed."""
+        classes, counts = [], []
+        donor = third = -1  # positions in classes
+        fewest = second = _MAX_INSERTIONS + 1
+        for k, shift in self.order:
+            c = code >> shift & _MASK
+            if not c:
+                continue
+            if not counts:
+                c -= 1
+            classes.append(k)
+            counts.append(c)
+            if 0 < c < fewest:
+                third, second = donor, fewest
+                donor, fewest = len(counts) - 1, c
+            elif 0 < c < second:
+                third, second = len(counts) - 1, c
+        third = third if fewest == 1 else donor
+        counts[donor] -= 1
+        counts[third] -= 1
+        return classes[0], classes[donor], classes[third], self.fold(zip(classes, counts))
+
+    def fold(self, counts: Iterable[tuple[int, int]]) -> Sequence[tuple]:
+        """(code, excess, size, multiplicity) of every multiset split of m
+        copies of each class k, for the ``(k, m)`` in ``counts``: a = 0..m
+        copies of each go left, in ``itertools.product`` order over
+        ``counts``, so the first split is a = 0 and the last a = m.  The
+        options of one class, (a unit[k], a (w[k] - scale), a, C(m, a)),
+        are built once per (k, m) and target."""
+        splits = None
+        for k, m in counts:
+            if not m:
+                continue
+            options = self.options.get((k, m))
+            if options is None:
+                u, e = self.unit[k], self.grading.weights[k] - self.grading.scale
+                options = tuple((a * u, a * e, a, comb(m, a)) for a in range(m + 1))
+                self.options[k, m] = options
+            splits = options if splits is None else [
+                (scode + ocode, excess + oexcess, size + osize, mult * omult)
+                for scode, excess, size, mult in splits
+                for ocode, oexcess, osize, omult in options
+            ]
+        return splits or [(0, 0, 0, 1)]  # the one split of nothing
+
+
 class Reconstructor:
     """Evaluates genus-zero invariants of one target, memoized.
 
-    The pivot of a reduction is always its first class in pivot order
-    (see the module docstring).  The donor comes from the class with the
-    fewest copies left once the pivot is removed, and the third WDVV
-    slot from the class with the fewest copies left once the donor is
-    also removed, ties to the class first in pivot order.  A WDVV
-    relation walks prod (m_k + 1) splits of the remaining insertions, so
-    removing a copy from the rarest class cuts it the most.  The values
-    do not depend on this choice; ``tests/reference.py`` solves each
-    WDVV stratum as a linear system, with no reduction rule at all, to
-    check them.
+    The slots of a reduction follow one rule (:meth:`Plan.scan`): a
+    WDVV relation walks prod (m_k + 1) splits of the remaining
+    insertions, so the donor and third come from the rarest classes.
+    The values do not depend on this choice; ``tests/reference.py``
+    solves each WDVV stratum as a linear system, with no reduction rule
+    at all, to check them.
 
     ``cache``, keyed by packed count vectors (see the module docstring),
     holds the 2- and 3-point constants plus each evaluated n >= 4 key,
@@ -139,67 +233,33 @@ class Reconstructor:
     ``gw``, ``gw_at``, ``enumerate_nonzero`` or ``preload`` were given;
     a relation skips such a factor without storing it.  ``snapshot()``
     gives the n >= 4 values as ``Fraction`` with sorted insertion
-    tuples.  Building an engine reads ``td.gauge``, which raises
-    ``ValueError`` for a target without an integer form or whose quantum
-    product is not associative.
+    tuples.  A new engine copies the constants of ``td.plan``, built
+    from ``td.gauge`` once per target, which raises ``ValueError`` for a
+    target without an integer form or whose quantum product is not
+    associative.
     """
 
     def __init__(self, td: TargetData) -> None:
         self.td = td
-        self.cache: dict[int, int] = {}
-        gauge = self._gauge = td.gauge
-        # Read on every reduction and WDVV walk, so kept on the engine.
-        grading = self._grading = td.grading
-        w, c1, degree = grading.weights, grading.c1, grading.degree
-        size = td.basis_size
-        unit = self._unit = tuple(1 << (_FIELD * k) for k in range(size))
-        # The count fields of the identity and of the divisors: an n >= 4
-        # key with an identity, or a divisor at degree 0, is 0 by that axiom.
-        self._identity_field = _MASK * unit[td.fundamental_index]
-        self._divisor_fields = sum(_MASK * unit[v] for v in td.divisor_degree)
-        # The memo starts with the 2- and 3-point constants.  Only those at
-        # their forced degree (d > 0 for two points) are read: keys omit d.
-        cache = self.cache
-        for (i, j, k, d), value in gauge.base3.items():
-            if degree(w[i] + w[j] + w[k], 3) == d:
-                cache[unit[i] + unit[j] + unit[k]] = value
-        for (i, j, d), value in gauge.base2.items():
-            if d and degree(w[i] + w[j], 2) == d:
-                cache[unit[i] + unit[j]] = value
-        # Gauged nonzero inverse-pairing entries (unit[i], unit[j], w[i], g),
-        # by w[i] + w[j], which a relation's total degree pins, then in a
-        # list indexed by -w[i] mod c1: a split whose c1 d1 is base + w[i]
-        # reads index base mod c1, where every entry makes d1 an integer.
-        buckets = self._buckets = {}
-        for i, j, g in gauge.pairing_inverse_entries:
-            by_residue = buckets.setdefault(w[i] + w[j], [()] * c1)
-            by_residue[-w[i] % c1] += ((unit[i], unit[j], w[i], g),)
-        # Pivot order: pivot rank ascending, then weight (so orbifold
-        # degree) descending, then index descending.
-        rank = td.pivot_rank
-        self._order = sorted(range(size), key=lambda k: (rank[k], -w[k], -k))
-        self._divisors = tuple(gauge.divisor_factor.items())
-        self._pivots = {
-            t: (step.partner, step.divisor, step.shift, gauge.sign[t])
-            for t, step in td.divisor_factorization.items()
-        }
+        plan = self._plan = td.plan
+        self.cache: dict[int, int] = dict(plan.constants)
 
     # -- public evaluation ---------------------------------------------------
 
     def gw(self, insertions) -> Fraction:
         """The invariant at the degree forced by the insertions (else 0)."""
         ins = self._normalize(insertions)
-        d = self._grading.forced(ins)
+        d = self._plan.grading.forced(ins)
         if d is None:
             return ZERO
-        return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
+        return self._plan.gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
     def gw_at(self, insertions, d: int) -> Fraction:
         """The invariant at an explicit degree; 0 unless d is forced."""
         ins = self._normalize(insertions)
-        if d != self._grading.forced(ins):
+        if d != self._plan.grading.forced(ins):
             return ZERO
-        return self._gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
+        return self._plan.gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
     def enumerate_nonzero(
         self,
@@ -230,8 +290,8 @@ class Reconstructor:
         hi = b if include_divisor else b - 1
         if hi < 1:
             return
-        _, scale, c1, dim = self._grading
-        unscale = self._gauge.unscale
+        _, scale, c1, dim = self._plan.grading
+        unscale = self._plan.gauge.unscale
         d = 0
         while max_d is None or d <= max_d:
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
@@ -263,16 +323,17 @@ class Reconstructor:
         value is stored, if its gauged value is an integer (see
         ``TargetData.gauge``).
         """
-        gauge = self._gauge
+        plan = self._plan
+        gauge = plan.gauge
         for d, insertions, value in entries:
             ins = self._normalize(insertions)
             n = len(ins)
-            if self._grading.forced(ins) != d:
+            if plan.grading.forced(ins) != d:
                 raise ValueError(
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
             code = _pack(ins)
-            twisted = n > 3 and not code & (self._identity_field | self._divisor_fields)
+            twisted = n > 3 and not code & (plan.identity_field | plan.divisor_fields)
             if twisted and code not in self.cache:
                 gauged = gauge.gauged(value, n, d)
                 if gauged is None:
@@ -289,7 +350,7 @@ class Reconstructor:
                 raise ValueError(f"key {ins} already holds {want}, refusing to store {value}")
             if n <= 3:
                 source = f"the structure constants of {self.td.id}"
-            elif code & self._identity_field:
+            elif code & plan.identity_field:
                 source = "the identity axiom"
             else:
                 source = "the divisor axiom"
@@ -299,13 +360,13 @@ class Reconstructor:
 
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
         """The n >= 4 memo values as sorted ``(d, insertions, value)`` triples."""
-        unscale = self._gauge.unscale
+        unscale = self._plan.gauge.unscale
         out = []
         for code, value in self.cache.items():
             ins = _unpack(code)
             if len(ins) <= 3:
                 continue
-            d = self._grading.forced(ins)
+            d = self._plan.grading.forced(ins)
             assert d is not None  # only forced keys are ever stored
             out.append((d, ins, unscale(value, len(ins), d)))
         out.sort(key=lambda t: (t[0], len(t[1]), t[1]))
@@ -322,7 +383,7 @@ class Reconstructor:
                 f"at most {_MAX_INSERTIONS} insertions are supported, got {len(ins)}"
             )
         for k in (ins[0], ins[-1]):
-            if not 0 <= k < len(self._unit):
+            if not 0 <= k < len(self._plan.unit):
                 raise ValueError(f"basis index {k} out of range for {self.td.id}")
         return ins
 
@@ -331,16 +392,17 @@ class Reconstructor:
         if value is not None:
             return value
         if n > 3:
-            divisors = code & self._divisor_fields
-            if code & self._identity_field or divisors and not d:
+            plan = self._plan
+            divisors = code & plan.divisor_fields
+            if code & plan.identity_field or divisors and not d:
                 value = 0
             elif divisors:
                 # Divisor axiom: s copies of divisor v come out as (d f_v)^s,
                 # down to the twisted part or to three insertions.
                 key, value = code, 1
-                for v, factor in self._divisors:
+                for v, factor in plan.gauge.divisor_factor.items():
                     s = min((code >> (_FIELD * v)) & _MASK, n - 3)
-                    key -= s * self._unit[v]
+                    key -= s * plan.unit[v]
                     n -= s
                     value *= (d * factor) ** s
                 value *= self._eval(key, n, d)
@@ -353,102 +415,32 @@ class Reconstructor:
         return 0
 
     def _reduce(self, code: int, n: int, d: int) -> int:
-        pivot, donor, third = self._fewest_copies_slots(code)
-        partner, divisor, shift, sign = self._pivots[pivot]
-        unit = self._unit
-        splits = self._splits(code - unit[pivot] - unit[donor] - unit[third])
-        beta3 = d + shift
-        # WDVV for (third, partner, donor, divisor) and total degree
-        # beta3: the full split of the swapped contraction, which joins
-        # third and donor, is coeff times the target invariant, and
-        # everything else is strictly smaller in the (n, lowest rank)
-        # measure.  In the gauge coeff is the sign.
-        first, second = self._relation(third, partner, donor, divisor, splits, beta3)
+        pivot, donor, third, splits = self._plan.scan(code)
+        partner, divisor, shift, sign = self._plan.pivots[pivot]
+        # The swapped contraction's full split is sign times the target.
+        first, second = self._relation(third, partner, donor, divisor, splits, d + shift)
         return (first - second) * sign
 
-    def _fewest_copies_slots(self, code: int) -> tuple[int, int, int]:
-        """(pivot, donor, third) of a reduction, in one pass over the
-        pivot order: the pivot is the first class present, the donor the
-        first with the fewest copies once the pivot is removed, and the
-        third the donor's class again if it had at least 2 copies, else
-        the first of the other classes with the fewest."""
-        pivot = donor = third = -1
-        fewest = second = _MAX_INSERTIONS + 1
-        for k in self._order:
-            c = (code >> (_FIELD * k)) & _MASK
-            if not c:
-                continue
-            if pivot < 0:
-                pivot = k
-                c -= 1
-                if not c:
-                    continue
-            if c < fewest:
-                third, second = donor, fewest
-                donor, fewest = k, c
-            elif c < second:
-                third, second = k, c
-        return pivot, donor, (third if fewest == 1 else donor)
-
-    def _splits(self, code: int) -> list[tuple[int, int, int, int]]:
-        """(code, excess, size, multiplicity) of every multiset split of
-        the packed insertions ``code``, folded from the per-class options
-        a_k = 0..m_k in ``itertools.product`` order over the classes in
-        pivot order; the last one is a = m."""
-        w, scale, _, _ = self._grading
-        unit = self._unit
-        splits = [(0, 0, 0, 1)]
-        for k in self._order:
-            mk = (code >> (_FIELD * k)) & _MASK
-            if mk:
-                options = [
-                    (a * unit[k], a * (w[k] - scale), a, comb(mk, a))
-                    for a in range(mk + 1)
-                ]
-                splits = [
-                    (scode + ocode, excess + oexcess, size + osize, mult * omult)
-                    for scode, excess, size, mult in splits
-                    for ocode, oexcess, osize, omult in options
-                ]
-        return splits
-
     def _relation(
-        self,
-        third: int,
-        partner: int,
-        donor: int,
-        divisor: int,
-        splits: list[tuple[int, int, int, int]],
-        beta3: int,
+        self, third: int, partner: int, donor: int, divisor: int, splits: Sequence[tuple], beta3: int
     ) -> tuple[int, int]:
         """Both contractions of the WDVV relation that ``_reduce`` solves,
         for (g1, g2, g3, g4) = (third, partner, donor, divisor), in one
-        pass over ``splits`` (built by ``_splits``) of the other
+        pass over ``splits`` (built by :meth:`Plan.fold`) of the other
         insertions ``deltas``: ``(first, second)``, where ``first`` joins
         a left part A to g1, g2 and the rest B to g3, g4, ``second`` swaps
         g2 and g3 but leaves out the split a = m (A = deltas), the term the
         reduction solves for, and each sums over the splits, the inverse
         pairing and the degree splits d1 + d2 = beta3.
 
-        Splits that differ only in which copy of a repeated insertion
-        goes left give the same term, so the walk is over multisets:
-        with m_k copies of class k in ``deltas``, a split is a count
-        vector a (0 <= a_k <= m_k copies of k on the left), and its term
-        carries the weight prod C(m_k, a_k), the number of subsets of
-        ``deltas`` it stands for.  That is prod (m_k + 1) splits rather
-        than 2^m.
-
-        Degrees are integers throughout.  A split carries its excess
-        e = weight(A) - scale |A|, so with left_base = w of the two left
-        slots - dim and right_base = w of the two right slots +
-        e(deltas) - dim the degree axiom reads c1 d1 = left_base + e +
-        w[i] and c1 d2 = right_base - e + w[j].  Their sum, c1 beta3 =
-        left_base + right_base + w[i] + w[j], involves neither the split
-        nor the contraction, so the relation reads one inverse-pairing
-        bucket, and per split and contraction only the entries whose
-        w[i] makes d1 an integer; d1 is then an exact division and d2 =
-        beta3 - d1 needs no check.  At most one degree split survives
-        per (A, i, j).
+        Degrees are integers throughout.  A split carries its excess e =
+        weight(A) - scale |A|; with left_base = w of the two left slots -
+        dim and right_base = w of the two right slots + e(deltas) - dim,
+        c1 d1 = left_base + e + w[i] and c1 d2 = right_base - e + w[j].
+        Their sum c1 beta3 involves neither the split nor the contraction,
+        so the relation reads one inverse-pairing bucket, and per split and
+        contraction only the entries whose w[i] makes d1 an integer; d1 is
+        then an exact division, and d2 = beta3 - d1 needs no check.
 
         A term is skipped before any lookup when a factor with more than
         three insertions holds the identity, or a divisor at its degree
@@ -460,12 +452,13 @@ class Reconstructor:
         contraction is one integer sum; on m deltas it is a gauged value
         on m + 3 insertions at degree beta3.
         """
-        w, _, c1, dim = self._grading
-        unit = self._unit
+        plan = self._plan
+        w, _, c1, dim = plan.grading
+        unit = plan.unit
         full_code, full_excess, m, _ = splits[-1]
         top = c1 * beta3
         slots = w[third] + w[partner] + w[donor] + w[divisor]
-        buckets = self._buckets.get(top - slots - full_excess + 2 * dim)
+        buckets = plan.buckets.get(top - slots - full_excess + 2 * dim)
         if buckets is None:
             return 0, 0
         # (left code, right code, left_base, slot) of each contraction.
@@ -474,8 +467,8 @@ class Reconstructor:
             (unit[third] + unit[partner], unit[donor] + rest, w[third] + w[partner] - dim, 0),
             (unit[third] + unit[donor], unit[partner] + rest, w[third] + w[donor] - dim, 1),
         )
-        ident = self._identity_field
-        divs = self._divisor_fields
+        ident = plan.identity_field
+        divs = plan.divisor_fields
         cache = self.cache
         totals = [0, 0]
         # The axiom masks: a factor key that meets its identity mask, the

@@ -151,9 +151,9 @@ class TargetData(_TargetFields):
     not hashable.  ``_replace`` gives a new instance with some fields
     changed.  The data derived from the fields (``grading``,
     ``pairing_inverse``, ``pairing_inverse_entries``, ``products``,
-    ``divisor_factorization``, ``pivot_rank``, ``gauge``) is computed on
-    first use and cached per instance, so a replaced instance computes
-    its own.
+    ``divisor_factorization``, ``pivot_rank``, ``gauge`` and the
+    engine's ``plan``) is computed on first use and cached per instance,
+    so a replaced instance computes its own.
     ``divisor_degree`` maps each divisor class to its degree; every
     consumer takes the divisors in its key order.
 
@@ -359,6 +359,13 @@ class TargetData(_TargetFields):
                 f"(a_i a_k) x at (x, i, k) = {triple}"
             )
         return out
+
+    @cached_property
+    def plan(self):
+        """The engine's tables for this target (``engine.Plan``)."""
+        from .engine import Plan
+
+        return Plan(self)
 
 
 class _QRingFields(NamedTuple):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from gwstack.engine import (
 )
 from gwstack.ring import Grading
 from reference import (
+    _multiset_splits,
     build_pn,
     closed_4pt_deg0,
     closed_4pt_deg1,
@@ -371,7 +373,7 @@ class TestWdvvSum:
             if forced is None:
                 return None
             g1, g2, g3, g4 = fixed
-            splits = rec._splits(_pack(deltas))
+            splits = _fold(td.plan, deltas)
             nonzero = 0
             for beta3 in (forced - 1, forced, forced + 1):
                 if beta3 < 0:
@@ -417,6 +419,12 @@ class TestWdvvSum:
         assert kept >= 10
 
 
+def _fold(plan, deltas):
+    """``plan.fold`` of the multiset ``deltas``, classes in pivot order as
+    a reduction folds them."""
+    return plan.fold((k, deltas.count(k)) for k in sorted(set(deltas)))
+
+
 def _slots_by_sorting(order, counts):
     """(pivot, donor, third) from the insertions ranked in pivot
     ``order``: a reference for the engine's one-pass choice."""
@@ -438,23 +446,116 @@ class TestDonorPolicy:
     def test_slots_match_sorting(self):
         rng = random.Random(16)
         td = build_p1b(7)
-        rec = Reconstructor(td)
+        order = [k for k, _ in td.plan.order]
         for _ in range(2000):
             counts = [0] * td.basis_size
             for _ in range(rng.randrange(4, 14)):
                 counts[rng.choice((1, 2, 3, 4, 5, 6, 6, 6))] += 1
             code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
-            assert rec._fewest_copies_slots(code) == _slots_by_sorting(rec._order, counts), counts
+            assert td.plan.scan(code)[:3] == _slots_by_sorting(order, counts), counts
 
     def test_fewest_copies_examples(self):
         # P(1,7), pivot order a^6, a^5, ..., a.
-        rec = Reconstructor(build_p1b(7))
+        scan = build_p1b(7).plan.scan
         # a^6 is the pivot; a^4 is the rarest, then a^3 and a^5 tie at 2.
-        assert rec._fewest_copies_slots(_pack((6, 5, 5, 4, 3, 3))) == (6, 4, 5)
+        assert scan(_pack((6, 5, 5, 4, 3, 3)))[:3] == (6, 4, 5)
         # Every class keeps 2 copies: the donor's class fills the third slot.
-        assert rec._fewest_copies_slots(_pack((6, 6, 6, 2, 2, 1, 1))) == (6, 6, 6)
+        assert scan(_pack((6, 6, 6, 2, 2, 1, 1)))[:3] == (6, 6, 6)
         # The pivot's last copy is gone, so the donor is the first of the rest.
-        assert rec._fewest_copies_slots(_pack((6, 5, 2, 1))) == (6, 5, 2)
+        assert scan(_pack((6, 5, 2, 1)))[:3] == (6, 5, 2)
+
+
+class TestFold:
+    """The split list of a reduction against the reference's plain
+    multiset walk."""
+
+    @staticmethod
+    def _want(td, deltas):
+        """(code, excess, size, multiplicity) of each split of ``deltas``
+        by ``reference._multiset_splits``."""
+        w, scale = td.grading.weights, td.grading.scale
+        return Counter(
+            (_pack(left), sum(w[k] - scale for k in left), len(left), mult)
+            for left, _, mult in _multiset_splits(tuple(sorted(deltas)))
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(lambda b=b: build_p1b(b) for b in range(3, 8)), build_p2],
+        ids=[*(f"P(1,{b})" for b in range(3, 8)), "P2"],
+    )
+    def test_fold_matches_multiset_splits(self, make):
+        # Each draw takes up to 7 deltas from a pool of 2 or 3 classes, so
+        # most (class, count) pairs recur: each is built once per target
+        # and then read by every later engine on it.
+        td = make()
+        rng = random.Random(20261019 + td.basis_size)
+        pairs = Counter()
+        for _ in range(150):
+            plan = Reconstructor(td)._plan
+            assert plan is td.plan
+            pool = [rng.randrange(td.basis_size) for _ in range(rng.choice((2, 3)))]
+            deltas = tuple(rng.choice(pool) for _ in range(rng.randrange(8)))
+            splits = _fold(plan, deltas)
+            assert Counter(splits) == self._want(td, deltas), deltas
+            excess = sum(td.grading.weights[k] - td.grading.scale for k in deltas)
+            assert splits[0] == (0, 0, 0, 1)
+            assert splits[-1] == (_pack(deltas), excess, len(deltas), 1)  # a = m
+            pairs.update((k, deltas.count(k)) for k in set(deltas))
+        assert set(td.plan.options) == set(pairs)
+        assert sum(pairs.values()) >= 3 * len(pairs)
+
+    def test_scan_folds_what_the_slots_leave(self):
+        # 500 keys of 4 to 13 insertions on P(1,7): the split list of a
+        # reduction is the fold of the key less its three slots.
+        rng = random.Random(23)
+        td = build_p1b(7)
+        for _ in range(500):
+            key = [rng.choice((1, 2, 3, 4, 5, 6, 6, 6)) for _ in range(rng.randrange(4, 14))]
+            pivot, donor, third, splits = td.plan.scan(_pack(key))
+            for k in (pivot, donor, third):
+                key.remove(k)
+            assert Counter(splits) == self._want(td, key), key
+            assert splits[0] == (0, 0, 0, 1) and splits[-1][0] == _pack(key)
+
+
+class TestSharedPlan:
+    """Engines on one target share its ``Plan`` and no memo."""
+
+    def test_engines_share_no_memo(self):
+        td = build_p1b(7)
+        first, second = Reconstructor(td), Reconstructor(td)
+        constants = dict(td.plan.constants)
+        assert len(list(first.enumerate_nonzero())) == 90
+        assert len(first.snapshot()) >= 90
+        assert second.snapshot() == []
+        assert second.cache == td.plan.constants == constants
+        assert Reconstructor(td).cache == constants
+
+    def test_preload_stays_in_its_engine(self):
+        td = build_p1b(3)
+        seeded, clean = Reconstructor(td), Reconstructor(td)
+        seeded.preload([(0, (1, 1, 2, 2), F(7))])
+        assert seeded.gw((1, 1, 2, 2)) == 7
+        assert clean.gw((1, 1, 2, 2)) == F(-1, 9)
+        assert Reconstructor(td).snapshot() == []
+        assert _pack((1, 1, 2, 2)) not in td.plan.constants
+
+    @pytest.mark.parametrize("b", [3, 5])
+    def test_replaced_target_has_its_own_plan(self, b):
+        # The original's plan exists before the rescaled target is built.
+        td = build_p1b(b)
+        want = [
+            (key.d, key.insertions, 2 * value)
+            for key, value in Reconstructor(td).enumerate_nonzero()
+        ]
+        scaled = _rescaled(td, F(2))
+        assert scaled.plan is not td.plan
+        got = [
+            (key.d, key.insertions, value)
+            for key, value in Reconstructor(scaled).enumerate_nonzero()
+        ]
+        assert got == want
 
 
 class TestRescaling:
@@ -524,17 +625,21 @@ class TestRescaling:
         # Doubling a^1 alone makes the pivot coefficients of a^1 and a^2
         # 1/6 and 1/3: r = 1/2 from a^1 leaves a^2 the sign 2.
         td = _rescaled(build_p1b(3), classes={1: F(2)})
-        with pytest.raises(ValueError, match="pivot of class 2 has sign .* = 2 "):
-            Reconstructor(td)
+        for _ in range(2):  # a refused plan is not cached, so it is refused again
+            with pytest.raises(ValueError, match="pivot of class 2 has sign .* = 2 "):
+                Reconstructor(td)
 
     def test_rejects_a_non_integer_three_point_constant(self):
         # <a, a, a>_0 at 1/6 instead of 1/3 has gauged value 3 / 6; no
         # axiom that validate_target checks ties it to another constant.
+        # The original's plan exists first; the replaced target has its own.
         td = build_p1b(3)
+        assert Reconstructor(td).gw((1, 1, 2, 2)) == F(-1, 9)
         td = td._replace(base3={**td.base3, (1, 1, 1, 0): F(1, 6)})
         validate_target(td)
-        with pytest.raises(ValueError, match=r"3-point constant \(1, 1, 1, 0\) = 1/6 has no integer"):
-            Reconstructor(td)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"3-point constant \(1, 1, 1, 0\) = 1/6 has no integer"):
+                Reconstructor(td)
 
     def test_rejects_a_non_integer_two_point_constant(self):
         # P^2 with h' = 2h (degree 2) and a point class 4h^2 keeps the
@@ -544,8 +649,9 @@ class TestRescaling:
         # divisor is d times the divisor factor 2 times it.
         td = _rescaled(build_p2(), q=F(1, 8), classes={1: F(2), 2: F(4)})
         assert td.divisor_degree == {1: 2}
-        with pytest.raises(ValueError, match=r"2-point constant \(2, 2, 1\) = 2 has no integer"):
-            Reconstructor(td)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"2-point constant \(2, 2, 1\) = 2 has no integer"):
+                Reconstructor(td)
 
 
 class _TracingReconstructor(Reconstructor):

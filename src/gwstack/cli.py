@@ -60,8 +60,8 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 
 # Largest b accepted from --b or a record file, checked before any target
-# is built.  On one Xeon core (Python 3.11, medians) build_p1b takes
-# about 20 ms at b = 100, 70 ms at b = 200 and 0.43 s at b = 400.
+# is built.  build_p1b takes about 11 ms at b = 100, 47 ms at b = 200 and
+# 0.23 s at b = 400 (one pinned Xeon core, Python 3.11; median of 6 runs of 7 calls).
 _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is
@@ -433,10 +433,13 @@ def _cmd_ring(args) -> int:
     ring = specialize(td, lam)
     print(f"ring {td.id} at q = {ring.lam!s}")
     names = td.basis_names
+    rendered: dict[int, str] = {}  # id(vec) -> text; entries of one cell share a vector
     for i in range(td.basis_size):
         for j in range(i, td.basis_size):
             vec = ring.mult_table[i][j]
-            print(f"{names[i]} * {names[j]} = {_render_combo(td, vec)}")
+            if id(vec) not in rendered:
+                rendered[id(vec)] = _render_combo(td, vec)
+            print(f"{names[i]} * {names[j]} = {rendered[id(vec)]}")
     if args.check_generation:
         verdict = divisor_generation_check(td, lam)
         print(f"generated: {'true' if verdict else 'false'}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, NamedTuple, Optional
 
 ZERO = Fraction(0)
@@ -174,15 +174,15 @@ class TargetData(_TargetFields):
     @cached_property
     def grading(self) -> Grading:
         """The degree axiom in integer form."""
-        scale = 1
-        for f in self.orbdeg:
-            scale = lcm(scale, (f / 2).denominator)
-        scale = lcm(scale, self.c1_degree.denominator, self.dim.denominator)
+        c1, dim = self.c1_degree, self.dim
+        # p/q halved has the denominator 2q / gcd(p, 2).
+        halves = (2 * f.denominator // gcd(f.numerator, 2) for f in self.orbdeg)
+        scale = lcm(*halves, c1.denominator, dim.denominator)
         return Grading(
-            weights=tuple(int(f * scale / 2) for f in self.orbdeg),
+            weights=tuple(f.numerator * scale // (2 * f.denominator) for f in self.orbdeg),
             scale=scale,
-            c1=int(self.c1_degree * scale),
-            dim=int(self.dim * scale),
+            c1=c1.numerator * scale // c1.denominator,
+            dim=dim.numerator * scale // dim.denominator,
         )
 
     @cached_property
@@ -218,10 +218,17 @@ class TargetData(_TargetFields):
         entry, val * g^{kl} is added to the product of the other two
         indices, which serves both orders.  The sums run on integer
         numerators over one denominator, the lcm of the constants'
-        denominators times that of the inverse pairing's, and each
-        distinct nonzero sum becomes one ``Fraction``, shared by every
-        term that has it.
+        denominators times that of the inverse pairing's.  Equal cells
+        are one tuple object: each distinct integer term list is turned
+        into ``Fraction`` terms once, and each distinct nonzero sum
+        becomes one ``Fraction``, shared by every term that has it.
         """
+        cells, index = self._product_cells
+        return tuple(tuple(map(cells.__getitem__, row)) for row in index)
+
+    @cached_property
+    def _product_cells(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+        # The distinct cells of ``products``, the empty one first, and each entry's cell index.
         size = self.basis_size
         entries = self.pairing_inverse_entries
         g_den = lcm(*(g.denominator for _, _, g in entries))
@@ -229,20 +236,28 @@ class TargetData(_TargetFields):
         ginv_rows = [[] for _ in range(size)]
         for k, l, g in entries:
             ginv_rows[k].append((l, g.numerator * (g_den // g.denominator)))
-        cells: dict[tuple[int, int], dict] = {}
+        sums_at: dict[tuple[int, int], dict] = {}
         for (i, j, k, d), val in self.base3.items():
             v = val.numerator * (v_den // val.denominator)
             for m, x, y in {(k, i, j), (j, i, k), (i, j, k)}:
-                acc = cells.setdefault((x, y) if x <= y else (y, x), {})
+                acc = sums_at.setdefault((x, y) if x <= y else (y, x), {})
                 for l, g in ginv_rows[m]:
                     key = d, l
-                    acc[key] = acc.get(key, 0) + v * g
-        nums = {c for acc in cells.values() for c in acc.values() if c}
-        coeff = {c: Fraction(c, v_den * g_den) for c in nums}
-        table = [[()] * size for _ in range(size)]
-        for (x, y), acc in cells.items():
-            table[x][y] = table[y][x] = tuple([(*dl, coeff[c]) for dl, c in sorted(acc.items()) if c])
-        return tuple(map(tuple, table))
+                    total = acc[key] = acc.get(key, 0) + v * g
+                    if not total:
+                        del acc[key]  # a cancelled sum leaves no term
+        den, coeff = v_den * g_den, {}
+        position: dict[tuple, int] = {(): 0}  # integer terms ((d, l), c) -> cell index
+        cells, index = [()], [[0] * size for _ in range(size)]
+        for (x, y), acc in sums_at.items():
+            terms = tuple(sorted(acc.items()))
+            k = position.get(terms)
+            if k is None:
+                coeff.update({c: Fraction(c, den) for _, c in terms if c not in coeff})
+                k = position[terms] = len(cells)
+                cells.append(tuple([(d, l, coeff[c]) for (d, l), c in terms]))
+            index[x][y] = index[y][x] = k
+        return tuple(cells), tuple(map(tuple, index))
 
     @cached_property
     def divisor_factorization(self) -> dict[int, DivisorStep]:
@@ -384,9 +399,9 @@ class QRingElem(_QRingFields):
 
     def __new__(cls, coeffs: tuple[tuple[Fraction, ...], ...]) -> "QRingElem":
         trimmed = []
-        for p in map(list, coeffs):
-            while p and not p[-1]:
-                p.pop()
+        for p in coeffs:
+            while p and not p[-1]:  # only a polynomial ending in a zero is copied
+                p = p[:-1]
             trimmed.append(tuple(p))
         return tuple.__new__(cls, (tuple(trimmed),))
 
@@ -434,7 +449,7 @@ def build_p1b(b: int) -> TargetData:
     size = b + 1
     inv_b = Fraction(1, b)
     orbdeg = tuple(Fraction(2 * k, b) for k in range(size))
-    pairing = tuple(tuple(inv_b if i + j == b else ZERO for j in range(size)) for i in range(size))
+    pairing = tuple((ZERO,) * (b - i) + (inv_b,) + (ZERO,) * i for i in range(size))
     inv_b2 = inv_b * inv_b
     base3: dict[tuple[int, int, int, int], Fraction] = {}
     for i in range(size):
@@ -535,24 +550,33 @@ def _invert(rows) -> list[dict[int, Fraction]]:
     """The inverse of a square matrix given as the nonzero entries of its
     rows, by column (``TargetData._pairing_rows``), in the same form."""
     n = len(rows)
-    # Each row of [matrix | identity] keeps only its nonzero entries, so
-    # pivot search, division and elimination never touch a zero.
+    # Each row of [matrix | identity] keeps only its nonzero entries and
+    # holders[k] the rows with an entry in column k, so nothing touches a
+    # zero.  Rows stay put: the row pivoting on col ends as inverse row col.
     aug = [{**row, n + i: ONE} for i, row in enumerate(rows)]
+    holders: list[set[int]] = [set() for _ in range(2 * n)]
+    for r, row in enumerate(aug):
+        for k in row:
+            holders[k].add(r)
+    free, pivots = set(range(n)), []
     for col in range(n):
-        piv = next((r for r in range(col, n) if col in aug[r]), None)
+        piv = min(holders[col] & free, default=None)
         if piv is None:
             raise ValueError("pairing matrix is singular")
-        aug[piv], aug[col] = aug[col], {k: a / aug[piv][col] for k, a in aug[piv].items()}
-        for r, target in enumerate(aug):
-            c = target.get(col)
-            if c is not None and r != col:
-                for k, a in aug[col].items():
-                    v = target.get(k, ZERO) - c * a
-                    if v:
-                        target[k] = v
-                    else:
-                        del target[k]
-    return [{k - n: a for k, a in row.items() if k >= n} for row in aug]
+        free.remove(piv)
+        pivots.append(piv)
+        prow = aug[piv] = {k: x / aug[piv][col] for k, x in aug[piv].items()}
+        for r in holders[col] - {piv}:
+            target, c = aug[r], aug[r][col]
+            for k, x in prow.items():
+                v = target.get(k, ZERO) - c * x
+                if v:
+                    target[k] = v
+                    holders[k].add(r)
+                else:
+                    del target[k]
+                    holders[k].discard(r)
+    return [{k - n: x for k, x in aug[piv].items() if k >= n} for piv in pivots]
 
 
 def basis_element(td: TargetData, index: int) -> QRingElem:
@@ -604,30 +628,31 @@ def _lam_powers(td: TargetData, lam: Fraction) -> list[Fraction]:
 def specialize(td: TargetData, lam) -> SpecializedRing:
     """The ring with q set to ``lam`` (0 gives orbifold cohomology).
 
-    A term c q^dq a_l adds c lam^dq to slot l.  That product is taken
-    once per distinct (dq, coefficient object) in the call, and only
-    when dq > 0: equal coefficients of ``td.products`` are one object.
-    A slot still holding ``ZERO`` takes its first term as it is.  The
-    table is symmetric, so each unordered pair is specialized once.
+    Equal cells of ``td.products`` are one object, and each distinct
+    cell is specialized once, into one vector that exactly the entries
+    of ``mult_table`` holding that cell share.  A term c q^dq a_l adds
+    c lam^dq to slot l; that product is taken once per distinct (dq,
+    coefficient object), and only when dq > 0.  A slot still holding
+    ``ZERO`` takes its first term as it is.
     """
     lam = Fraction(lam)
     powers = _lam_powers(td, lam)
     size = td.basis_size
+    cells, index = td._product_cells
     scaled: dict[tuple[int, int], Fraction] = {}  # (dq, id(c)) -> c lam^dq
-    mult = [[None] * size for _ in range(size)]
-    for i, row in enumerate(td.products):
-        for j in range(i, size):
-            vec = [ZERO] * size
-            for dq, l, c in row[j]:
-                if dq:
-                    key = dq, id(c)
-                    x = scaled.get(key)
-                    if x is None:
-                        x = scaled[key] = c * powers[dq]
-                    c = x
-                vec[l] = c if vec[l] is ZERO else vec[l] + c
-            mult[i][j] = mult[j][i] = tuple(vec)
-    return SpecializedRing(lam=lam, mult_table=tuple(map(tuple, mult)))
+    vecs: list[tuple[Fraction, ...]] = []
+    for cell in cells:
+        vec = [ZERO] * size
+        for dq, l, c in cell:
+            if dq:
+                x = scaled.get((dq, id(c)))
+                if x is None:
+                    x = scaled[dq, id(c)] = c * powers[dq]
+                c = x
+            vec[l] = c if vec[l] is ZERO else vec[l] + c
+        vecs.append(tuple(vec))
+    mult = tuple(tuple(map(vecs.__getitem__, row)) for row in index)
+    return SpecializedRing(lam=lam, mult_table=mult)
 
 
 def divisor_generation_check(td: TargetData, lam) -> bool:

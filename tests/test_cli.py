@@ -346,6 +346,33 @@ class TestRing:
         _, out, _ = run("ring", "--b", "3", "--lambda", "1")
         assert "a^2 * x = 1/3 a^1" in out.splitlines()
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                ("--b", "100", "--lambda=-7/3", "--check-generation"),
+                "95dd6073c274376d76bc5687f6f8918eced1b9c95ef20b7d965a174416ee3bd6",
+                id="b100-generated",
+            ),
+            pytest.param(
+                ("--b", "48", "--lambda", "0"),
+                "d8ccc1495dd73fea48b449d2ac4765218e974bcedb13fa8f2d507332e4258426",
+                id="b48-orbifold",
+            ),
+            pytest.param(
+                ("--b", "1", "--lambda", "0", "--check-generation"),
+                "2d362f04f0b28e3a94f6409beb517ddd307cfd2b8543b4db73b5201f099fec61",
+                id="b1-orbifold-generated",
+            ),
+        ],
+    )
+    def test_whole_output_is_pinned(self, run, argv, digest):
+        # Entries that share a specialized vector share its rendering, so
+        # the whole table is pinned by its sha256.
+        code, out, err = run("ring", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_malformed_lambda(self, run):
         assert run("ring", "--b", "2", "--lambda", "sqrt2")[0] == 2
         assert run("ring", "--b", "2", "--lambda", "1/0")[0] == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -16,7 +17,8 @@ from gwstack import (
     specialize,
     validate_target,
 )
-from gwstack.ring import DivisorStep, Grading, QRingElem, TargetData
+from gwstack.cli import _MAX_ORDER
+from gwstack.ring import DivisorStep, Grading, QRingElem, TargetData, _invert
 import reference as ref
 from reference import qreduce
 
@@ -436,7 +438,10 @@ class TestKernelsAgainstReference:
         assert (ref.divisor_span_rank(td, mult) == td.basis_size) is full
         assert divisor_generation_check(td, lam) is full
 
-    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6, 48])
+    # The CLI's cap, b = 100, is slow: its dense references take seconds.
+    @pytest.mark.parametrize(
+        "b", [1, 2, 3, 4, 5, 6, 48, pytest.param(_MAX_ORDER, marks=pytest.mark.slow)]
+    )
     def test_p1b(self, b):
         td = build_p1b(b)
         table = ref.products(td)
@@ -495,9 +500,11 @@ KERNEL_TARGETS = [
 
 
 class TestIntegerProducts:
-    """``products`` sums integer numerators over one denominator and
-    makes one ``Fraction`` per distinct coefficient; ``specialize``
-    scales each distinct (q-degree, coefficient) once."""
+    """``products`` sums integer numerators over one denominator, makes
+    one tuple object per distinct cell and one ``Fraction`` per distinct
+    coefficient; ``specialize`` builds one vector per distinct cell,
+    shared by every entry that holds it, and scales each distinct
+    (q-degree, coefficient) once."""
 
     @pytest.mark.parametrize("build", KERNEL_TARGETS)
     def test_against_reference(self, build):
@@ -511,6 +518,19 @@ class TestIntegerProducts:
             mult = specialize(td, lam).mult_table
             assert mult == ref.specialize(table, lam)
             assert all(type(c) is F for row in mult for vec in row for c in vec)
+
+    @pytest.mark.parametrize("build", KERNEL_TARGETS)
+    def test_cells_and_vectors_are_shared(self, build):
+        td = build()
+        cells = [cell for row in td.products for cell in row]
+        by_value = {}
+        assert all(by_value.setdefault(cell, cell) is cell for cell in cells)  # equal cells are one
+        for lam in TestKernelsAgainstReference.LAMS:
+            vecs = [vec for row in specialize(td, lam).mult_table for vec in row]
+            # id(cell) -> id(vec) is a bijection: two entries share a
+            # vector exactly when they share a cell.
+            pairs = set(zip(map(id, cells), map(id, vecs)))
+            assert len(pairs) == len({c for c, _ in pairs}) == len({v for _, v in pairs})
 
     def test_cancelled_term_is_absent(self):
         td = _cancelling_target()
@@ -597,6 +617,54 @@ class TestPairingInverse:
         broken = td._replace(pairing=degenerate)
         with pytest.raises(ValueError, match="singular"):
             broken.pairing_inverse
+
+
+def _random_sparse_matrix(rng, n):
+    """An n x n rational matrix with about half of its entries nonzero."""
+    return [
+        [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else F(0) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def _sparse_rows(matrix):
+    return [{j: g for j, g in enumerate(row) if g} for row in matrix]
+
+
+class TestInvert:
+    """``_invert`` on sparse matrices, checked exactly: the two-sided
+    inverse of a nonsingular matrix, and "singular" for any other."""
+
+    @staticmethod
+    def _check(matrix):
+        n = len(matrix)
+        inv = _invert(_sparse_rows(matrix))
+        assert all(all(inv_row.values()) for inv_row in inv)  # nonzero entries only
+        dense = [[inv[i].get(j, F(0)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                assert sum(dense[i][k] * matrix[k][j] for k in range(n)) == (i == j)
+                assert sum(matrix[i][k] * dense[k][j] for k in range(n)) == (i == j)
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random(20261019)
+        seen = {"nonsingular": 0, "singular": 0, "lower pivot": 0}
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            matrix = _random_sparse_matrix(rng, n)
+            if ref.rank(matrix) < n:
+                seen["singular"] += 1
+                with pytest.raises(ValueError, match="^pairing matrix is singular$"):
+                    _invert(_sparse_rows(matrix))
+                continue
+            seen["nonsingular"] += 1
+            seen["lower pivot"] += not matrix[0][0]  # column 0 pivots below row 0
+            self._check(matrix)
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 16])
+    def test_antidiagonal_p1b_pairing(self, b):
+        self._check([list(row) for row in build_p1b(b).pairing])
 
 
 class TestQRingElem:

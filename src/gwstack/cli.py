@@ -28,7 +28,7 @@ file named by ``--cache`` and preload it on the next run.  A record
 with an impossible degree, one that contradicts the structure constants
 or the identity and divisor axioms, a key given two different values,
 or a twisted n > 3 value that is not an integer in the target's gauge
-(see ``TargetData.gauge``) rejects the whole file.  Other twisted
+(see ``engine.Plan``) rejects the whole file.  Other twisted
 records are stored unchecked, so ``verify`` is their integrity check.
 """
 

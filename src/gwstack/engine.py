@@ -59,8 +59,8 @@ before either factor is looked up, so a relation stores no such key.
 
 The recursion runs on integers.  WDVV is unchanged when the classes, q
 or the whole potential are rescaled, and the target's gauge (see
-``TargetData.gauge``) picks the rescaling N = alpha r^d T / s^(n-2+d)
-that makes the 2- and 3-point constants, the inverse pairing and the
+:class:`Plan`) picks the rescaling N = alpha r^d T / s^(n-2+d) that
+makes the 2- and 3-point constants, the inverse pairing and the
 divisor factors integers and each pivot coefficient a sign.  The memo
 holds the gauged values T, a WDVV side is one integer sum, a reduction
 multiplies by the pivot's sign and a divisor strip by d times the
@@ -69,17 +69,18 @@ only where they leave the engine: ``gw``, ``gw_at``, ``enumerate_nonzero``
 and ``snapshot()``; ``preload`` gauges what comes in and rejects a value
 whose T is not an integer.
 
-Everything the engine derives from the target alone is one
-:class:`Plan` (``td.plan``), built once per ``TargetData``.
+Everything the engine derives from the target alone, the gauge too,
+is one :class:`Plan` (``td.plan``), built once per ``TargetData``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .ring import TargetData, ZERO
+from .ring import ONE, TargetData, ZERO, _noncommuting_triple
 
 _FIELD = 16  # bits per class in a packed key
 _MASK = (1 << _FIELD) - 1
@@ -119,47 +120,99 @@ class Plan:
     them; ``options`` only gains the split options of a (class, count)
     on first use.
 
+    The gauge N = alpha r^d T / s^(n - 2 + d) of the module docstring
+    has s the lcm of the divisor degrees' denominators, alpha that of
+    g / s over the nonzero inverse-pairing entries g, and r = |coeff| s
+    of the lowest class whose pivot has q-shift 1, else 1 (s = b and
+    r = alpha = 1 on P(1,b)); :meth:`unscale` and :meth:`gauged` convert
+    one value.
+
     ``unit[k]`` is one copy of class k as a packed key; an n >= 4 key
     that meets ``identity_field``, or ``divisor_fields`` at degree 0,
     is 0 by that axiom.  ``constants`` holds the gauged 2- and 3-point
     constants at their forced degree (d > 0 for two points) by packed
     key, ``buckets`` the gauged nonzero inverse-pairing entries (unit[i],
-    unit[j], w[i], g) by w[i] + w[j] and then -w[i] mod c1 (see
-    ``Reconstructor._relation``), ``order`` the pivot classes, the only
-    ones a reduced key holds, with their fields' bit offsets in pivot
-    order, and ``pivots`` each one's (partner, divisor, q-shift, sign).
+    unit[j], w[i], alpha g / s) by w[i] + w[j] and then -w[i] mod c1
+    (see ``Reconstructor._relation``), ``divisor_factor`` each divisor's
+    degree times s, ``order`` the pivot classes, the only ones a reduced
+    key holds, with their fields' bit offsets in pivot order, and
+    ``pivots`` each one's (partner, divisor, q-shift, sign coeff
+    s^shift / r^shift).
     """
 
     __slots__ = (
-        "gauge", "grading", "unit", "identity_field", "divisor_fields",
-        "constants", "buckets", "order", "pivots", "options",
+        "s", "r", "alpha", "grading", "unit", "identity_field", "divisor_fields",
+        "constants", "buckets", "divisor_factor", "order", "pivots", "options",
     )
 
     def __init__(self, td: TargetData) -> None:
-        """Raises as ``td.gauge`` and ``td.pivot_rank`` do."""
-        gauge = self.gauge = td.gauge
+        """Raises as ``td.divisor_factorization`` and ``td.pivot_rank`` do,
+        and ``ValueError`` naming the first pivot sign that is not +-1, then
+        the first 2- or 3-point constant with no integer gauged value, then
+        a triple of ``ring._noncommuting_triple`` (not associative)."""
+        steps = td.divisor_factorization
+        s = self.s = lcm(*(delta.denominator for delta in td.divisor_degree.values()))
+        alpha = self.alpha = lcm(*((g / s).denominator for _, _, g in td.pairing_inverse_entries))
+        r = self.r = next((abs(step.coeff) * s for step in steps.values() if step.shift == 1), ONE)
+        pivots = self.pivots = {}
+        for t, step in steps.items():
+            c = step.coeff * Fraction(s, r) ** step.shift
+            if c not in (1, -1):
+                raise ValueError(
+                    f"{td.id}: the pivot of class {t} has sign coeff s^shift / "
+                    f"r^shift = {c} with s = {s}, r = {r}, not +-1"
+                )
+            pivots[t] = (step.partner, step.divisor, step.shift, int(c))
         grading = self.grading = td.grading
         w, c1, degree = grading.weights, grading.c1, grading.degree
         unit = self.unit = tuple(1 << (_FIELD * k) for k in range(td.basis_size))
         self.identity_field = _MASK * unit[td.fundamental_index]
         self.divisor_fields = sum(_MASK * unit[v] for v in td.divisor_degree)
         constants = self.constants = {}
-        for (i, j, k, d), value in gauge.base3.items():
-            if degree(w[i] + w[j] + w[k], 3) == d:
-                constants[unit[i] + unit[j] + unit[k]] = value
-        for (i, j, d), value in gauge.base2.items():
-            if d and degree(w[i] + w[j], 2) == d:
-                constants[unit[i] + unit[j]] = value
+        for key, value in chain(td.base3.items(), td.base2.items()):
+            *ins, d = key
+            n = len(ins)
+            t = self.gauged(value, n, d)
+            if t is None:
+                raise ValueError(
+                    f"{td.id}: the {n}-point constant {key} = {value} has no "
+                    f"integer gauged value with s = {s}, r = {r}, alpha = {alpha}"
+                )
+            if (n == 3 or d) and degree(sum(w[k] for k in ins), n) == d:
+                constants[sum(unit[k] for k in ins)] = t
         buckets = self.buckets = {}
-        for i, j, g in gauge.pairing_inverse_entries:
+        for i, j, g in td.pairing_inverse_entries:
             by_residue = buckets.setdefault(w[i] + w[j], [()] * c1)
-            by_residue[-w[i] % c1] += ((unit[i], unit[j], w[i], g),)
+            by_residue[-w[i] % c1] += ((unit[i], unit[j], w[i], int(alpha * g / s)),)
+        self.divisor_factor = {k: int(delta * s) for k, delta in td.divisor_degree.items()}
+        triple = _noncommuting_triple(td)
+        if triple is not None:
+            raise ValueError(
+                f"{td.id}: the quantum product is not associative: (x a_i) a_k != "
+                f"(a_i a_k) x at (x, i, k) = {triple}"
+            )
         rank = td.pivot_rank
-        steps = td.divisor_factorization
         order = sorted(steps, key=lambda k: (rank[k], -w[k], -k))
         self.order = tuple((k, _FIELD * k) for k in order)
-        self.pivots = {t: (s.partner, s.divisor, s.shift, gauge.sign[t]) for t, s in steps.items()}
         self.options = {}
+
+    def unscale(self, value: int, n: int, d: int) -> Fraction:
+        """The invariant whose gauged value on n insertions at degree d is ``value``."""
+        r = self.r
+        return Fraction(
+            self.alpha * r.numerator**d * value, self.s ** (n - 2 + d) * r.denominator**d
+        )
+
+    def gauged(self, value: Fraction, n: int, d: int) -> Optional[int]:
+        """The gauged value of the invariant ``value`` on n insertions at
+        degree d, or ``None`` if it is not an integer, which no
+        invariant of the target has."""
+        r = self.r
+        t, rest = divmod(
+            value.numerator * self.s ** (n - 2 + d) * r.denominator**d,
+            value.denominator * self.alpha * r.numerator**d,
+        )
+        return None if rest else t
 
     def scan(self, code: int) -> tuple[int, int, int, Sequence[tuple]]:
         """(pivot, donor, third, splits) of the reduction of the packed
@@ -227,16 +280,15 @@ class Reconstructor:
     ``cache``, keyed by packed count vectors (see the module docstring),
     holds the 2- and 3-point constants plus each evaluated n >= 4 key,
     and no intermediate strip rows, as gauged ints: the invariant of a
-    key with n insertions at degree d is ``td.gauge.unscale(value, n,
+    key with n insertions at degree d is ``td.plan.unscale(value, n,
     d)``.  Its n >= 4 zeros are the values a WDVV relation or divisor
     strip gave 0, and the identity or divisor-at-degree-0 keys that
     ``gw``, ``gw_at``, ``enumerate_nonzero`` or ``preload`` were given;
     a relation skips such a factor without storing it.  ``snapshot()``
     gives the n >= 4 values as ``Fraction`` with sorted insertion
     tuples.  A new engine copies the constants of ``td.plan``, built
-    from ``td.gauge`` once per target, which raises ``ValueError`` for a
-    target without an integer form or whose quantum product is not
-    associative.
+    once per target, which raises ``ValueError`` for a target without
+    an integer form or whose quantum product is not associative.
     """
 
     def __init__(self, td: TargetData) -> None:
@@ -252,14 +304,14 @@ class Reconstructor:
         d = self._plan.grading.forced(ins)
         if d is None:
             return ZERO
-        return self._plan.gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
+        return self._plan.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
     def gw_at(self, insertions, d: int) -> Fraction:
         """The invariant at an explicit degree; 0 unless d is forced."""
         ins = self._normalize(insertions)
         if d != self._plan.grading.forced(ins):
             return ZERO
-        return self._plan.gauge.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
+        return self._plan.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
 
     def enumerate_nonzero(
         self,
@@ -291,7 +343,7 @@ class Reconstructor:
         if hi < 1:
             return
         _, scale, c1, dim = self._plan.grading
-        unscale = self._plan.gauge.unscale
+        unscale = self._plan.unscale
         d = 0
         while max_d is None or d <= max_d:
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
@@ -321,10 +373,9 @@ class Reconstructor:
         identity or a divisor; a degree-0 2-point entry is degenerate) or
         finds in the memo must agree with it, and only a new twisted
         value is stored, if its gauged value is an integer (see
-        ``TargetData.gauge``).
+        :class:`Plan`).
         """
         plan = self._plan
-        gauge = plan.gauge
         for d, insertions, value in entries:
             ins = self._normalize(insertions)
             n = len(ins)
@@ -335,7 +386,7 @@ class Reconstructor:
             code = _pack(ins)
             twisted = n > 3 and not code & (plan.identity_field | plan.divisor_fields)
             if twisted and code not in self.cache:
-                gauged = gauge.gauged(value, n, d)
+                gauged = plan.gauged(value, n, d)
                 if gauged is None:
                     raise ValueError(
                         f"{value} is not a value of {self.td.id} at {ins}: its "
@@ -343,7 +394,7 @@ class Reconstructor:
                     )
                 self.cache[code] = gauged
                 continue
-            want = gauge.unscale(self._eval(code, n, d), n, d)
+            want = plan.unscale(self._eval(code, n, d), n, d)
             if want == value:
                 continue
             if twisted:
@@ -360,7 +411,7 @@ class Reconstructor:
 
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:
         """The n >= 4 memo values as sorted ``(d, insertions, value)`` triples."""
-        unscale = self._plan.gauge.unscale
+        unscale = self._plan.unscale
         out = []
         for code, value in self.cache.items():
             ins = _unpack(code)
@@ -400,7 +451,7 @@ class Reconstructor:
                 # Divisor axiom: s copies of divisor v come out as (d f_v)^s,
                 # down to the twisted part or to three insertions.
                 key, value = code, 1
-                for v, factor in plan.gauge.divisor_factor.items():
+                for v, factor in plan.divisor_factor.items():
                     s = min((code >> (_FIELD * v)) & _MASK, n - 3)
                     key -= s * plan.unit[v]
                     n -= s

@@ -2,10 +2,10 @@
 
 The data file ships every known nonzero invariant of P(1,b) for
 b = 2..6 with more than three insertions and no divisor or identity
-classes, keyed by multiplicity vectors.  :func:`verify` recomputes each
-row from scratch and also re-enumerates the full nonzero support, so a
-green report certifies both the values and the completeness of the
-table.  The file is guarded by a checksum: a silent edit of the
+classes, keyed by multiplicity vectors.  :func:`verify` re-enumerates
+the full nonzero support from scratch and reads each row's value from
+it, so a green report certifies both the values and the completeness
+of the table.  The file is guarded by a checksum: a silent edit of the
 reference values should fail loudly, not produce a quietly different
 baseline.
 """
@@ -24,6 +24,7 @@ from .records import RecordError, iter_record_lines, parse_rational
 from .ring import (
     ROW_COUNTS,
     TABLE_ORDERS,
+    ZERO,
     TargetData,
     build_p1b,
     insertions_from_mults,
@@ -176,18 +177,19 @@ class VerifyReport(NamedTuple):
 def verify(b: int, reconstructor: Optional[Reconstructor] = None) -> VerifyReport:
     """Recompute one golden table and re-derive its support.
 
-    Every row is evaluated from the 3-point constants, and a mismatch
-    reports the row with the table's value and the engine's.  The
-    nonzero support is then re-enumerated and compared as a set against
-    the table's keys.  The engine's values are checked independently of
-    its reduction rule by the WDVV-stratum oracle in the tests, which
-    solves each stratum of insertion counts as a linear system.
+    The nonzero support is enumerated from the 3-point constants once.
+    Each row reads its value there (0 if the enumeration never produced
+    it), and a mismatch reports the row with the table's value and the
+    engine's; the support is compared as a set against the table's
+    keys.  The engine's values are checked independently of its
+    reduction rule by the WDVV-stratum oracle in the tests, which solves
+    each stratum of insertion counts as a linear system.
     """
     rows = golden_rows(b)
     rec = reconstructor if reconstructor is not None else Reconstructor(build_p1b(b))
-    results = tuple(RowResult(row, rec.gw_at(row.insertions(), row.d)) for row in rows)
-    table_keys = {row.key(): row.value for row in rows}
     found = dict(rec.enumerate_nonzero())
+    results = tuple(RowResult(row, found.get(row.key(), ZERO)) for row in rows)
+    table_keys = {row.key(): row.value for row in rows}
     missing = tuple(sorted(k for k in table_keys if k not in found))
     extra = tuple(sorted((k, v) for k, v in found.items() if k not in table_keys))
     return VerifyReport(b=b, results=results, missing=missing, extra=extra)

@@ -19,7 +19,7 @@ engine pivots on.  Two constructors are built in,
 Everything downstream (the quantum product, specializations at a chosen
 value of q, the reconstruction engine) is driven by the datum alone.
 All coefficients are ``fractions.Fraction``, apart from the integer
-form of the datum that the engine runs on (:class:`Gauge`); no floating
+form of the datum that the engine runs on (``td.plan``); no floating
 point number appears anywhere in this package.
 """
 
@@ -87,47 +87,6 @@ class Grading(NamedTuple):
         return self.degree(sum(self.weights[k] for k in ins), len(ins))
 
 
-class Gauge(NamedTuple):
-    """The integer form of one target's invariants (``TargetData.gauge``).
-
-    An n-point invariant at degree d is N = alpha r^d T / s^(n - 2 + d):
-    s scales the classes, r scales q and alpha the potential, and none
-    of them changes WDVV.  The fields hold the gauged 2- and 3-point
-    constants (keyed as in ``TargetData``), inverse-pairing entries
-    (alpha g / s) and divisor factors (degree times s), all integers,
-    and each pivot class's sign coeff s^shift / r^shift, 1 or -1.  A
-    reduction only adds and multiplies these, so every gauged value T
-    is an integer.
-    """
-
-    s: int
-    r: Fraction
-    alpha: int
-    base3: Mapping[tuple[int, int, int, int], int]
-    base2: Mapping[tuple[int, int, int], int]
-    pairing_inverse_entries: tuple[tuple[int, int, int], ...]
-    divisor_factor: Mapping[int, int]
-    sign: Mapping[int, int]
-
-    def unscale(self, value: int, n: int, d: int) -> Fraction:
-        """The invariant whose gauged value on n insertions at degree d is ``value``."""
-        r = self.r
-        return Fraction(
-            self.alpha * r.numerator**d * value, self.s ** (n - 2 + d) * r.denominator**d
-        )
-
-    def gauged(self, value: Fraction, n: int, d: int) -> Optional[int]:
-        """The gauged value of the invariant ``value`` on n insertions at
-        degree d, or ``None`` if it is not an integer, which no
-        invariant of the target has."""
-        r = self.r
-        t, rest = divmod(
-            value.numerator * self.s ** (n - 2 + d) * r.denominator**d,
-            value.denominator * self.alpha * r.numerator**d,
-        )
-        return None if rest else t
-
-
 class _TargetFields(NamedTuple):
     id: str
     orbdeg: tuple[Fraction, ...]
@@ -151,8 +110,8 @@ class TargetData(_TargetFields):
     not hashable.  ``_replace`` gives a new instance with some fields
     changed.  The data derived from the fields (``grading``,
     ``pairing_inverse``, ``pairing_inverse_entries``, ``products``,
-    ``divisor_factorization``, ``pivot_rank``, ``gauge`` and the
-    engine's ``plan``) is computed on first use and cached per instance,
+    ``divisor_factorization``, ``pivot_rank`` and the engine's
+    ``plan``) is computed on first use and cached per instance,
     so a replaced instance computes its own.
     ``divisor_degree`` maps each divisor class to its degree; every
     consumer takes the divisors in its key order.
@@ -322,62 +281,8 @@ class TargetData(_TargetFields):
         return tuple(rank[t] for t in range(self.basis_size))
 
     @cached_property
-    def gauge(self) -> Gauge:
-        """The :class:`Gauge`; s = b and r = alpha = 1 on P(1,b).
-
-        s is the lcm of the divisor degrees' denominators, alpha that of
-        g / s over the nonzero inverse-pairing entries g, and r is
-        |coeff| s of the lowest class whose pivot has q-shift 1, else 1.
-        ``ValueError`` names the first pivot sign that is not +-1, or the
-        first 2- or 3-point constant whose gauged value is not an
-        integer: the engine does not run on such a target.  Then a target
-        whose quantum product is not associative raises ``ValueError``
-        naming a triple of :func:`_noncommuting_triple`.
-        """
-        s = lcm(*(delta.denominator for delta in self.divisor_degree.values()))
-        alpha = lcm(*((g / s).denominator for _, _, g in self.pairing_inverse_entries))
-        steps = self.divisor_factorization
-        r = next((abs(step.coeff) * s for step in steps.values() if step.shift == 1), ONE)
-        sign = {}
-        for t, step in steps.items():
-            c = step.coeff * Fraction(s, r) ** step.shift
-            if c not in (1, -1):
-                raise ValueError(
-                    f"{self.id}: the pivot of class {t} has sign coeff s^shift / "
-                    f"r^shift = {c} with s = {s}, r = {r}, not +-1"
-                )
-            sign[t] = int(c)
-        gauge = Gauge(s, r, alpha, {}, {}, (), {}, sign)
-
-        def integer(key: tuple, value: Fraction) -> int:
-            n = len(key) - 1  # key is the sorted insertions, then d
-            t = gauge.gauged(value, n, key[-1])
-            if t is None:
-                raise ValueError(
-                    f"{self.id}: the {n}-point constant {key} = {value} has no "
-                    f"integer gauged value with s = {s}, r = {r}, alpha = {alpha}"
-                )
-            return t
-
-        out = gauge._replace(
-            base3={key: integer(key, v) for key, v in self.base3.items()},
-            base2={key: integer(key, v) for key, v in self.base2.items()},
-            pairing_inverse_entries=tuple(
-                (i, j, int(alpha * g / s)) for i, j, g in self.pairing_inverse_entries
-            ),
-            divisor_factor={k: int(delta * s) for k, delta in self.divisor_degree.items()},
-        )
-        triple = _noncommuting_triple(self)
-        if triple is not None:
-            raise ValueError(
-                f"{self.id}: the quantum product is not associative: (x a_i) a_k != "
-                f"(a_i a_k) x at (x, i, k) = {triple}"
-            )
-        return out
-
-    @cached_property
     def plan(self):
-        """The engine's tables for this target (``engine.Plan``)."""
+        """The engine's tables for this target, gauge included (``engine.Plan``)."""
         from .engine import Plan
 
         return Plan(self)
@@ -622,7 +527,8 @@ def qmul(td: TargetData, u: QRingElem, v: QRingElem) -> QRingElem:
 
 def _lam_powers(td: TargetData, lam: Fraction) -> list[Fraction]:
     """lam**e for e up to the top q-degree of ``td.products``."""
-    return [lam**e for e in range(1 + max((key[3] for key in td.base3), default=0))]
+    top = max((cell[-1][0] for cell in td._product_cells[0] if cell), default=0)
+    return [lam**e for e in range(1 + top)]
 
 
 def specialize(td: TargetData, lam) -> SpecializedRing:
@@ -706,18 +612,19 @@ def _noncommuting_triple(td: TargetData) -> Optional[tuple[int, int, int]]:
     The product is commutative, so this says that multiplication by each
     divisor commutes with every L_k.  Where the divisors generate the
     ring, the identity is a cyclic vector of theirs, so every L_k is a
-    polynomial in them and the product is associative.  The terms are
-    read as integers over the table's common denominator, each with the
-    key q_degree * size + index, and a side is summed only when its
-    terms differ from the other side's.
+    polynomial in them and the product is associative.  Each distinct
+    cell's terms are read once as integers over the table's common
+    denominator, each with the key q_degree * size + index, and a side
+    is summed only when its terms differ from the other side's.
     """
     size = td.basis_size
-    den = lcm(*{c.denominator for row in td.products for cell in row for _, _, c in cell})
-    table = [
-        [tuple([(dq * size, l, c.numerator * (den // c.denominator)) for dq, l, c in cell])
-         for cell in row]
-        for row in td.products
+    cells, index = td._product_cells
+    den = lcm(*{c.denominator for cell in cells for _, _, c in cell})
+    ints = [
+        tuple([(dq * size, l, c.numerator * (den // c.denominator)) for dq, l, c in cell])
+        for cell in cells
     ]
+    table = [list(map(ints.__getitem__, row)) for row in index]
 
     def total(terms):
         out: dict[int, int] = {}

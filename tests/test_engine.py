@@ -380,7 +380,7 @@ class TestWdvvSum:
                     continue
                 pair = rec._relation(*fixed, splits, beta3)
                 assert [type(v) for v in pair] == [int, int]
-                first, second = (td.gauge.unscale(v, n, beta3) for v in pair)
+                first, second = (td.plan.unscale(v, n, beta3) for v in pair)
                 where = (fixed, deltas, beta3)
                 assert first == wdvv_side(rec, g1, g2, g3, g4, deltas, beta3), where
                 assert second == wdvv_side(
@@ -578,7 +578,7 @@ class TestRescaling:
         td = build_p2()
         scaled = _rescaled(td, F(2))
         assert scaled.pairing_inverse[1][1] == F(1, 2)
-        assert (scaled.gauge.s, scaled.gauge.r, scaled.gauge.alpha) == (1, 1, 2)
+        assert (scaled.plan.s, scaled.plan.r, scaled.plan.alpha) == (1, 1, 2)
         rec, rec2 = Reconstructor(td), Reconstructor(scaled)
         for d in range(1, 8):
             ins = (2,) * (3 * d - 1)
@@ -593,7 +593,7 @@ class TestRescaling:
         td = build_p1b(b)
         scaled = _rescaled(td, q=F(2))
         assert scaled.divisor_factorization[1].coeff == F(2, b)
-        assert (scaled.gauge.s, scaled.gauge.r, scaled.gauge.alpha) == (b, 2, 1)
+        assert (scaled.plan.s, scaled.plan.r, scaled.plan.alpha) == (b, 2, 1)
 
         def rows(rec):
             yield from rec.enumerate_nonzero()
@@ -605,18 +605,54 @@ class TestRescaling:
         assert {key.d for key, _ in want} == {0, 1}
 
     def test_gauge_of_the_shipped_targets(self):
-        for b in (1, 2, 7):
-            gauge = build_p1b(b).gauge
-            assert (gauge.s, gauge.r, gauge.alpha) == (b, 1, 1)
-            assert set(gauge.base3.values()) | set(gauge.base2.values()) == {1}
-            assert {g for _, _, g in gauge.pairing_inverse_entries} == {1}
-            assert gauge.divisor_factor == {b: 1}
-            assert set(gauge.sign.values()) <= {1}
-        gauge = build_p2().gauge
-        assert (gauge.s, gauge.r, gauge.alpha) == (1, 1, 1)
-        assert gauge.sign == {2: 1}
+        def signs(plan):
+            return {t: sign for t, (_, _, _, sign) in plan.pivots.items()}
 
-    # Each rejection branch of ``TargetData.gauge``, on a target that
+        def pairing_entries(plan):
+            return [g for by_residue in plan.buckets.values() for bucket in by_residue
+                    for _, _, _, g in bucket]
+
+        for b in (1, 2, 7):
+            plan = build_p1b(b).plan
+            assert (plan.s, plan.r, plan.alpha) == (b, 1, 1)
+            assert set(plan.constants.values()) == {1}
+            assert len(pairing_entries(plan)) == b + 1
+            assert set(pairing_entries(plan)) == {1}
+            assert plan.divisor_factor == {b: 1}
+            assert set(signs(plan).values()) <= {1}
+        plan = build_p2().plan
+        assert (plan.s, plan.r, plan.alpha) == (1, 1, 1)
+        assert signs(plan) == {2: 1}
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda b=b: build_p1b(b) for b in range(2, 8)]
+        + [
+            build_p2,
+            lambda: _rescaled(build_p1b(3), F(2)),
+            lambda: _rescaled(build_p1b(5), q=F(2)),
+            lambda: _rescaled(build_p1b(4), F(2), F(3)),
+            lambda: _rescaled(build_p2(), F(2)),
+        ],
+        ids=[f"P(1,{b})" for b in range(2, 8)]
+        + ["P2", "P(1,3)-lam2", "P(1,5)-q2", "P(1,4)-lam2-q3", "P2-lam2"],
+    )
+    def test_plan_unscales_every_constant(self, make):
+        # Each forced 2- and 3-point constant is keyed once in the plan,
+        # and its gauged value unscales to the stored Fraction.
+        td = make()
+        plan = td.plan
+        forced = {**td.base3, **td.base2}
+        for key, value in forced.items():
+            *ins, d = key
+            assert td.grading.forced(ins) == d
+            t = plan.constants[_pack(ins)]
+            assert type(t) is int
+            assert plan.unscale(t, len(ins), d) == value, (td.id, key)
+            assert plan.gauged(value, len(ins), d) == t
+        assert len(plan.constants) == len(forced)
+
+    # Each rejection branch of the plan's gauge, on a target that
     # ``validate_target`` accepts.  The gauged inverse pairing and divisor
     # factors are integers by the choice of alpha and s, so they have no
     # branch.

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from gwstack import golden_rows, verify
+from gwstack import Reconstructor, build_p1b, golden_rows, verify
 from gwstack import golden as golden_mod
 from gwstack.engine import InsertionKey
 from gwstack.golden import (
@@ -156,6 +156,23 @@ class TestVerify:
         assert report.render().splitlines() == [
             "P(1,3): 0/1 rows match",
             "  N_0(2,2): table -1/9, engine -1/8",
+        ]
+
+    def test_verify_reads_rows_from_the_engine(self):
+        # A wrong N_0(2,2) preloaded into the memo reaches the report
+        # through the one enumeration, and so do the two rows that reduce
+        # through it.  -1/8 has no integer gauged value on P(1,3), so the
+        # memo cannot hold it; -2/9 (gauged -2) stands in.
+        rec = Reconstructor(build_p1b(3))
+        rec.preload([(0, (1, 1, 2, 2), F(-2, 9))])
+        report = verify(3, reconstructor=rec)
+        assert not report.ok
+        assert (report.missing, report.extra) == ((), ())
+        assert report.render().splitlines() == [
+            "P(1,3): 0/3 rows match",
+            "  N_0(2,2): table -1/9, engine -2/9",
+            "  N_0(1,4): table 1/27, engine 1/9",
+            "  N_0(0,6): table -1/27, engine -1/9",
         ]
 
     def test_report_lists_support_gaps(self):

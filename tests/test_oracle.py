@@ -170,6 +170,18 @@ def test_non_associative_targets_fail(b, key, value, triple):
         wdvv_strata(bad, 2 * b)
 
 
+@pytest.mark.parametrize("value, associative", [(None, True), (F(1, 8), False)], ids=["shipped", "aaa14"])
+def test_associativity_check_at_larger_b(value, associative):
+    # P(1,16), past the strata wdvv_strata solves quickly: the engine's
+    # check against the full triple law alone, on the shipped target and
+    # with <a, a, a^14>_0 at 1/8 instead of 1/16.
+    td = build_p1b(16)
+    if value is not None:
+        td = td._replace(base3={**td.base3, (1, 1, 14, 0): value})
+        validate_target(td)
+    assert _associative(td) is associative
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("b", [7, 8])
 def test_strata_match_the_pinned_support(b):

@@ -162,7 +162,7 @@ class TestTargetData:
 
     def test_derived_data_is_cached(self):
         td = build_p1b(3)
-        assert td.gauge is td.gauge
+        assert td.plan is td.plan
         assert td.grading is td.grading
         assert td.products is td.products
 

@@ -60,8 +60,8 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 
 # Largest b accepted from --b or a record file, checked before any target
-# is built.  build_p1b takes about 11 ms at b = 100, 47 ms at b = 200 and
-# 0.23 s at b = 400 (one pinned Xeon core, Python 3.11; median of 6 runs of 7 calls).
+# is built.  build_p1b takes about 10 ms at b = 100, 38 ms at b = 200 and
+# 0.18 s at b = 400 (one pinned Xeon core, Python 3.11; median of 6 runs of 7 calls).
 _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is

@@ -18,9 +18,9 @@ engine pivots on.  Two constructors are built in,
 
 Everything downstream (the quantum product, specializations at a chosen
 value of q, the reconstruction engine) is driven by the datum alone.
-All coefficients are ``fractions.Fraction``, apart from the integer
-form of the datum that the engine runs on (``td.plan``); no floating
-point number appears anywhere in this package.
+Every coefficient this module returns is a ``fractions.Fraction``; the
+work beneath them, and the engine's tables (``td.plan``), run on integers
+over common denominators.  No floating point number appears anywhere.
 """
 
 from __future__ import annotations
@@ -173,21 +173,19 @@ class TargetData(_TargetFields):
         ``(q_degree, basis_index, coeff)`` triples sorted by degree,
         then index, computed from the 3-point constants alone:
         a_i * a_j = sum_d q^d sum_{k,l} <a_i, a_j, a_k>_d g^{kl} a_l.
-        One pass over the stored constants: for each distinct k of an
-        entry, val * g^{kl} is added to the product of the other two
-        indices, which serves both orders.  The sums run on integer
-        numerators over one denominator, the lcm of the constants'
-        denominators times that of the inverse pairing's.  Equal cells
-        are one tuple object: each distinct integer term list is turned
-        into ``Fraction`` terms once, and each distinct nonzero sum
-        becomes one ``Fraction``, shared by every term that has it.
+        A pair i <= j is keyed by the sorted tuple of its constants (k, d,
+        v), v the integer numerator over their lcm denominator.  As g is
+        invertible and no v is 0, pairs share a cell exactly when they
+        share that key, so the integer contraction runs once per distinct
+        key; equal cells are one tuple, each coefficient one ``Fraction``.
         """
-        cells, index = self._product_cells
+        cells, index, _, _ = self._product_cells
         return tuple(tuple(map(cells.__getitem__, row)) for row in index)
 
     @cached_property
-    def _product_cells(self) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
-        # The distinct cells of ``products``, the empty one first, and each entry's cell index.
+    def _product_cells(self) -> tuple[tuple, tuple[tuple[int, ...], ...], tuple, int]:
+        # The distinct cells of ``products`` (the empty one first), each entry's
+        # cell index, the cells as integer terms (d, l, c) over den, and den.
         size = self.basis_size
         entries = self.pairing_inverse_entries
         g_den = lcm(*(g.denominator for _, _, g in entries))
@@ -195,28 +193,32 @@ class TargetData(_TargetFields):
         ginv_rows = [[] for _ in range(size)]
         for k, l, g in entries:
             ginv_rows[k].append((l, g.numerator * (g_den // g.denominator)))
-        sums_at: dict[tuple[int, int], dict] = {}
-        for (i, j, k, d), val in self.base3.items():
+        held: dict[tuple[int, int], tuple] = {}  # pair -> its constants (k, d, v)
+        for (i, j, k, d), val in self.base3.items():  # i <= j <= k: each pair is in order
             v = val.numerator * (v_den // val.denominator)
-            for m, x, y in {(k, i, j), (j, i, k), (i, j, k)}:
-                acc = sums_at.setdefault((x, y) if x <= y else (y, x), {})
-                for l, g in ginv_rows[m]:
-                    key = d, l
-                    total = acc[key] = acc.get(key, 0) + v * g
-                    if not total:
-                        del acc[key]  # a cancelled sum leaves no term
-        den, coeff = v_den * g_den, {}
-        position: dict[tuple, int] = {(): 0}  # integer terms ((d, l), c) -> cell index
-        cells, index = [()], [[0] * size for _ in range(size)]
-        for (x, y), acc in sums_at.items():
-            terms = tuple(sorted(acc.items()))
-            k = position.get(terms)
+            held[i, j] = held.get((i, j), ()) + ((k, d, v),)
+            if j != k:
+                held[i, k] = held.get((i, k), ()) + ((j, d, v),)
+            if i != j:
+                held[j, k] = held.get((j, k), ()) + ((i, d, v),)
+        den, coeff, position = v_den * g_den, {}, {}  # position: sorted constants -> cell
+        cells, ints, index = [()], [()], [[0] * size for _ in range(size)]
+        for (x, y), consts in held.items():
+            if len(consts) > 1:
+                consts = tuple(sorted(consts))
+            k = position.get(consts)
             if k is None:
-                coeff.update({c: Fraction(c, den) for _, c in terms if c not in coeff})
-                k = position[terms] = len(cells)
-                cells.append(tuple([(d, l, coeff[c]) for (d, l), c in terms]))
+                acc: dict[tuple[int, int], int] = {}
+                for m, d, v in consts:
+                    for l, g in ginv_rows[m]:
+                        acc[d, l] = acc.get((d, l), 0) + v * g
+                terms = [(d, l, c) for (d, l), c in sorted(acc.items()) if c]
+                coeff.update({c: Fraction(c, den) for _, _, c in terms if c not in coeff})
+                k = position[consts] = len(cells)
+                cells.append(tuple([(d, l, coeff[c]) for d, l, c in terms]))
+                ints.append(tuple(terms))
             index[x][y] = index[y][x] = k
-        return tuple(cells), tuple(map(tuple, index))
+        return tuple(cells), tuple(map(tuple, index)), tuple(ints), den
 
     @cached_property
     def divisor_factorization(self) -> dict[int, DivisorStep]:
@@ -358,12 +360,11 @@ def build_p1b(b: int) -> TargetData:
     inv_b2 = inv_b * inv_b
     base3: dict[tuple[int, int, int, int], Fraction] = {}
     for i in range(size):
-        for j in range(i, size):
-            # At most one of k = b - i - j and k = 2b + 1 - i - j is in [j, b].
-            if j <= b - i - j:
-                base3[(i, j, b - i - j, 0)] = inv_b
-            elif j <= 2 * b + 1 - i - j <= b:
-                base3[(i, j, 2 * b + 1 - i - j, 1)] = inv_b2
+        # The j <= b for which k = b - i - j, then k = 2b + 1 - i - j, is in [j, b].
+        for j in range(i, (b - i) // 2 + 1):
+            base3[(i, j, b - i - j, 0)] = inv_b
+        for j in range(max(i, b + 1 - i), (2 * b + 1 - i) // 2 + 1):
+            base3[(i, j, 2 * b + 1 - i - j, 1)] = inv_b2
     base2 = {(i, b + 1 - i, 1): inv_b for i in range(1, (b + 1) // 2 + 1)}
     names = ("1",) + tuple(f"a^{k}" for k in range(1, b)) + ("x",)
     td = TargetData(
@@ -455,12 +456,13 @@ def _invert(rows) -> list[dict[int, Fraction]]:
     """The inverse of a square matrix given as the nonzero entries of its
     rows, by column (``TargetData._pairing_rows``), in the same form."""
     n = len(rows)
-    # Each row of [matrix | identity] keeps only its nonzero entries and
-    # holders[k] the rows with an entry in column k, so nothing touches a
-    # zero.  Rows stay put: the row pivoting on col ends as inverse row col.
-    aug = [{**row, n + i: ONE} for i, row in enumerate(rows)]
+    # Integer Gauss-Jordan on [den * matrix | identity] by nonzero entries (holders[k]:
+    # rows with one in column k); the row pivoting on col ends as pivot * inverse row / den.
+    den = lcm(*(x.denominator for row in rows for x in row.values()))
+    aug = [{k: x.numerator * (den // x.denominator) for k, x in row.items()} for row in rows]
     holders: list[set[int]] = [set() for _ in range(2 * n)]
     for r, row in enumerate(aug):
+        row[n + r] = 1
         for k in row:
             holders[k].add(r)
     free, pivots = set(range(n)), []
@@ -470,18 +472,24 @@ def _invert(rows) -> list[dict[int, Fraction]]:
             raise ValueError("pairing matrix is singular")
         free.remove(piv)
         pivots.append(piv)
-        prow = aug[piv] = {k: x / aug[piv][col] for k, x in aug[piv].items()}
+        prow = aug[piv]
         for r in holders[col] - {piv}:
-            target, c = aug[r], aug[r][col]
+            # target <- (a target - c prow) / gcd clears column col.
+            g = gcd(prow[col], aug[r][col])
+            a, c = prow[col] // g, aug[r][col] // g
+            target = {k: x * a for k, x in aug[r].items()}
             for k, x in prow.items():
-                v = target.get(k, ZERO) - c * x
+                v = target.get(k, 0) - c * x
                 if v:
                     target[k] = v
                     holders[k].add(r)
                 else:
                     del target[k]
                     holders[k].discard(r)
-    return [{k - n: x for k, x in aug[piv].items() if k >= n} for piv in pivots]
+            g = gcd(*target.values())
+            aug[r] = {k: x // g for k, x in target.items()}
+    return [{k - n: Fraction(den * x, aug[p][c]) for k, x in aug[p].items() if k >= n}
+            for c, p in enumerate(pivots)]
 
 
 def basis_element(td: TargetData, index: int) -> QRingElem:
@@ -525,12 +533,6 @@ def qmul(td: TargetData, u: QRingElem, v: QRingElem) -> QRingElem:
     return QRingElem(tuple(map(tuple, acc)))
 
 
-def _lam_powers(td: TargetData, lam: Fraction) -> list[Fraction]:
-    """lam**e for e up to the top q-degree of ``td.products``."""
-    top = max((cell[-1][0] for cell in td._product_cells[0] if cell), default=0)
-    return [lam**e for e in range(1 + top)]
-
-
 def specialize(td: TargetData, lam) -> SpecializedRing:
     """The ring with q set to ``lam`` (0 gives orbifold cohomology).
 
@@ -542,9 +544,8 @@ def specialize(td: TargetData, lam) -> SpecializedRing:
     ``ZERO`` takes its first term as it is.
     """
     lam = Fraction(lam)
-    powers = _lam_powers(td, lam)
     size = td.basis_size
-    cells, index = td._product_cells
+    cells, index, _, _ = td._product_cells
     scaled: dict[tuple[int, int], Fraction] = {}  # (dq, id(c)) -> c lam^dq
     vecs: list[tuple[Fraction, ...]] = []
     for cell in cells:
@@ -553,7 +554,7 @@ def specialize(td: TargetData, lam) -> SpecializedRing:
             if dq:
                 x = scaled.get((dq, id(c)))
                 if x is None:
-                    x = scaled[dq, id(c)] = c * powers[dq]
+                    x = scaled[dq, id(c)] = c * lam**dq
                 c = x
             vec[l] = c if vec[l] is ZERO else vec[l] + c
         vecs.append(tuple(vec))
@@ -565,43 +566,46 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
     """Whether the divisor classes generate the ring at q = lam.
 
     Saturates the span of the identity under multiplication by the
-    divisor classes, over exact rationals, and reports whether it fills
-    the whole ring.  A breadth-first queue starts at the identity; a
-    vector independent of the kept rows is kept as a unit-pivot row of
-    its nonzero entries, and its products with the divisors are queued.
+    divisor classes and reports whether it fills the whole ring, free of
+    fractions: at lam = p/q each divisor's operator is scaled by den q^top
+    (top the top q-degree, den that of ``td.products``' integer terms),
+    which leaves the span as it is.  From the identity on, a vector
+    independent of the kept rows is kept, with a positive pivot, and its
+    products with the divisors are queued, each over its entries' gcd.
     """
     lam = Fraction(lam)
-    powers = _lam_powers(td, lam)
-    size = td.basis_size
-    columns = [
-        [[(l, c * powers[dq] if dq else c) for dq, l, c in row[div]] for row in td.products]
-        for div in td.divisor_degree
-    ]
-    rows: list[tuple[int, dict]] = []  # (pivot column, unit-pivot row's nonzero entries)
-    queue = deque([{td.fundamental_index: ONE}])
+    _, index, ints, _ = td._product_cells
+    top = max((cell[-1][0] for cell in ints if cell), default=0)
+    scale = [lam.numerator**d * lam.denominator ** (top - d) for d in range(1 + top)]
+    columns = [[[(l, c * scale[d]) for d, l, c in ints[row[div]] if scale[d]] for row in index]
+               for div in td.divisor_degree]  # each divisor's operator times den q^top
+    rows: list[tuple[int, int, dict]] = []  # (pivot column, pivot entry, row's nonzero entries)
+    queue = deque([{td.fundamental_index: 1}])
     while queue:
-        vec = queue.popleft()
-        w = dict(vec)
-        for piv, row in rows:
+        w = queue.popleft()
+        for piv, a, row in rows:
             c = w.get(piv)
-            if c:
+            if c:  # w <- (a w - c row) / gcd(a, c) clears column piv
+                g = gcd(a, c)
+                if a != g:
+                    w = {k: x * (a // g) for k, x in w.items()}
                 for k, r in row.items():
-                    w[k] = w.get(k, ZERO) - c * r
+                    w[k] = w.get(k, 0) - c // g * r
         w = {k: x for k, x in w.items() if x}
         if not w:
             continue
         piv = min(w)
-        a = w[piv]
-        rows.append((piv, {k: x / a for k, x in w.items()}))
-        if len(rows) == size:
+        g = gcd(*w.values()) if w[piv] > 0 else -gcd(*w.values())
+        rows.append((piv, w[piv] // g, {k: x // g for k, x in w.items()}))
+        if len(rows) == td.basis_size:
             return True
         for column in columns:
-            out: dict[int, Fraction] = {}
-            for i, v in vec.items():
+            out: dict[int, int] = {}
+            for i, v in rows[-1][2].items():
                 for l, c in column[i]:
-                    x = v * c
-                    out[l] = out[l] + x if l in out else x
-            queue.append({l: x for l, x in out.items() if x})
+                    out[l] = out.get(l, 0) + v * c
+            g = gcd(*out.values()) or 1
+            queue.append({l: x // g for l, x in out.items() if x})
     return False
 
 
@@ -613,18 +617,13 @@ def _noncommuting_triple(td: TargetData) -> Optional[tuple[int, int, int]]:
     divisor commutes with every L_k.  Where the divisors generate the
     ring, the identity is a cyclic vector of theirs, so every L_k is a
     polynomial in them and the product is associative.  Each distinct
-    cell's terms are read once as integers over the table's common
-    denominator, each with the key q_degree * size + index, and a side
-    is summed only when its terms differ from the other side's.
+    cell's integer terms are keyed once by q_degree * size + index, and
+    a side is summed only when its terms differ from the other side's.
     """
     size = td.basis_size
-    cells, index = td._product_cells
-    den = lcm(*{c.denominator for cell in cells for _, _, c in cell})
-    ints = [
-        tuple([(dq * size, l, c.numerator * (den // c.denominator)) for dq, l, c in cell])
-        for cell in cells
-    ]
-    table = [list(map(ints.__getitem__, row)) for row in index]
+    _, index, ints, _ = td._product_cells
+    keyed = [tuple([(d * size, l, c) for d, l, c in cell]) for cell in ints]
+    table = [list(map(keyed.__getitem__, row)) for row in index]
 
     def total(terms):
         out: dict[int, int] = {}
@@ -679,26 +678,27 @@ def validate_target(td: TargetData) -> None:
             raise ValueError(f"divisor {div} needs a positive degree")
 
     # Degree homogeneity: every stored constant sits at its forced degree.
-    degree, weights = td.grading.degree, td.grading.weights
+    weights, scale, c1, dim = td.grading
     for (i, j, k, d), val in td.base3.items():
         if not val:
             raise ValueError("zero entries must be omitted from base3")
         if d < 0 or not (0 <= i <= j <= k < size):
             raise ValueError(f"bad base3 key {(i, j, k, d)}")
-        if degree(weights[i] + weights[j] + weights[k], 3) != d:
+        if weights[i] + weights[j] + weights[k] - dim != c1 * d:
             raise ValueError(f"base3 entry {(i, j, k, d)} violates the degree axiom")
     for (i, j, d), val in td.base2.items():
         if not val:
             raise ValueError("zero entries must be omitted from base2")
         if d < 1 or not (0 <= i <= j < size):
             raise ValueError(f"bad base2 key {(i, j, d)}")
-        if degree(weights[i] + weights[j], 2) != d:
+        if weights[i] + weights[j] + scale - dim != c1 * d:
             raise ValueError(f"base2 entry {(i, j, d)} violates the degree axiom")
 
     # The identity is the unit of the quantum product.  As the pairing is
     # invertible, this says <1, a_i, a_j>_d = eta_ij at d = 0 and 0 at d > 0.
-    for j, terms in enumerate(td.products[fund]):
-        if terms != ((0, j, ONE),):
+    _, index, ints, den = td._product_cells
+    for j, k in enumerate(index[fund]):
+        if ints[k] != ((0, j, den),):
             raise ValueError(f"the identity is not the unit of the quantum product at class {j}")
 
     # Divisor axiom: a divisor D's 3-point constants at d >= 1 are exactly

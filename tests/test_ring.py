@@ -80,13 +80,24 @@ class TestBuildP1b:
         assert (2, 3, 1) not in build_p1b(5).base2
 
     def test_factorizations(self):
-        # a^(t+1) * x = (q/b) a^t on P(1,b), and h * h = h^2 on P^2.
+        # a^(t+1) * x = (q/b) a^t on P(1,b), and h * h = h^2 on P^2.  The
+        # 3-point constants of P(1,b) are the docstring's closed form, in
+        # the order of a loop over i <= j <= k.
         for b in range(1, 101):
             td = build_p1b(b)
             assert td.divisor_factorization == {
                 t: DivisorStep(partner=t + 1, divisor=b, shift=1, coeff=F(1, b))
                 for t in range(1, b)
             }, b
+            base3 = {}
+            for i in range(b + 1):
+                for j in range(i, b + 1):
+                    for k in range(j, b + 1):
+                        if i + j + k == b:
+                            base3[(i, j, k, 0)] = F(1, b)
+                        elif i + j + k == 2 * b + 1:
+                            base3[(i, j, k, 1)] = F(1, b * b)
+            assert list(td.base3.items()) == list(base3.items()), b
         assert build_p2().divisor_factorization == {2: DivisorStep(1, 1, 0, F(1))}
 
     def test_pivot_ranks(self):
@@ -377,7 +388,7 @@ class TestIdentityOffIndexZero:
     def test_generation_by_two_divisors(self):
         both = self._surface()
         one = self._surface(divisor_degree={0: F(1)})
-        for lam in TestKernelsAgainstReference.LAMS:
+        for lam in TestKernelsAgainstReference.GENERATION_LAMS:
             mult = ref.specialize(ref.products(both), lam)
             for td, full in ((both, True), (one, False)):
                 assert (ref.divisor_span_rank(td, mult) == td.basis_size) is full
@@ -406,6 +417,9 @@ def _dense_target():
 
 class TestKernelsAgainstReference:
     LAMS = (F(0), F(1), F(-7, 3), F(1, 9))
+    # The generation check scales by den q^top; a negative lambda and one
+    # of large height check that scale and its sign.
+    GENERATION_LAMS = LAMS + (F(-5), -F(10**40 + 1, 10**40 - 3))
 
     def test_dense_target_exercises_every_path(self):
         td = _dense_target()
@@ -531,6 +545,14 @@ class TestIntegerProducts:
             # vector exactly when they share a cell.
             pairs = set(zip(map(id, cells), map(id, vecs)))
             assert len(pairs) == len({c for c, _ in pairs}) == len({v for _, v in pairs})
+
+    @pytest.mark.parametrize("build", KERNEL_TARGETS)
+    def test_generation_against_reference(self, build):
+        td = build()
+        table = ref.products(td)
+        for lam in TestKernelsAgainstReference.GENERATION_LAMS:
+            full = ref.divisor_span_rank(td, ref.specialize(table, lam)) == td.basis_size
+            assert divisor_generation_check(td, lam) is full, lam
 
     def test_cancelled_term_is_absent(self):
         td = _cancelling_target()
@@ -807,7 +829,7 @@ class TestSpecialize:
 
 
 class TestDivisorGeneration:
-    @pytest.mark.parametrize("b", range(2, 13))
+    @pytest.mark.parametrize("b", [*range(2, 13), 24, 48, 100])
     def test_dichotomy(self, b):
         td = build_p1b(b)
         assert divisor_generation_check(td, 1) is True

@@ -66,7 +66,7 @@ _MAX_ORDER = 100
 
 # Largest b whose full twisted support `table` enumerates when --max-n is
 # not given, checked before any target is built.  On one Xeon core
-# `table --b B` takes about 0.17 s at b = 12 and 0.85 s at b = 16 end to
+# `table --b B` takes about 0.19 s at b = 12 and 0.77 s at b = 16 end to
 # end (medians of 7), and the cost grows about 1.2- to 1.8-fold per step
 # of b.
 _MAX_TABLE_ORDER = 16

@@ -49,13 +49,16 @@ multisets: a count a_k of the m_k copies of each class goes left, and
 the term is weighted by prod C(m_k, a_k), which gives prod (m_k + 1)
 splits instead of 2^m subsets.  Each split's packed key, excess (weight
 sum minus scale times size), size and multiplicity are folded from
-per-class options, built once per class and count, and both
-contractions are evaluated in one pass over that list: a factor's key
-is one integer add away from the split's, and the excess gives its
-degree by one exact division (see ``Reconstructor._relation``).  A term
-whose factor has more than three insertions and holds the identity, or
-a divisor at that factor's degree 0, is 0 by the axioms and is skipped
-before either factor is looked up, so a relation stores no such key.
+per-class options, built once per class and count, and each
+contraction is one pass over that list: a factor's key is one integer
+add away from the split's, and the excess gives its degree by one exact
+division (see ``Reconstructor._relation``).  A factor with more than
+three insertions that holds the identity, or a divisor at its degree 0,
+is 0 by the axioms and is never looked up, so a relation stores no such
+key.  Whole contractions drop their interior splits, where both factors
+have more than three insertions, at total degree 0, at total degree 1
+when the left slots hold a divisor, and when any insertion is the
+identity; the other interior splits read buckets without the identity.
 
 The recursion runs on integers.  WDVV is unchanged when the classes, q
 or the whole potential are rescaled, and the target's gauge (see
@@ -133,7 +136,8 @@ class Plan:
     constants at their forced degree (d > 0 for two points) by packed
     key, ``buckets`` the gauged nonzero inverse-pairing entries (unit[i],
     unit[j], w[i], alpha g / s) by w[i] + w[j] and then -w[i] mod c1
-    (see ``Reconstructor._relation``), ``divisor_factor`` each divisor's
+    (see ``Reconstructor._relation``), ``inner`` the same without the
+    entries where i or j is the identity, ``divisor_factor`` each divisor's
     degree times s, ``order`` the pivot classes, the only ones a reduced
     key holds, with their fields' bit offsets in pivot order, and
     ``pivots`` each one's (partner, divisor, q-shift, sign coeff
@@ -142,7 +146,7 @@ class Plan:
 
     __slots__ = (
         "s", "r", "alpha", "grading", "unit", "identity_field", "divisor_fields",
-        "constants", "buckets", "divisor_factor", "order", "pivots", "options",
+        "constants", "buckets", "inner", "divisor_factor", "order", "pivots", "options",
     )
 
     def __init__(self, td: TargetData) -> None:
@@ -180,10 +184,14 @@ class Plan:
                 )
             if (n == 3 or d) and degree(sum(w[k] for k in ins), n) == d:
                 constants[sum(unit[k] for k in ins)] = t
-        buckets = self.buckets = {}
+        buckets, inner = self.buckets, self.inner = {}, {}
+        one = td.fundamental_index
         for i, j, g in td.pairing_inverse_entries:
-            by_residue = buckets.setdefault(w[i] + w[j], [()] * c1)
-            by_residue[-w[i] % c1] += ((unit[i], unit[j], w[i], int(alpha * g / s)),)
+            entry = ((unit[i], unit[j], w[i], int(alpha * g / s)),)
+            buckets.setdefault(w[i] + w[j], [()] * c1)[-w[i] % c1] += entry
+            by_residue = inner.setdefault(w[i] + w[j], [()] * c1)
+            if one not in (i, j):
+                by_residue[-w[i] % c1] += entry
         self.divisor_factor = {k: int(delta * s) for k, delta in td.divisor_degree.items()}
         triple = _noncommuting_triple(td)
         if triple is not None:
@@ -476,7 +484,7 @@ class Reconstructor:
         self, third: int, partner: int, donor: int, divisor: int, splits: Sequence[tuple], beta3: int
     ) -> tuple[int, int]:
         """Both contractions of the WDVV relation that ``_reduce`` solves,
-        for (g1, g2, g3, g4) = (third, partner, donor, divisor), in one
+        for (g1, g2, g3, g4) = (third, partner, donor, divisor), each one
         pass over ``splits`` (built by :meth:`Plan.fold`) of the other
         insertions ``deltas``: ``(first, second)``, where ``first`` joins
         a left part A to g1, g2 and the rest B to g3, g4, ``second`` swaps
@@ -493,13 +501,19 @@ class Reconstructor:
         contraction only the entries whose w[i] makes d1 an integer; d1 is
         then an exact division, and d2 = beta3 - d1 needs no check.
 
-        A term is skipped before any lookup when a factor with more than
-        three insertions holds the identity, or a divisor at its degree
-        0: the axioms make it 0.  The right factor, tested first, holds
-        g4, the reduction's divisor, so it is skipped at every d2 = 0; a
-        zero left factor skips the right one's lookup.  Three-point
-        factors, the left one of a = 0 and the right one of a = m, are
-        never skipped.  The factors and g are gauged integers, so each
+        A factor with more than three insertions is 0 if it holds the
+        identity, or a divisor at its degree 0; the right one holds g4, the
+        reduction's divisor, so it is 0 at every d2 = 0.  Such terms are
+        skipped before any lookup, and decided once per relation where
+        they can be.  On an interior split, 0 < a < m, both factors have
+        more than three insertions, so a contraction has no interior term
+        at beta3 = 0, or at beta3 = 1 if its left slots hold a divisor, or
+        if a slot or a delta is the identity; else its interior splits read
+        ``Plan.inner`` and test only d1 = 0 and d2 = 0.  The split a = 0
+        (a three-point left factor) and a = m (first contraction only, a
+        three-point right factor) read the full bucket and test each
+        entry.  A zero left factor skips the right one's lookup.  The
+        factors and g are gauged integers, so each
         contraction is one integer sum; on m deltas it is a gauged value
         on m + 3 insertions at degree beta3.
         """
@@ -508,53 +522,80 @@ class Reconstructor:
         unit = plan.unit
         full_code, full_excess, m, _ = splits[-1]
         top = c1 * beta3
-        slots = w[third] + w[partner] + w[donor] + w[divisor]
-        buckets = plan.buckets.get(top - slots - full_excess + 2 * dim)
+        fill = top - w[third] - w[partner] - w[donor] - w[divisor] - full_excess + 2 * dim
+        buckets = plan.buckets.get(fill)
         if buckets is None:
             return 0, 0
-        # (left code, right code, left_base, slot) of each contraction.
+        cache, ev = self.cache, self._eval
+        ident, divs = plan.identity_field, plan.divisor_fields
         rest = unit[divisor] + full_code
+        # (left code, right code, left_base) of each contraction.
         sides = (
-            (unit[third] + unit[partner], unit[donor] + rest, w[third] + w[partner] - dim, 0),
-            (unit[third] + unit[donor], unit[partner] + rest, w[third] + w[donor] - dim, 1),
+            (unit[third] + unit[partner], unit[donor] + rest, w[third] + w[partner] - dim),
+            (unit[third] + unit[donor], unit[partner] + rest, w[third] + w[donor] - dim),
         )
-        ident = plan.identity_field
-        divs = plan.divisor_fields
-        cache = self.cache
-        totals = [0, 0]
-        # The axiom masks: a factor key that meets its identity mask, the
-        # left one at d1 = 0 that meets ldiv, or the right one at d2 = 0,
-        # is 0.  All are 0 while the factor has three insertions.
-        lid = ldiv = 0
-        rid = ident
-        for code, excess, size, mult in splits:
-            if size == m:
-                rid = 0
-                sides = sides[:1]
-            for left_code, right_code, left_base, slot in sides:
-                base = left_base + excess
-                for ui, uj, wi, g in buckets[base % c1]:
-                    t = base + wi  # c1 d1
-                    if t < 0 or t > top:
+        # a = m, first contraction only: the right factor has three
+        # insertions, the left one 3 + m (masked only if m > 0).
+        lcode, rcode, lbase = sides[0]
+        lid, ldiv = (ident, divs) if m else (0, 0)
+        base = lbase + full_excess
+        first = 0
+        for ui, uj, wi, g in buckets[base % c1]:
+            t = base + wi  # c1 d1
+            if t < 0 or t > top:
+                continue
+            lkey = lcode + full_code + ui
+            if lkey & lid or not t and lkey & ldiv:
+                continue
+            left = cache.get(lkey)
+            if left is None:
+                left = ev(lkey, 3 + m, t // c1)
+            if left:
+                first += left * cache.get(rcode - full_code + uj, 0) * g
+        if not m:
+            return first, 0
+        totals = []
+        # Interior splits: none at beta3 = 0 or with the identity in a slot
+        # or a delta, and none at beta3 = 1 for a side whose left slots
+        # hold a divisor; their buckets hold no identity entry.
+        inner = splits[1:-1] if beta3 and not (sides[1][0] + sides[1][1]) & ident else ()
+        by_residue = plan.inner[fill]
+        for lcode, rcode, lbase in sides:
+            total = 0
+            # a = 0: the left factor has three insertions, the right one 3 + m.
+            for ui, uj, wi, g in buckets[lbase % c1]:
+                t = lbase + wi
+                if t < 0 or t >= top:
+                    continue
+                rkey = rcode + uj
+                if rkey & ident:
+                    continue
+                left = cache.get(lcode + ui)
+                if left:
+                    right = cache.get(rkey)
+                    if right is None:
+                        right = ev(rkey, 3 + m, beta3 - t // c1)
+                    total += left * right * g
+            for code, excess, size, mult in inner if beta3 > 1 or not lcode & divs else ():
+                base = lbase + excess
+                for ui, uj, wi, g in by_residue[base % c1]:
+                    t = base + wi
+                    if t < 0 or t >= top:
                         continue
-                    rkey = right_code - code + uj
-                    if rkey & rid or t == top and rid:
-                        continue
-                    lkey = left_code + code + ui
-                    if lkey & lid or not t and lkey & ldiv:
+                    lkey = lcode + code + ui
+                    if not t and lkey & divs:
                         continue
                     left = cache.get(lkey)
                     if left is None:
-                        left = self._eval(lkey, 3 + size, t // c1)
-                    if not left:
-                        continue
-                    right = cache.get(rkey)
-                    if right is None:
-                        right = self._eval(rkey, 3 + m - size, beta3 - t // c1)
-                    if right:
-                        totals[slot] += left * right * g * mult
-            lid, ldiv = ident, divs
-        return totals[0], totals[1]
+                        left = ev(lkey, 3 + size, t // c1)
+                    if left:
+                        rkey = rcode - code + uj
+                        right = cache.get(rkey)
+                        if right is None:
+                            right = ev(rkey, 3 + m - size, beta3 - t // c1)
+                        total += left * right * g * mult
+            totals.append(total)
+        return first + totals[0], totals[1]
 
 
 def _bounded_multisets(

@@ -702,15 +702,38 @@ def validate_target(td: TargetData) -> None:
             raise ValueError(f"the identity is not the unit of the quantum product at class {j}")
 
     # Divisor axiom: a divisor D's 3-point constants at d >= 1 are exactly
-    # <a_i, a_j, D>_d = d deg(D) <a_i, a_j>_d.
-    for div, weight in td.divisor_degree.items():
-        held = {key: v for key, v in td.base3.items() if key[3] and div in key[:3]}
-        axiom = {(*sorted((i, j, div)), d): d * weight * v for (i, j, d), v in td.base2.items()}
-        if held != axiom:
-            key = min(k for k in held.keys() | axiom.keys() if held.get(k) != axiom.get(k))
+    # <a_i, a_j, D>_d = d deg(D) <a_i, a_j>_d.  One pass over base3 compares
+    # each constant that holds D with its 2-point one on integers; as the
+    # pair fixes the key, D holds them all once it matches each base2 entry.
+    degree = {div: (w.numerator, w.denominator) for div, w in td.divisor_degree.items()}
+    bad = {div: [] for div in degree}
+    matched = dict.fromkeys(degree, 0)
+    for key, v in td.base3.items():
+        i, j, k, d = key
+        if d and (i in degree or j in degree or k in degree):
+            for div in {i, j, k}.intersection(degree):
+                pair = [i, j, k]
+                pair.remove(div)
+                u = td.base2.get((*pair, d))
+                p, q = degree[div]
+                if u is not None and (
+                    v.numerator * q * u.denominator == d * p * u.numerator * v.denominator
+                ):
+                    matched[div] += 1
+                else:
+                    bad[div].append(key)
+    for div, keys in bad.items():
+        if matched[div] < len(td.base2):
+            want = ((*sorted((i, j, div)), d) for i, j, d in td.base2)
+            keys += [key for key in want if key not in td.base3]
+        if keys:
+            key = min(keys)
+            pair = list(key[:3])
+            pair.remove(div)
+            axiom = key[3] * td.divisor_degree[div] * td.base2.get((*pair, key[3]), ZERO)
             raise ValueError(
-                f"base3 entry {key} is {held.get(key, ZERO)}, but the divisor axiom "
-                f"gives {axiom.get(key, ZERO)}"
+                f"base3 entry {key} is {td.base3.get(key, ZERO)}, but the divisor axiom "
+                f"gives {axiom}"
             )
 
     td.pivot_rank  # raises if a class has no divisor factorization or one cycles

@@ -124,6 +124,23 @@ class TestMemoCache:
             "3823803671e3c74201a197520e5553530aa83784409e527931b2dc4c9b071dce"
         )
 
+    def test_rows_of_the_largest_full_tables_are_pinned(self):
+        # The enumerated rows of P(1,15) and P(1,16), the largest orders
+        # whose full support the CLI tabulates: 12,574 WDVV relations, 260
+        # of them at beta3 = 2 and the rest at beta3 = 1.
+        digest = hashlib.sha256()
+        rows = 0
+        for b in (15, 16):
+            for key, value in Reconstructor(build_p1b(b)).enumerate_nonzero():
+                digest.update(
+                    f"{b} {key.d} {','.join(map(str, key.insertions))} {value}\n".encode()
+                )
+                rows += 1
+        assert rows == 12574
+        assert digest.hexdigest() == (
+            "4c53006ad5fc193c8df5325f7e0bdfe8af27f6509da93fd90dd55ed0e831cf47"
+        )
+
 
 class TestValueType:
     def test_values_are_fractions(self):
@@ -417,6 +434,44 @@ class TestWdvvSum:
             checked += 1
             kept += found if one in fixed else 0
         assert kept >= 10
+
+    @pytest.mark.parametrize("b", [3, 4, 5, 6, 7, 8, 9, None], ids=lambda b: b or "P2")
+    def test_contractions_without_interior_terms(self, b):
+        # The contractions that ``_relation`` walks without their interior
+        # splits: at beta3 = 1 with a divisor in g1 or g2 (every interior
+        # term has d1 = 0 with a divisor on the left, or d2 = 0 with g4 on
+        # the right), and on P^2 at beta3 = 0.  At least 2 deltas, so that
+        # there is an interior split to leave out, and 30 draws at the
+        # forced degree per target.  P^2 reaches degree 0 only with
+        # identity insertions, so its draws take the identity too, and all
+        # its terms vanish: the skip must give exactly 0 there.
+        rec = Reconstructor(build_p2() if b is None else build_p1b(b))
+        td = rec.td
+        w = td.grading.weights
+        beta3 = 0 if b is None else 1
+        divisors = sorted(td.divisor_degree)
+        classes = [k for k in range(td.basis_size) if b is None or k != td.fundamental_index]
+        rng = random.Random(20261020 + (b or 0))
+        checked = nonzero = 0
+        while checked < 30:
+            g1, g2, g3 = (rng.choice(classes) for _ in range(3))
+            g4 = rng.choice(divisors)
+            if beta3 and rng.randrange(2):
+                g1 = rng.choice(divisors)
+            elif beta3:
+                g2 = rng.choice(divisors)
+            deltas = tuple(rng.choice(classes) for _ in range(rng.randint(2, 5)))
+            n = len(deltas) + 3
+            if td.grading.degree(sum(w[k] for k in (g1, g2, g3, g4) + deltas), n) != beta3:
+                continue
+            pair = rec._relation(g1, g2, g3, g4, _fold(td.plan, deltas), beta3)
+            first, second = (td.plan.unscale(v, n, beta3) for v in pair)
+            where = ((g1, g2, g3, g4), deltas)
+            assert first == wdvv_side(rec, g1, g2, g3, g4, deltas, beta3), where
+            assert second == wdvv_side(rec, g1, g3, g2, g4, deltas, beta3, skip_full=True), where
+            checked += 1
+            nonzero += (first != 0) + (second != 0)
+        assert nonzero == 0 if b is None else nonzero >= 1
 
 
 def _fold(plan, deltas):

@@ -385,6 +385,44 @@ class TestIdentityOffIndexZero:
         with pytest.raises(ValueError, match="not the unit of the quantum product at class 2"):
             validate_target(stray)
 
+    def test_extra_divisor_constant(self):
+        # <h1, h1, pt>_1 sits at its forced degree and holds the divisor
+        # h1, but with no 2-point constant the divisor axiom makes it 0.
+        td = self._surface()
+        assert td.grading.forced((0, 0, 2)) == 1
+        extra = td._replace(base3={**td.base3, (0, 0, 2, 1): F(1)})
+        with pytest.raises(
+            ValueError, match=r"base3 entry \(0, 0, 2, 1\) is 1, but the divisor axiom gives 0"
+        ):
+            validate_target(extra)
+
+    def test_divisor_axiom_of_two_divisors(self):
+        # <h1, pt>_1 = <h2, pt>_1 = 1: the divisor axiom of h1 asks
+        # <h1, h1, pt>_1 = <h1, h2, pt>_1 = 1, that of h2 <h1, h2, pt>_1 =
+        # <h2, h2, pt>_1 = 1.  With all three the check passes, and the
+        # target then fails only for h1 * h2 = pt + q, which is no pivot.
+        base2 = {(0, 2, 1): F(1), (1, 2, 1): F(1)}
+        base3 = {**self._surface().base3, (0, 0, 2, 1): F(1), (0, 1, 2, 1): F(1), (1, 1, 2, 1): F(1)}
+        with pytest.raises(ValueError, match="basis class 2 is not a single-term product"):
+            validate_target(self._surface(base2=base2, base3=base3))
+        # Only h2's own constant is missing.
+        del base3[1, 1, 2, 1]
+        with pytest.raises(
+            ValueError, match=r"base3 entry \(1, 1, 2, 1\) is 0, but the divisor axiom gives 1"
+        ):
+            validate_target(self._surface(base2=base2, base3=base3))
+        # Each divisor fails on a key of its own: the error names the key of
+        # the first divisor in ``divisor_degree`` order, even where the
+        # other divisor's key sorts first.
+        base3[0, 0, 2, 1] = F(2)
+        for divisor_degree, message in (
+            ({0: F(1), 1: F(1)}, r"\(0, 0, 2, 1\) is 2, but the divisor axiom gives 1"),
+            ({1: F(1), 0: F(1)}, r"\(1, 1, 2, 1\) is 0, but the divisor axiom gives 1"),
+        ):
+            surface = self._surface(base2=base2, base3=base3, divisor_degree=divisor_degree)
+            with pytest.raises(ValueError, match=message):
+                validate_target(surface)
+
     def test_generation_by_two_divisors(self):
         both = self._surface()
         one = self._surface(divisor_degree={0: F(1)})

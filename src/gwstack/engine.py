@@ -83,7 +83,7 @@ from itertools import chain
 from math import comb, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .ring import ONE, TargetData, ZERO, _noncommuting_triple
+from .ring import ONE, TargetData, ZERO, _noncommuting_triple, validate_target
 
 _FIELD = 16  # bits per class in a packed key
 _MASK = (1 << _FIELD) - 1
@@ -119,9 +119,9 @@ class InsertionKey(NamedTuple):
 
 class Plan:
     """The engine's tables for one target (``td.plan``), built once per
-    ``TargetData`` and shared by every engine on it.  No engine changes
-    them; ``options`` only gains the split options of a (class, count)
-    on first use.
+    ``TargetData`` that ``validate_target`` accepts and shared by every
+    engine on it.  No engine changes them; ``options`` only gains the
+    split options of a (class, count) on first use.
 
     The gauge N = alpha r^d T / s^(n - 2 + d) of the module docstring
     has s the lcm of the divisor degrees' denominators, alpha that of
@@ -132,16 +132,16 @@ class Plan:
 
     ``unit[k]`` is one copy of class k as a packed key; an n >= 4 key
     that meets ``identity_field``, or ``divisor_fields`` at degree 0,
-    is 0 by that axiom.  ``constants`` holds the gauged 2- and 3-point
-    constants at their forced degree (d > 0 for two points) by packed
-    key, ``buckets`` the gauged nonzero inverse-pairing entries (unit[i],
-    unit[j], w[i], alpha g / s) by w[i] + w[j] and then -w[i] mod c1
-    (see ``Reconstructor._relation``), ``inner`` the same without the
-    entries where i or j is the identity, ``divisor_factor`` each divisor's
-    degree times s, ``order`` the pivot classes, the only ones a reduced
-    key holds, with their fields' bit offsets in pivot order, and
-    ``pivots`` each one's (partner, divisor, q-shift, sign coeff
-    s^shift / r^shift).
+    is 0 by that axiom.  ``constants`` holds every gauged 2- and 3-point
+    constant by packed key (``validate_target`` puts each at its forced
+    degree, d > 0 for two points), ``buckets`` the gauged nonzero
+    inverse-pairing entries (unit[i], unit[j], w[i], alpha g / s) by
+    w[i] + w[j] and then -w[i] mod c1 (see ``Reconstructor._relation``),
+    ``inner`` the same without the entries where i or j is the identity,
+    ``divisor_factor`` each divisor's degree times s, ``order`` the pivot
+    classes, the only ones a reduced key holds, with their fields' bit
+    offsets in pivot order, and ``pivots`` each one's (partner, divisor,
+    q-shift, sign coeff s^shift / r^shift).
     """
 
     __slots__ = (
@@ -150,10 +150,11 @@ class Plan:
     )
 
     def __init__(self, td: TargetData) -> None:
-        """Raises as ``td.divisor_factorization`` and ``td.pivot_rank`` do,
-        and ``ValueError`` naming the first pivot sign that is not +-1, then
-        the first 2- or 3-point constant with no integer gauged value, then
-        a triple of ``ring._noncommuting_triple`` (not associative)."""
+        """Raises as ``validate_target`` does, then ``ValueError`` naming the
+        first pivot sign that is not +-1, then the first 2- or 3-point
+        constant with no integer gauged value, then a triple of
+        ``ring._noncommuting_triple`` (not associative)."""
+        validate_target(td)
         steps = td.divisor_factorization
         s = self.s = lcm(*(delta.denominator for delta in td.divisor_degree.values()))
         alpha = self.alpha = lcm(*((g / s).denominator for _, _, g in td.pairing_inverse_entries))
@@ -167,8 +168,7 @@ class Plan:
                     f"r^shift = {c} with s = {s}, r = {r}, not +-1"
                 )
             pivots[t] = (step.partner, step.divisor, step.shift, int(c))
-        grading = self.grading = td.grading
-        w, c1, degree = grading.weights, grading.c1, grading.degree
+        w, _, c1, _ = self.grading = td.grading
         unit = self.unit = tuple(1 << (_FIELD * k) for k in range(td.basis_size))
         self.identity_field = _MASK * unit[td.fundamental_index]
         self.divisor_fields = sum(_MASK * unit[v] for v in td.divisor_degree)
@@ -182,8 +182,7 @@ class Plan:
                     f"{td.id}: the {n}-point constant {key} = {value} has no "
                     f"integer gauged value with s = {s}, r = {r}, alpha = {alpha}"
                 )
-            if (n == 3 or d) and degree(sum(w[k] for k in ins), n) == d:
-                constants[sum(unit[k] for k in ins)] = t
+            constants[sum(unit[k] for k in ins)] = t
         buckets, inner = self.buckets, self.inner = {}, {}
         one = td.fundamental_index
         for i, j, g in td.pairing_inverse_entries:
@@ -295,8 +294,8 @@ class Reconstructor:
     a relation skips such a factor without storing it.  ``snapshot()``
     gives the n >= 4 values as ``Fraction`` with sorted insertion
     tuples.  A new engine copies the constants of ``td.plan``, built
-    once per target, which raises ``ValueError`` for a target without
-    an integer form or whose quantum product is not associative.
+    once per target, which raises ``ValueError`` as ``validate_target``
+    does and for a target with no integer form or no associative product.
     """
 
     def __init__(self, td: TargetData) -> None:

@@ -110,16 +110,18 @@ class TargetData(_TargetFields):
     not hashable.  ``_replace`` gives a new instance with some fields
     changed.  The data derived from the fields (``grading``,
     ``pairing_inverse``, ``pairing_inverse_entries``, ``products``,
-    ``divisor_factorization``, ``pivot_rank`` and the engine's
-    ``plan``) is computed on first use and cached per instance,
-    so a replaced instance computes its own.
+    ``divisor_factorization``, ``pivot_rank``, the engine's ``plan``
+    and the checks of :func:`validate_target`, which ``plan`` runs
+    first) is computed on first use and cached per instance, so a
+    replaced instance computes its own; a refusal is not cached.
     ``divisor_degree`` maps each divisor class to its degree; every
     consumer takes the divisors in its key order.
 
     ``power_basis`` is set to b for targets whose basis class k is the
     k-th power of a single degree-lowest generator subject to the
     relation b * a^(b+1) = q; it unlocks enumeration over exponents and
-    the multiplicity-vector file formats.  ``None`` otherwise.
+    the multiplicity-vector file formats, whose layout
+    ``validate_target`` checks.  ``None`` otherwise.
     """
 
     __eq__ = object.__eq__
@@ -281,6 +283,81 @@ class TargetData(_TargetFields):
             for t in reversed(chain):
                 below = rank[t] = below + 1
         return tuple(rank[t] for t in range(self.basis_size))
+
+    @cached_property
+    def _checked(self) -> None:
+        # validate_target's checks; a refusal raises, so it is not cached.
+        size, fund = self.basis_size, self.fundamental_index
+        if not 0 <= fund < size:
+            raise ValueError("fundamental index out of range")
+        if self.orbdeg[fund] != 0:
+            raise ValueError("the identity class must sit in degree 0")
+        if self.c1_degree <= 0:
+            raise ValueError("c1 degree must be positive")
+        if len(self.pairing) != size or any(len(row) != size for row in self.pairing):
+            raise ValueError("pairing matrix has the wrong shape")
+        if len(self.basis_names) != size:
+            raise ValueError(f"{len(self.basis_names)} basis names for {size} classes")
+        rows = self._pairing_rows
+        if any(rows[j].get(i) != g for i, row in enumerate(rows) for j, g in row.items()):
+            raise ValueError("pairing matrix is not symmetric")
+        self.pairing_inverse_entries  # raises if singular
+        for div in self.divisor_degree:
+            if div == fund or not 0 <= div < size:
+                raise ValueError(f"bad divisor index {div}")
+            if self.divisor_degree[div] <= 0:
+                raise ValueError(f"divisor {div} needs a positive degree")
+
+        # A power basis a^0..a^b: enumeration and the multiplicity vectors
+        # take class k for a^k, of weight k, and x = a^b for the one divisor.
+        weights, scale, c1, dim = self.grading
+        b = self.power_basis
+        if b is not None and not (weights == tuple(range(b + 1)) and b <= scale
+                                  and fund == 0 and list(self.divisor_degree) == [b]):
+            raise ValueError(f"power_basis {b} needs weights 0..{b} with scale >= {b}, "
+                             f"the identity 0 and the divisor {b} alone")
+
+        # Degree homogeneity: every stored constant sits at its forced degree.
+        for (i, j, k, d), val in self.base3.items():
+            if not val:
+                raise ValueError("zero entries must be omitted from base3")
+            if d < 0 or not (0 <= i <= j <= k < size):
+                raise ValueError(f"bad base3 key {(i, j, k, d)}")
+            if weights[i] + weights[j] + weights[k] - dim != c1 * d:
+                raise ValueError(f"base3 entry {(i, j, k, d)} violates the degree axiom")
+        for (i, j, d), val in self.base2.items():
+            if not val:
+                raise ValueError("zero entries must be omitted from base2")
+            if d < 1 or not (0 <= i <= j < size):
+                raise ValueError(f"bad base2 key {(i, j, d)}")
+            if weights[i] + weights[j] + scale - dim != c1 * d:
+                raise ValueError(f"base2 entry {(i, j, d)} violates the degree axiom")
+
+        # The identity is the unit of the quantum product.  As the pairing is
+        # invertible, this says <1, a_i, a_j>_d = eta_ij at d = 0 and 0 at d > 0.
+        _, index, ints, den = self._product_cells
+        for j, k in enumerate(index[fund]):
+            if ints[k] != ((0, j, den),):
+                raise ValueError(f"the identity is not the unit of the quantum product at class {j}")
+
+        # Divisor axiom: a divisor D's 3-point constants at d >= 1 are exactly
+        # <a_i, a_j, D>_d = d deg(D) <a_i, a_j>_d.  The keys base2 asks for and
+        # the base3 keys at d >= 1 that hold D (tested at k first, where sorted
+        # keys hold a last divisor) are compared in sorted order on integers,
+        # so the first that differs is named.
+        for div, delta in self.divisor_degree.items():
+            want = {(*sorted((i, j, div)), d): u for (i, j, d), u in self.base2.items()}
+            have = {key: v for key, v in self.base3.items()
+                    if key[3] and (key[2] == div or key[1] == div or key[0] == div)}
+            p, q = delta.numerator, delta.denominator
+            for key in sorted(want.keys() | have.keys()):
+                v, u = have.get(key, ZERO), want.get(key, ZERO)
+                if v.numerator * q * u.denominator != key[3] * p * u.numerator * v.denominator:
+                    raise ValueError(
+                        f"base3 entry {key} is {v}, but the divisor axiom gives {key[3] * delta * u}"
+                    )
+
+        self.pivot_rank  # raises if a class has no divisor factorization or one cycles
 
     @cached_property
     def plan(self):
@@ -652,88 +729,11 @@ def validate_target(td: TargetData) -> None:
     structural axiom the reconstruction engine relies on: degree
     homogeneity of every stored constant, the identity as the unit of
     the quantum product (at any basis index), divisor constants
-    matching the 2-point data, and a divisor factorization for every
+    matching the 2-point data, one name per class, the layout that
+    ``power_basis`` promises, and a divisor factorization for every
     class that is neither the identity nor a divisor whose partner
     chains end (see :attr:`TargetData.divisor_factorization` and
-    :attr:`TargetData.pivot_rank`).
+    :attr:`TargetData.pivot_rank`).  Every engine's ``Plan`` runs them
+    first.  They run once per instance; a refused target is checked again.
     """
-    size = td.basis_size
-    fund = td.fundamental_index
-    if not 0 <= fund < size:
-        raise ValueError("fundamental index out of range")
-    if td.orbdeg[fund] != 0:
-        raise ValueError("the identity class must sit in degree 0")
-    if td.c1_degree <= 0:
-        raise ValueError("c1 degree must be positive")
-    if len(td.pairing) != size or any(len(row) != size for row in td.pairing):
-        raise ValueError("pairing matrix has the wrong shape")
-    rows = td._pairing_rows
-    if any(rows[j].get(i) != g for i, row in enumerate(rows) for j, g in row.items()):
-        raise ValueError("pairing matrix is not symmetric")
-    td.pairing_inverse_entries  # raises if singular
-    for div in td.divisor_degree:
-        if div == fund or not 0 <= div < size:
-            raise ValueError(f"bad divisor index {div}")
-        if td.divisor_degree[div] <= 0:
-            raise ValueError(f"divisor {div} needs a positive degree")
-
-    # Degree homogeneity: every stored constant sits at its forced degree.
-    weights, scale, c1, dim = td.grading
-    for (i, j, k, d), val in td.base3.items():
-        if not val:
-            raise ValueError("zero entries must be omitted from base3")
-        if d < 0 or not (0 <= i <= j <= k < size):
-            raise ValueError(f"bad base3 key {(i, j, k, d)}")
-        if weights[i] + weights[j] + weights[k] - dim != c1 * d:
-            raise ValueError(f"base3 entry {(i, j, k, d)} violates the degree axiom")
-    for (i, j, d), val in td.base2.items():
-        if not val:
-            raise ValueError("zero entries must be omitted from base2")
-        if d < 1 or not (0 <= i <= j < size):
-            raise ValueError(f"bad base2 key {(i, j, d)}")
-        if weights[i] + weights[j] + scale - dim != c1 * d:
-            raise ValueError(f"base2 entry {(i, j, d)} violates the degree axiom")
-
-    # The identity is the unit of the quantum product.  As the pairing is
-    # invertible, this says <1, a_i, a_j>_d = eta_ij at d = 0 and 0 at d > 0.
-    _, index, ints, den = td._product_cells
-    for j, k in enumerate(index[fund]):
-        if ints[k] != ((0, j, den),):
-            raise ValueError(f"the identity is not the unit of the quantum product at class {j}")
-
-    # Divisor axiom: a divisor D's 3-point constants at d >= 1 are exactly
-    # <a_i, a_j, D>_d = d deg(D) <a_i, a_j>_d.  One pass over base3 compares
-    # each constant that holds D with its 2-point one on integers; as the
-    # pair fixes the key, D holds them all once it matches each base2 entry.
-    degree = {div: (w.numerator, w.denominator) for div, w in td.divisor_degree.items()}
-    bad = {div: [] for div in degree}
-    matched = dict.fromkeys(degree, 0)
-    for key, v in td.base3.items():
-        i, j, k, d = key
-        if d and (i in degree or j in degree or k in degree):
-            for div in {i, j, k}.intersection(degree):
-                pair = [i, j, k]
-                pair.remove(div)
-                u = td.base2.get((*pair, d))
-                p, q = degree[div]
-                if u is not None and (
-                    v.numerator * q * u.denominator == d * p * u.numerator * v.denominator
-                ):
-                    matched[div] += 1
-                else:
-                    bad[div].append(key)
-    for div, keys in bad.items():
-        if matched[div] < len(td.base2):
-            want = ((*sorted((i, j, div)), d) for i, j, d in td.base2)
-            keys += [key for key in want if key not in td.base3]
-        if keys:
-            key = min(keys)
-            pair = list(key[:3])
-            pair.remove(div)
-            axiom = key[3] * td.divisor_degree[div] * td.base2.get((*pair, key[3]), ZERO)
-            raise ValueError(
-                f"base3 entry {key} is {td.base3.get(key, ZERO)}, but the divisor axiom "
-                f"gives {axiom}"
-            )
-
-    td.pivot_rank  # raises if a class has no divisor factorization or one cycles
+    td._checked

@@ -367,11 +367,17 @@ class TestWdvvSum:
         # the other draws stay what they would be without it.  Draws with
         # 0 to 2 deltas come last, from a stream of their own and with the
         # identity more often: their three-point factors hold the
-        # identity or a divisor at degree 0 and are not zero.
-        rec = engines.p2() if b is None else engines.p1b(b)
-        td = rec.td
+        # identity or a divisor at degree 0 and are not zero.  A relation
+        # stores no key that is 0 by those axioms: each call adds no key
+        # of more than three insertions that holds the identity, or a
+        # divisor at its forced degree 0.  The plain walk runs on the
+        # shared engine, as its lookups store such keys.
+        shared = engines.p2() if b is None else engines.p1b(b)
+        td = shared.td
+        rec = Reconstructor(td)
         w = td.grading.weights
         one = td.fundamental_index
+        ident, divs = td.plan.identity_field, td.plan.divisor_fields
         divisors = sorted(td.divisor_degree)
         rng = random.Random(20261018 + (b or 0))
         identity = random.Random(-20261018 - (b or 0))
@@ -395,13 +401,18 @@ class TestWdvvSum:
             for beta3 in (forced - 1, forced, forced + 1):
                 if beta3 < 0:
                     continue
+                before = set(rec.cache)
                 pair = rec._relation(*fixed, splits, beta3)
-                assert [type(v) for v in pair] == [int, int]
-                first, second = (td.plan.unscale(v, n, beta3) for v in pair)
                 where = (fixed, deltas, beta3)
-                assert first == wdvv_side(rec, g1, g2, g3, g4, deltas, beta3), where
+                assert [type(v) for v in pair] == [int, int]
+                for code in rec.cache.keys() - before:
+                    ins = _unpack(code)
+                    zero = code & ident or code & divs and td.grading.forced(ins) == 0
+                    assert len(ins) <= 3 or not zero, (where, ins)
+                first, second = (td.plan.unscale(v, n, beta3) for v in pair)
+                assert first == wdvv_side(shared, g1, g2, g3, g4, deltas, beta3), where
                 assert second == wdvv_side(
-                    rec, g1, g3, g2, g4, deltas, beta3, skip_full=True
+                    shared, g1, g3, g2, g4, deltas, beta3, skip_full=True
                 ), where
                 if beta3 == forced:
                     nonzero += (first != 0) + (second != 0)

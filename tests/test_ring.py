@@ -24,6 +24,16 @@ from reference import qreduce
 
 F = Fraction
 P1B3 = partial(build_p1b, 3)
+P1B4 = partial(build_p1b, 4)
+
+
+def _refused(td, message):
+    """``validate_target`` refuses ``td`` with ``message``, and so does
+    ``Reconstructor``, whose plan runs it first, twice: a refusal is
+    not cached."""
+    for check in (validate_target, Reconstructor, Reconstructor):
+        with pytest.raises(ValueError, match=message):
+            check(td)
 
 
 class TestQReduce:
@@ -115,11 +125,7 @@ class TestBuildP1b:
             1: DivisorStep(partner=2, divisor=3, shift=1, coeff=F(1, 3)),
             2: DivisorStep(partner=1, divisor=3, shift=1, coeff=F(1, 3)),
         }
-        match = "the partner chain of basis class 1 returns to it"
-        with pytest.raises(ValueError, match=match):
-            validate_target(td)
-        with pytest.raises(ValueError, match=match):
-            Reconstructor(td)
+        _refused(td, "the partner chain of basis class 1 returns to it")
 
     def test_b1_degenerates_to_projective_line(self):
         td = build_p1b(1)
@@ -177,6 +183,18 @@ class TestTargetData:
         assert td.grading is td.grading
         assert td.products is td.products
 
+    def test_an_accepted_target_is_checked_once(self):
+        # build_p1b has validated td; with its pairing rows made one-sided,
+        # a second run of the checks would refuse it, so neither a call nor
+        # the engine's plan runs them again.
+        td = build_p1b(3)
+        td.__dict__["_pairing_rows"] = ({3: F(1, 3)}, {}, {}, {})
+        validate_target(td)
+        assert Reconstructor(td).gw((1, 1, 2, 2)) == F(-1, 9)
+        fresh = td._replace()
+        fresh.__dict__["_pairing_rows"] = td._pairing_rows
+        _refused(fresh, "pairing matrix is not symmetric")
+
     def test_replace_starts_with_empty_caches(self):
         td = build_p1b(3)
         ginv = td.pairing_inverse
@@ -196,8 +214,7 @@ class TestValidateTarget:
         rows = [list(r) for r in td.pairing]
         rows[0][2] = F(1, 3)  # breaks symmetry
         broken = td._replace(pairing=tuple(tuple(r) for r in rows))
-        with pytest.raises(ValueError, match="symmetric"):
-            validate_target(broken)
+        _refused(broken, "symmetric")
 
     def test_catches_degree_violation(self):
         td = build_p1b(2)
@@ -205,24 +222,21 @@ class TestValidateTarget:
             entries = dict(getattr(td, field))
             entries[key] = F(1, 2)
             broken = td._replace(**{field: entries})
-            with pytest.raises(ValueError, match=f"{field} entry .* degree axiom"):
-                validate_target(broken)
+            _refused(broken, f"{field} entry .* degree axiom")
 
     def test_catches_identity_violation(self):
         td = build_p1b(2)
         base3 = dict(td.base3)
         base3[(0, 1, 1, 0)] = F(1, 7)
         broken = td._replace(base3=base3)
-        with pytest.raises(ValueError, match="identity"):
-            validate_target(broken)
+        _refused(broken, "identity")
 
     def test_catches_divisor_mismatch(self):
         td = build_p1b(3)
         base2 = dict(td.base2)
         base2[(1, 3, 1)] = F(2, 3)
         broken = td._replace(base2=base2)
-        with pytest.raises(ValueError, match="divisor axiom"):
-            validate_target(broken)
+        _refused(broken, "divisor axiom")
 
     def test_catches_missing_factorization(self):
         # The orbifold cohomology ring of P(1,3): at q = 0 no class a^t is
@@ -232,8 +246,7 @@ class TestValidateTarget:
         classical = td._replace(
             base3={k: v for k, v in td.base3.items() if k[3] == 0}, base2={}
         )
-        with pytest.raises(ValueError, match="class 1 .*divisor_generation_check"):
-            validate_target(classical)
+        _refused(classical, "class 1 .*divisor_generation_check")
         assert divisor_generation_check(classical, 0) is False
         assert divisor_generation_check(td, 1) is True
 
@@ -294,13 +307,38 @@ class TestValidateTarget:
                 r"base3 entry \(2, 2, 3, 1\) is 0, but the divisor axiom gives 1/9",
                 id="base2-divisor",
             ),
+            pytest.param(
+                # <a^2, a^2, x>_1 doubled: the divisor axiom refuses it
+                # before the engine's gauge meets the pivot sign 1/2 it
+                # would give class 2.
+                P1B3,
+                lambda td: {"base3": {**td.base3, (2, 2, 3, 1): F(2, 9)}},
+                r"base3 entry \(2, 2, 3, 1\) is 2/9, but the divisor axiom gives 1/9",
+                id="doubled-divisor",
+            ),
+            pytest.param(
+                # P^2's weights 0, 1, 2 sit over the scale 1: enumeration
+                # over exponents would find no cap on the insertion count.
+                build_p2, lambda td: {"power_basis": 2},
+                r"power_basis 2 needs weights 0\.\.2 with scale >= 2, the identity 0 "
+                r"and the divisor 2 alone",
+                id="power-basis-scale",
+            ),
+            pytest.param(
+                # P(1,4) read as a power basis of order 3 would enumerate
+                # one row of its support instead of 9.
+                P1B4, lambda td: {"power_basis": 3},
+                r"power_basis 3 needs weights 0\.\.3 with scale >= 3", id="power-basis-order",
+            ),
+            pytest.param(
+                P1B4, lambda td: {"basis_names": ("1", "a")},
+                "2 basis names for 5 classes", id="basis-names",
+            ),
         ],
     )
     def test_rejects(self, build, changes, message):
         td = build()
-        broken = td._replace(**changes(td))
-        with pytest.raises(ValueError, match=message):
-            validate_target(broken)
+        _refused(td._replace(**changes(td)), message)
 
 
 def _permuted(td, perm):
@@ -343,8 +381,7 @@ class TestIdentityOffIndexZero:
         td = _permuted(build_p1b(3), self.PERM)
         base3 = dict(td.base3)
         del base3[(0, 1, 3, 0)]  # <a, a^2, 1>_0 = 1/3
-        with pytest.raises(ValueError, match=self.NOT_UNIT):
-            validate_target(td._replace(base3=base3))
+        _refused(td._replace(base3=base3), self.NOT_UNIT)
 
     def test_stray_identity_constant(self):
         # Basis e1, e2, pt, 1 in dimension 2 with e1.e2 = pt.1 = 1: the
@@ -359,8 +396,7 @@ class TestIdentityOffIndexZero:
             base3={(0, 1, 3, 0): F(1), (2, 3, 3, 0): F(1), (0, 0, 3, 0): F(1)},
             base2={}, basis_names=("e1", "e2", "pt", "1"),
         )
-        with pytest.raises(ValueError, match=self.NOT_UNIT):
-            validate_target(td)
+        _refused(td, self.NOT_UNIT)
 
     @staticmethod
     def _surface(**changes):
@@ -382,8 +418,7 @@ class TestIdentityOffIndexZero:
         # identity axiom allows no constant on 1 at d > 0.
         assert td.grading.forced((2, 2, 3)) == 1
         stray = td._replace(base3={**td.base3, (2, 2, 3, 1): F(1)})
-        with pytest.raises(ValueError, match="not the unit of the quantum product at class 2"):
-            validate_target(stray)
+        _refused(stray, "not the unit of the quantum product at class 2")
 
     def test_extra_divisor_constant(self):
         # <h1, h1, pt>_1 sits at its forced degree and holds the divisor
@@ -391,10 +426,7 @@ class TestIdentityOffIndexZero:
         td = self._surface()
         assert td.grading.forced((0, 0, 2)) == 1
         extra = td._replace(base3={**td.base3, (0, 0, 2, 1): F(1)})
-        with pytest.raises(
-            ValueError, match=r"base3 entry \(0, 0, 2, 1\) is 1, but the divisor axiom gives 0"
-        ):
-            validate_target(extra)
+        _refused(extra, r"base3 entry \(0, 0, 2, 1\) is 1, but the divisor axiom gives 0")
 
     def test_divisor_axiom_of_two_divisors(self):
         # <h1, pt>_1 = <h2, pt>_1 = 1: the divisor axiom of h1 asks
@@ -403,14 +435,14 @@ class TestIdentityOffIndexZero:
         # target then fails only for h1 * h2 = pt + q, which is no pivot.
         base2 = {(0, 2, 1): F(1), (1, 2, 1): F(1)}
         base3 = {**self._surface().base3, (0, 0, 2, 1): F(1), (0, 1, 2, 1): F(1), (1, 1, 2, 1): F(1)}
-        with pytest.raises(ValueError, match="basis class 2 is not a single-term product"):
-            validate_target(self._surface(base2=base2, base3=base3))
+        surface = self._surface(base2=base2, base3=base3)
+        _refused(surface, "basis class 2 is not a single-term product")
         # Only h2's own constant is missing.
         del base3[1, 1, 2, 1]
-        with pytest.raises(
-            ValueError, match=r"base3 entry \(1, 1, 2, 1\) is 0, but the divisor axiom gives 1"
-        ):
-            validate_target(self._surface(base2=base2, base3=base3))
+        _refused(
+            self._surface(base2=base2, base3=base3),
+            r"base3 entry \(1, 1, 2, 1\) is 0, but the divisor axiom gives 1",
+        )
         # Each divisor fails on a key of its own: the error names the key of
         # the first divisor in ``divisor_degree`` order, even where the
         # other divisor's key sorts first.
@@ -420,8 +452,7 @@ class TestIdentityOffIndexZero:
             ({1: F(1), 0: F(1)}, r"\(1, 1, 2, 1\) is 0, but the divisor axiom gives 1"),
         ):
             surface = self._surface(base2=base2, base3=base3, divisor_degree=divisor_degree)
-            with pytest.raises(ValueError, match=message):
-                validate_target(surface)
+            _refused(surface, message)
 
     def test_generation_by_two_divisors(self):
         both = self._surface()
@@ -629,9 +660,7 @@ class TestPairingScan:
         rows = [list(r) for r in td.pairing]
         for (i, j), g in entries.items():
             rows[i][j] = g
-        broken = td._replace(pairing=tuple(map(tuple, rows)))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            validate_target(broken)
+        _refused(td._replace(pairing=tuple(map(tuple, rows))), f"^{message}$")
 
 
 class TestPairingInverse:

@@ -18,10 +18,9 @@ Every command runs in a fresh interpreter, and where no bytecode is
 written (``PYTHONDONTWRITEBYTECODE``) each module it imports is compiled
 from source again.  So this module imports only ``ring``, which every
 command uses, and a command imports the rest when it runs: ``compute``
-and ``table`` add ``engine``, ``table --format jsonl`` adds ``json``,
-reading or writing a record file (``--cache``, ``cache``) adds
-``engine`` and ``records``, and ``verify`` adds ``golden``, which
-imports both.  ``ring`` adds nothing.
+and ``table`` add ``engine``, reading or writing a record file
+(``--cache``, ``cache``) adds ``engine`` and ``records``, and ``verify``
+adds ``golden``, which imports both.  ``ring`` adds nothing.
 
 ``compute`` and ``table`` optionally persist their memo to the record
 file named by ``--cache`` and preload it on the next run.  A record
@@ -315,10 +314,7 @@ def _cmd_compute(args) -> int:
     rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
-        if args.degree is None:
-            value = rec.gw(ins)
-        else:
-            value = rec.gw_at(ins, args.degree)
+        value = rec.gw(ins, args.degree)
     except ValueError as exc:  # degenerate 2-point problem at degree 0
         args.parser.error(str(exc))
     print(value)
@@ -365,21 +361,10 @@ def _cmd_table(args) -> int:
     except ValueError as exc:  # --max-n beyond what one key holds
         args.parser.error(str(exc))
     if args.format == "jsonl":
-        import json
-
         rows.sort()  # keys are unique, so this orders by (d, insertions)
-        for key, value in rows:
-            print(
-                json.dumps(
-                    {
-                        "b": b,
-                        "d": key.d,
-                        "insertions": list(key.insertions),
-                        "value": str(value),
-                    },
-                    separators=(",", ":"),
-                )
-            )
+        for (d, ins), value in rows:
+            ks = ",".join(map(str, ins))
+            print(f'{{"b":{b},"d":{d},"insertions":[{ks}],"value":"{value}"}}')
     else:
         labelled = [
             (key.d, mults_from_insertions(b, key.insertions), value)

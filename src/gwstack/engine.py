@@ -35,11 +35,11 @@ one int: class k's count sits in the FIELD-bit field at bit FIELD * k,
 so adding or removing an insertion is an integer add.  A key holds at
 most 2^FIELD - 1 insertions, which rules out carries between fields;
 longer inputs are rejected.  Sorted insertion tuples appear only where
-keys enter or leave: ``gw``/``gw_at``/``preload`` input,
-``enumerate_nonzero`` rows and ``snapshot()``.  A reduction sorts
-nothing: one read of the count vector in pivot order (pivot rank
-ascending, then orbifold degree descending, then index descending)
-gives its present classes, its slots and its split list.
+keys enter or leave: ``gw`` and ``preload`` input, ``enumerate_nonzero``
+rows and ``snapshot()``.  A reduction sorts nothing: one read of the
+count vector in pivot order (pivot rank ascending, then orbifold degree
+descending, then index descending) gives its present classes, its slots
+and its split list.
 
 A WDVV relation is the difference of two contractions, each of which
 splits the remaining insertions between its two factors; the second
@@ -68,8 +68,8 @@ divisor factors integers and each pivot coefficient a sign.  The memo
 holds the gauged values T, a WDVV side is one integer sum, a reduction
 multiplies by the pivot's sign and a divisor strip by d times the
 gauged divisor factor, so nothing divides.  Values become ``Fraction``
-only where they leave the engine: ``gw``, ``gw_at``, ``enumerate_nonzero``
-and ``snapshot()``; ``preload`` gauges what comes in and rejects a value
+only where they leave the engine: ``gw``, ``enumerate_nonzero`` and
+``snapshot()``; ``preload`` gauges what comes in and rejects a value
 whose T is not an integer.
 
 Everything the engine derives from the target alone, the gauge too,
@@ -290,8 +290,8 @@ class Reconstructor:
     key with n insertions at degree d is ``td.plan.unscale(value, n,
     d)``.  Its n >= 4 zeros are the values a WDVV relation or divisor
     strip gave 0, and the identity or divisor-at-degree-0 keys that
-    ``gw``, ``gw_at``, ``enumerate_nonzero`` or ``preload`` were given;
-    a relation skips such a factor without storing it.  ``snapshot()``
+    ``gw``, ``enumerate_nonzero`` or ``preload`` were given; a relation
+    skips such a factor without storing it.  ``snapshot()``
     gives the n >= 4 values as ``Fraction`` with sorted insertion
     tuples.  A new engine copies the constants of ``td.plan``, built
     once per target, which raises ``ValueError`` as ``validate_target``
@@ -305,20 +305,14 @@ class Reconstructor:
 
     # -- public evaluation ---------------------------------------------------
 
-    def gw(self, insertions) -> Fraction:
-        """The invariant at the degree forced by the insertions (else 0)."""
+    def gw(self, insertions, d: Optional[int] = None) -> Fraction:
+        """The invariant at the degree forced by the insertions: 0 if they
+        force none, or if ``d`` is given and they force another."""
         ins = self._normalize(insertions)
-        d = self._plan.grading.forced(ins)
-        if d is None:
+        forced = self._plan.grading.forced(ins)
+        if forced is None or d not in (None, forced):
             return ZERO
-        return self._plan.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
-
-    def gw_at(self, insertions, d: int) -> Fraction:
-        """The invariant at an explicit degree; 0 unless d is forced."""
-        ins = self._normalize(insertions)
-        if d != self._plan.grading.forced(ins):
-            return ZERO
-        return self._plan.unscale(self._eval(_pack(ins), len(ins), d), len(ins), d)
+        return self._plan.unscale(self._eval(_pack(ins), len(ins), forced), len(ins), forced)
 
     def enumerate_nonzero(
         self,

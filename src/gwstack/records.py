@@ -1,7 +1,8 @@
 """Line-oriented record formats shared by the golden tables and cache files.
 
 Every value travelling through a file is an exact rational written as
-``p`` or ``p/q`` in lowest terms with ``q > 0``.  The parser is strict:
+``p`` or ``p/q`` in lowest terms with ``q > 0``, and each integer field
+of a record is written as ``p`` is.  The parser is strict:
 a reducible fraction, a zero or negative denominator, a leading ``+``,
 or padded digits all reject the line.  Strictness keeps the formats
 canonical, so byte-level comparison of two files is a semantic
@@ -17,7 +18,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-_RATIONAL = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+_RATIONAL = re.compile(rf"^({_INTEGER.pattern})(?:/([1-9][0-9]*))?$")
 
 
 class RecordError(ValueError):
@@ -85,11 +87,13 @@ class GWRecord(_RecordFields):
         fields = line.split()
         if len(fields) != 4:
             raise RecordError(f"expected 4 fields, got {len(fields)}: {line!r}")
+        ints = [fields[0], fields[1], *fields[2].split(",")]
+        for text in ints:
+            if not _INTEGER.fullmatch(text):
+                raise RecordError(f"malformed integer {text!r} in record {line!r}")
         try:
-            b = int(fields[0])
-            d = int(fields[1])
-            ins = tuple(int(k) for k in fields[2].split(","))
-        except ValueError as exc:
+            b, d, *ins = map(int, ints)
+        except ValueError as exc:  # more digits than int() converts
             raise RecordError(f"malformed record {line!r}: {exc}") from None
         return cls(b, d, ins, parse_rational(fields[3]))
 

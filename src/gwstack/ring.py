@@ -109,11 +109,11 @@ class TargetData(_TargetFields):
     Instances compare and hash by identity, since the mapping fields are
     not hashable.  ``_replace`` gives a new instance with some fields
     changed.  The data derived from the fields (``grading``,
-    ``pairing_inverse``, ``pairing_inverse_entries``, ``products``,
-    ``divisor_factorization``, ``pivot_rank``, the engine's ``plan``
-    and the checks of :func:`validate_target`, which ``plan`` runs
-    first) is computed on first use and cached per instance, so a
-    replaced instance computes its own; a refusal is not cached.
+    ``pairing_inverse_entries``, ``products``, ``divisor_factorization``,
+    ``pivot_rank``, the engine's ``plan`` and the checks of
+    :func:`validate_target`, which ``plan`` runs first) is computed on
+    first use and cached per instance, so a replaced instance computes
+    its own; a refusal is not cached.
     ``divisor_degree`` maps each divisor class to its degree; every
     consumer takes the divisors in its key order.
 
@@ -153,16 +153,8 @@ class TargetData(_TargetFields):
         return tuple({j: g for j, g in enumerate(row) if g is not ZERO and g} for row in self.pairing)
 
     @cached_property
-    def pairing_inverse(self) -> Matrix:
-        """Inverse of the intersection pairing."""
-        rows = [[ZERO] * self.basis_size for _ in range(self.basis_size)]
-        for i, j, g in self.pairing_inverse_entries:
-            rows[i][j] = g
-        return tuple(map(tuple, rows))
-
-    @cached_property
     def pairing_inverse_entries(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """The nonzero entries of ``pairing_inverse`` as ``(i, j, g)``, row by row."""
+        """The nonzero entries of the inverse pairing as ``(i, j, g)``, row by row."""
         return tuple(
             (i, j, row[j]) for i, row in enumerate(_invert(self._pairing_rows)) for j in sorted(row)
         )

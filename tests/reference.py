@@ -1,8 +1,9 @@
 """References shared by the test modules, free of the engine's shortcuts:
-the degree axiom over the rationals, a plain WDVV side and residual, dense ring
-kernels, the full associativity law, the closed forms for P(1,b) that
-the ring and the engine are checked against, a rescaling of any target,
-and a hand-built P^n for its classical counts."""
+the degree axiom over the rationals, the dense inverse pairing, a plain
+WDVV side and residual, dense ring kernels, the full associativity law,
+the closed forms for P(1,b) that the ring and the engine are checked
+against, a rescaling of any target, and a hand-built P^n for its
+classical counts."""
 
 from __future__ import annotations
 
@@ -31,17 +32,26 @@ def forced_degree(td, insertions) -> Optional[int]:
     return None
 
 
+def pairing_inverse(td) -> tuple[tuple[Fraction, ...], ...]:
+    """The inverse of the pairing as a dense matrix, built from
+    ``td.pairing_inverse_entries``."""
+    rows = [[Fraction(0)] * td.basis_size for _ in range(td.basis_size)]
+    for i, j, g in td.pairing_inverse_entries:
+        rows[i][j] = g
+    return tuple(map(tuple, rows))
+
+
 def wdvv_side(rec, x1, x2, y1, y2, deltas, beta3, skip_full=False) -> Fraction:
     """One side of the WDVV relation by the plain walk over all 2^m
     subsets of ``deltas`` and every degree split, each factor evaluated
-    through ``rec.gw_at``: a reference for each contraction of
+    through ``rec.gw`` at its degree: a reference for each contraction of
     ``Reconstructor._relation`` that needs no multiplicity weights, no
     degree filters and no axiom skip.
 
     ``skip_full`` leaves out the subset holding every delta.
     """
     td = rec.td
-    ginv = td.pairing_inverse
+    ginv = pairing_inverse(td)
     total = Fraction(0)
     for on_left in itertools.product((False, True), repeat=len(deltas)):
         if skip_full and all(on_left):
@@ -55,8 +65,8 @@ def wdvv_side(rec, x1, x2, y1, y2, deltas, beta3, skip_full=False) -> Fraction:
                 for d1 in range(beta3 + 1):
                     total += (
                         ginv[i][j]
-                        * rec.gw_at((x1, x2, *left, i), d1)
-                        * rec.gw_at((y1, y2, *right, j), beta3 - d1)
+                        * rec.gw((x1, x2, *left, i), d1)
+                        * rec.gw((y1, y2, *right, j), beta3 - d1)
                     )
     return total
 
@@ -64,7 +74,7 @@ def wdvv_side(rec, x1, x2, y1, y2, deltas, beta3, skip_full=False) -> Fraction:
 def wdvv_residual(rec, g1, g2, g3, g4, deltas, beta3) -> Fraction:
     """The difference of the two contractions of the WDVV relation for
     (g1, g2, g3, g4) on ``deltas`` at total degree ``beta3``, each factor
-    read through ``rec.gw_at``: 0 in a consistent theory, and a check of
+    read through ``rec.gw``: 0 in a consistent theory, and a check of
     the engine's values that shares none of its relation code.
 
     The first contraction joins a part A of ``deltas`` to g1, g2 and the
@@ -83,9 +93,7 @@ def wdvv_residual(rec, g1, g2, g3, g4, deltas, beta3) -> Fraction:
     weight = sum((td.orbdeg[k] for k in (g1, g2, g3, g4) + deltas), -2 * td.dim)
     if weight - 2 * len(deltas) != 2 * td.c1_degree * beta3:
         return total
-    ginv = [
-        (i, j, g) for i, row in enumerate(td.pairing_inverse) for j, g in enumerate(row) if g
-    ]
+    ginv = td.pairing_inverse_entries
     for x, y, sign in ((g2, g3, 1), (g3, g2, -1)):
         for left, right, mult in _multiset_splits(deltas):
             for i, j, g in ginv:
@@ -93,9 +101,9 @@ def wdvv_residual(rec, g1, g2, g3, g4, deltas, beta3) -> Fraction:
                 d1 = forced_degree(td, ins)
                 if d1 is None or d1 > beta3:
                     continue
-                value = rec.gw_at(ins, d1)
+                value = rec.gw(ins, d1)
                 if value:
-                    total += sign * mult * g * value * rec.gw_at((y, g4, j) + right, beta3 - d1)
+                    total += sign * mult * g * value * rec.gw((y, g4, j) + right, beta3 - d1)
     return total
 
 
@@ -158,7 +166,7 @@ def products(td):
     in the layout of ``TargetData.products``: a reference for its
     one-pass accumulation."""
     size = td.basis_size
-    ginv = td.pairing_inverse
+    ginv = pairing_inverse(td)
     degrees = sorted({key[-1] for key in td.base3})
     table = []
     for i in range(size):
@@ -356,9 +364,7 @@ def wdvv_strata(td, max_n: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
     orbdeg = td.orbdeg
     twisted = tuple(k for k in range(td.basis_size) if k != ident and k not in divisor)
     slots = twisted + tuple(sorted(divisor))
-    ginv = [
-        (i, j, g) for i, row in enumerate(td.pairing_inverse) for j, g in enumerate(row) if g
-    ]
+    ginv = td.pairing_inverse_entries
     # The fixed slots (g1, g2, g3, g4) by the sum of their orbifold degrees;
     # swapping g2 and g3 only negates a relation, so g2 < g3.
     by_weight: dict[Fraction, list[tuple[int, int, int, int]]] = {}

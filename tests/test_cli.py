@@ -467,6 +467,22 @@ class TestCache:
         code, out, _ = run("cache", "--path", str(path), "--emit")
         assert (code, out) == (0, "3 0 1,1,2,2 -1/9\n")
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("+3 0 1,1,2,2 -1/9", "+3"),
+            ("3 00 1,1,2,2 -1/9", "00"),
+            ("3 0 1,1,2,0_2 -1/9", "0_2"),
+        ],
+        ids=["plus-sign", "padded", "underscore"],
+    )
+    def test_rejects_non_canonical_integers(self, run, tmp_path, line, field):
+        path = tmp_path / "memo.rec"
+        path.write_text(f"{line}\n")
+        code, out, err = run("cache", "--path", str(path), "--emit")
+        assert (code, out) == (3, "")
+        assert f"memo.rec:1: malformed integer {field!r}" in err
+
     def test_rejects_non_lowest_terms(self, run, tmp_path):
         path = tmp_path / "memo.rec"
         path.write_text("3 0 1,1,2,2 -2/18\n")

@@ -145,13 +145,12 @@ class TestVerify:
         report = verify(b, reconstructor=engines.p1b(b))
         assert report.ok
         assert report.matched == report.total == ROW_COUNTS[b]
-        assert report.missing == ()
         assert report.extra == ()
         assert f"{report.total}/{report.total} rows match" in report.render()
 
     def test_report_flags_a_mismatch(self):
         row = GoldenRow(3, 0, (2, 2), F(-1, 9))
-        report = VerifyReport(3, (RowResult(row, computed=F(-1, 8)),), (), ())
+        report = VerifyReport(3, (RowResult(row, computed=F(-1, 8)),), ())
         assert not report.ok
         assert report.render().splitlines() == [
             "P(1,3): 0/1 rows match",
@@ -167,7 +166,7 @@ class TestVerify:
         rec.preload([(0, (1, 1, 2, 2), F(-2, 9))])
         report = verify(3, reconstructor=rec)
         assert not report.ok
-        assert (report.missing, report.extra) == ((), ())
+        assert report.extra == ()
         assert report.render().splitlines() == [
             "P(1,3): 0/3 rows match",
             "  N_0(2,2): table -1/9, engine -2/9",
@@ -176,9 +175,20 @@ class TestVerify:
         ]
 
     def test_report_lists_support_gaps(self):
-        key = InsertionKey(0, (1, 1, 2, 2))
-        report = VerifyReport(3, (), (key,), ((key, F(1)),))
+        # A row the enumeration never produced is a mismatch that reads
+        # engine 0, and is reported once; a value no row holds is extra.
+        rec = Reconstructor(build_p1b(3))
+        rec.preload([(0, (1, 1, 2, 2), F(0))])
+        report = verify(3, reconstructor=rec)
+        assert report.render().splitlines()[:2] == [
+            "P(1,3): 0/3 rows match",
+            "  N_0(2,2): table -1/9, engine 0",
+        ]
+        row = GoldenRow(3, 0, (2, 2), F(-1, 9))
+        extra = ((InsertionKey(1, (3, 3, 3, 3)), F(1)),)
+        report = VerifyReport(3, (RowResult(row, computed=row.value),), extra)
         assert not report.ok
-        text = report.render()
-        assert "never produced" in text
-        assert "untabulated" in text
+        assert report.render().splitlines() == [
+            "P(1,3): 1/1 rows match",
+            "  enumeration found an untabulated nonzero invariant (3, 3, 3, 3) at degree 1 = 1",
+        ]

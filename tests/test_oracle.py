@@ -30,7 +30,7 @@ LAMS = (F(1), F(-2, 3))
 
 def _assert_engine_agrees(rec, solved):
     for (d, ins), value in solved.items():
-        assert rec.gw_at(ins, d) == value, (d, ins)
+        assert rec.gw(ins, d) == value, (d, ins)
 
 
 def _associative(td) -> bool:

@@ -83,9 +83,14 @@ class TestGWRecord:
             "3 0 2 1/2",  # single insertion
             "3 0 1,x 1/2",
             "3 0 1,1 2/4",
+            "+3 0 1,1,2,2 -1/9",  # integer fields are as strict as the value
+            "3 00 1,1,2,2 -1/9",
+            "3 0 1,1,2,0_2 -1/9",
         ]:
             with pytest.raises(RecordError):
                 GWRecord.parse(line)
+        with pytest.raises(RecordError, match="degree must be nonnegative"):
+            GWRecord.parse("3 -1 1,1,2,2 -1/9")
 
     @given(
         st.integers(1, 9).flatmap(

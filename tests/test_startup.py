@@ -3,9 +3,10 @@
 Every CLI command runs in its own interpreter, so each module that
 ``import gwstack.cli`` pulls in is paid on every command.  These tests
 name the standard-library modules gwstack must not load at import time,
-and the modules each command loads; they check module names, not
-times, so they are deterministic.  The package serves its public names
-on first use, and the last tests check that it serves the same objects.
+and the modules each command loads, all of the standard library or
+gwstack; they check module names, not times, so they are deterministic.
+The package serves its public names on first use, and the last tests
+check that it serves the same objects.
 """
 
 from __future__ import annotations
@@ -71,23 +72,48 @@ def test_import_loads_only_what_it_runs(code, expected):
     assert _gwstack_modules(code) == expected
 
 
+def _running(argv: list[str]) -> str:
+    """Code that runs the command ``argv`` and checks that it succeeds; the
+    command's own output goes to a buffer, not into the probe's list."""
+    return (
+        "import contextlib, io, gwstack.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert gwstack.cli.main({argv!r}) == 0"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, added",
     [
         ("ring --b 3 --lambda 1", set()),
         ("compute --b 3 --insertions 1,1,2,2", {"gwstack.engine"}),
         ("table --b 3 --format tsv", {"gwstack.engine"}),
+        ("table --b 3 --format jsonl", {"gwstack.engine"}),
     ],
-    ids=["ring", "compute", "table-tsv"],
+    ids=["ring", "compute", "table-tsv", "table-jsonl"],
 )
 def test_command_loads_only_what_it_runs(argv, added):
-    # The command's own output goes to a buffer, not into the probe's list.
-    code = (
-        "import contextlib, io, gwstack.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert gwstack.cli.main({argv.split()!r}) == 0"
-    )
-    assert _gwstack_modules(code) == BASE | added
+    assert _gwstack_modules(_running(argv.split())) == BASE | added
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "compute --b 3 --insertions 1,1,2,2",
+        "table --b 3 --format jsonl",
+        "verify --b 2",
+        "ring --b 3 --lambda 1 --check-generation",
+        "cache --path {path}",
+    ],
+    ids=["compute", "table", "verify", "ring", "cache"],
+)
+def test_command_loads_only_the_standard_library(argv, tmp_path):
+    path = tmp_path / "memo.rec"
+    path.write_text("3 0 1,1,2,2 -1/9\n")
+    loaded = _loaded_by(_running(argv.format(path=path).split()))
+    assert "gwstack.cli" in loaded
+    outside = {m for m in loaded if m.split(".")[0] not in {*sys.stdlib_module_names, "gwstack"}}
+    assert not outside, sorted(outside)
 
 
 @pytest.mark.parametrize("name", sorted(set(gwstack.__all__) - {"__version__"}))

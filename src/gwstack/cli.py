@@ -235,19 +235,6 @@ def _check_order(args) -> int:
     return args.b
 
 
-def _parse_insertions(args, b: int) -> tuple[int, ...]:
-    try:
-        ins = tuple(int(part) for part in args.insertions.split(","))
-    except ValueError:
-        args.parser.error(f"--insertions must be comma-separated integers, got {args.insertions!r}")
-    if len(ins) < 2:
-        args.parser.error("--insertions needs at least two exponents")
-    bad = [k for k in ins if k < 0 or k > b]
-    if bad:
-        args.parser.error(f"insertion exponents must lie in [0, {b}]: {bad}")
-    return ins
-
-
 def _parse_lambda(args) -> Fraction:
     if len(args.lam) > _MAX_LAMBDA_LENGTH:
         args.parser.error(
@@ -308,14 +295,17 @@ def _store_cache(rec: Reconstructor, path, loaded) -> None:
 
 def _cmd_compute(args) -> int:
     b = _check_order(args)
-    ins = _parse_insertions(args, b)
+    try:
+        ins = [int(part) for part in args.insertions.split(",")]
+    except ValueError:
+        args.parser.error(f"--insertions must be comma-separated integers, got {args.insertions!r}")
     if args.degree is not None and args.degree < 0:
         args.parser.error(f"--degree must be nonnegative, got {args.degree}")
     rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
         value = rec.gw(ins, args.degree)
-    except ValueError as exc:  # degenerate 2-point problem at degree 0
+    except ValueError as exc:  # count, range, or the degenerate 2-point problem
         args.parser.error(str(exc))
     print(value)
     _store_cache(rec, args.cache, loaded)
@@ -324,21 +314,13 @@ def _cmd_compute(args) -> int:
 
 def _cmd_table(args) -> int:
     b = _check_order(args)
-    for flag, cap in (("--max-n", args.max_n), ("--max-d", args.max_d)):
-        if cap is not None and cap < 0:
-            args.parser.error(f"{flag} must be nonnegative, got {cap}")
     if args.include_divisor:
-        if args.max_n is None or args.max_d is None:
-            args.parser.error(
-                "--include-divisor makes the support infinite; both --max-n "
-                "and --max-d are required"
-            )
         if args.format != "jsonl":
             args.parser.error(
                 "divisor insertions have no multiplicity-vector rendering; "
                 "use --format jsonl"
             )
-        if args.max_n > _MAX_DIVISOR_TABLE_N:
+        if args.max_n is not None and args.max_n > _MAX_DIVISOR_TABLE_N:
             args.parser.error(
                 f"--max-n must be at most {_MAX_DIVISOR_TABLE_N} with "
                 f"--include-divisor, got {args.max_n}"
@@ -351,14 +333,8 @@ def _cmd_table(args) -> int:
     rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
-        rows = list(
-            rec.enumerate_nonzero(
-                max_n=args.max_n,
-                max_d=args.max_d,
-                include_divisor=args.include_divisor,
-            )
-        )
-    except ValueError as exc:  # --max-n beyond what one key holds
+        rows = list(rec.enumerate_nonzero(args.max_n, args.max_d, args.include_divisor))
+    except ValueError as exc:  # a negative or missing cap, or --max-n past one key
         args.parser.error(str(exc))
     if args.format == "jsonl":
         rows.sort()  # keys are unique, so this orders by (d, insertions)

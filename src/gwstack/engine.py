@@ -308,8 +308,7 @@ class Reconstructor:
     def gw(self, insertions, d: Optional[int] = None) -> Fraction:
         """The invariant at the degree forced by the insertions: 0 if they
         force none, or if ``d`` is given and they force another."""
-        ins = self._normalize(insertions)
-        forced = self._plan.grading.forced(ins)
+        ins, forced = self._normalize(insertions)
         if forced is None or d not in (None, forced):
             return ZERO
         return self._plan.unscale(self._eval(_pack(ins), len(ins), forced), len(ins), forced)
@@ -328,12 +327,17 @@ class Reconstructor:
         (exponents 1..b-1) are used; the support is then finite and
         fully enumerated even with no caps.  Allowing divisor insertions
         makes the search space infinite, so both ``max_n`` and ``max_d``
-        become mandatory.
+        become mandatory.  Raises ``ValueError`` on a target with no power
+        basis, a negative cap, a missing cap with ``include_divisor``, or
+        a ``max_n`` above what one packed key holds.
         """
         td = self.td
         b = td.power_basis
         if b is None:
             raise ValueError(f"{td.id} has no power basis to enumerate over")
+        for name, cap in (("max_n", max_n), ("max_d", max_d)):
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be nonnegative, got {cap}")
         if include_divisor and (max_n is None or max_d is None):
             raise ValueError(
                 "max_n and max_d are required when divisor insertions are included"
@@ -378,9 +382,9 @@ class Reconstructor:
         """
         plan = self._plan
         for d, insertions, value in entries:
-            ins = self._normalize(insertions)
+            ins, forced = self._normalize(insertions)
             n = len(ins)
-            if plan.grading.forced(ins) != d:
+            if forced != d:
                 raise ValueError(
                     f"degree {d} is not forced by insertions {ins} on {self.td.id}"
                 )
@@ -426,18 +430,18 @@ class Reconstructor:
 
     # -- internals -----------------------------------------------------------
 
-    def _normalize(self, insertions) -> tuple[int, ...]:
+    def _normalize(self, insertions) -> tuple[tuple[int, ...], Optional[int]]:
+        """The sorted insertions and the degree they force (``Grading.forced``,
+        which also refuses fewer than two)."""
         ins = tuple(sorted(insertions))
-        if len(ins) < 2:
-            raise ValueError("at least two insertions are required")
         if len(ins) > _MAX_INSERTIONS:
             raise ValueError(
                 f"at most {_MAX_INSERTIONS} insertions are supported, got {len(ins)}"
             )
-        for k in (ins[0], ins[-1]):
+        for k in (ins[0], ins[-1]) if ins else ():
             if not 0 <= k < len(self._plan.unit):
                 raise ValueError(f"basis index {k} out of range for {self.td.id}")
-        return ins
+        return ins, self._plan.grading.forced(ins)
 
     def _eval(self, code: int, n: int, d: int) -> int:
         value = self.cache.get(code)

@@ -7,7 +7,9 @@ the full nonzero support from scratch and reads each row's value from
 it, so a green report certifies both the values and the completeness
 of the table.  The file is guarded by a checksum: a silent edit of the
 reference values should fail loudly, not produce a quietly different
-baseline.
+baseline.  Its lines are read by the same strict reader as a record
+file (``records.read_lines`` and ``records.parse_fields``); only the
+row checks of :func:`_parse_row` are its own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .engine import InsertionKey, Reconstructor
-from .records import RecordError, iter_record_lines, parse_rational
+from .records import RecordError, parse_fields, read_lines
 # The table's orders and row counts and the multiplicity-vector converters
 # are defined in ring, which the CLI's parser needs anyway, and re-exported
 # here beside the rows they describe.
@@ -59,13 +61,7 @@ class GoldenRow(NamedTuple):
 
 def _parse_row(payload: str, targets: dict[int, TargetData]) -> GoldenRow:
     """Parse one row; ``targets`` keeps the P(1,b) that checks its degree."""
-    fields = payload.split()
-    if len(fields) != 4:
-        raise RecordError(f"expected 4 fields, got {len(fields)}")
-    b = int(fields[0])
-    d = int(fields[1])
-    mults = tuple(int(k) for k in fields[2].split(","))
-    value = parse_rational(fields[3])
+    b, d, mults, value = parse_fields(payload)
     if b < 2:
         raise RecordError(f"table rows need b >= 2, got {b}")
     if d < 0:
@@ -102,11 +98,7 @@ def _load_tables() -> dict[int, tuple[GoldenRow, ...]]:
     grouped: dict[int, list[GoldenRow]] = {}
     seen = set()
     targets: dict[int, TargetData] = {}
-    for lineno, payload in iter_record_lines(blob.decode("ascii")):
-        try:
-            row = _parse_row(payload, targets)
-        except (RecordError, ValueError) as exc:
-            raise RecordError(f"{_DATA_NAME}:{lineno}: {exc}") from None
+    for lineno, row in read_lines(_DATA_NAME, blob.decode("ascii"), lambda p: _parse_row(p, targets)):
         if (row.b, row.mults) in seen:
             raise RecordError(f"{_DATA_NAME}:{lineno}: duplicate row {row.label()}")
         seen.add((row.b, row.mults))

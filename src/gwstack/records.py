@@ -1,8 +1,10 @@
-"""Line-oriented record formats shared by the golden tables and cache files.
+"""Line-oriented record format shared by the golden tables and cache files.
 
-Every value travelling through a file is an exact rational written as
-``p`` or ``p/q`` in lowest terms with ``q > 0``, and each integer field
-of a record is written as ``p`` is.  The parser is strict:
+Both files hold ``b d k1,k2,... value`` lines, and both are read here:
+:func:`read_lines` numbers the lines and :func:`parse_fields` reads the
+four fields of each.  Every value travelling through a file is an exact
+rational written as ``p`` or ``p/q`` in lowest terms with ``q > 0``, and
+each integer field is written as ``p`` is.  The reader is strict:
 a reducible fraction, a zero or negative denominator, a leading ``+``,
 or padded digits all reject the line.  Strictness keeps the formats
 canonical, so byte-level comparison of two files is a semantic
@@ -84,26 +86,37 @@ class GWRecord(_RecordFields):
 
     @classmethod
     def parse(cls, line: str) -> "GWRecord":
-        fields = line.split()
-        if len(fields) != 4:
-            raise RecordError(f"expected 4 fields, got {len(fields)}: {line!r}")
-        ints = [fields[0], fields[1], *fields[2].split(",")]
-        for text in ints:
-            if not _INTEGER.fullmatch(text):
-                raise RecordError(f"malformed integer {text!r} in record {line!r}")
-        try:
-            b, d, *ins = map(int, ints)
-        except ValueError as exc:  # more digits than int() converts
-            raise RecordError(f"malformed record {line!r}: {exc}") from None
-        return cls(b, d, ins, parse_rational(fields[3]))
+        return cls(*parse_fields(line))
 
 
-def iter_record_lines(text: str):
-    """Yield ``(lineno, payload)`` for non-comment, non-blank lines."""
+def parse_fields(line: str) -> tuple[int, int, tuple[int, ...], Fraction]:
+    """The ``(b, d, ints, value)`` of a ``b d k1,k2,... value`` line."""
+    fields = line.split()
+    if len(fields) != 4:
+        raise RecordError(f"expected 4 fields, got {len(fields)}: {line!r}")
+    ints = [fields[0], fields[1], *fields[2].split(",")]
+    for text in ints:
+        if not _INTEGER.fullmatch(text):
+            raise RecordError(f"malformed integer {text!r} in record {line!r}")
+    try:
+        b, d, *ks = map(int, ints)
+    except ValueError:  # more digits than int() converts
+        raise RecordError(f"integer of {len(max(ints, key=len))} characters") from None
+    return b, d, tuple(ks), parse_rational(fields[3])
+
+
+def read_lines(name: str, text: str, parse) -> list:
+    """``(lineno, parse(payload))`` per non-comment, non-blank line; a
+    ``ValueError`` from ``parse`` becomes a ``RecordError`` at ``name:lineno``."""
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         payload = raw.split("#", 1)[0].strip()
         if payload:
-            yield lineno, payload
+            try:
+                out.append((lineno, parse(payload)))
+            except ValueError as exc:
+                raise RecordError(f"{name}:{lineno}: {exc}") from None
+    return out
 
 
 def load_records(path: str) -> list[tuple[int, GWRecord]]:
@@ -118,13 +131,7 @@ def load_records(path: str) -> list[tuple[int, GWRecord]]:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise RecordError(f"cannot read {path}: {exc}") from None
-    out = []
-    for lineno, payload in iter_record_lines(text):
-        try:
-            out.append((lineno, GWRecord.parse(payload)))
-        except RecordError as exc:
-            raise RecordError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_lines(path, text, GWRecord.parse)
 
 
 def render_records(records) -> str:

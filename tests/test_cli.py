@@ -555,6 +555,17 @@ class TestCache:
         assert (code, out) == (3, "")
         assert "memo.rec:1:" in err
 
+    @pytest.mark.parametrize(
+        "template", ["{} 0 1,1 1/2", "3 {} 1,1 1/2", "3 0 1,{} 1/2"], ids=["b", "d", "exponent"]
+    )
+    def test_overlong_integer_exits_three(self, run, tmp_path, int_digit_limit, template):
+        path = tmp_path / "memo.rec"
+        path.write_text(template.format("9" * (int_digit_limit + 1)) + "\n")
+        code, out, err = run("cache", "--path", str(path))
+        assert (code, out) == (3, "")
+        assert "memo.rec:1: integer of" in err
+        assert len(err) < 200  # the field's length, not the field
+
     def test_corrupt_preload_blocks_compute(self, run, tmp_path):
         path = tmp_path / "memo.rec"
         # A wrong value for a golden key, whose gauged value 9 * (-2/9) is
@@ -593,6 +604,18 @@ class TestUsage:
     def test_module_entry_point(self):
         done = _spawn("compute", "--b", "3", "--insertions", "1,1,2,2")
         assert (done.returncode, done.stdout) == (0, "-1/9\n")
+
+    def test_module_entry_point_usage_error(self):
+        done = _spawn("compute", "--b", "3", "--insertions", "1,7")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "basis index 7 out of range for P(1,3)" in done.stderr
+
+    def test_module_entry_point_file_error(self, tmp_path):
+        path = tmp_path / "memo.rec"
+        path.write_text("3 0 1,1 2/4\n")
+        done = _spawn("cache", "--path", str(path))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert f"{path}:1: " in done.stderr
 
     def test_closed_stdout_exits_zero(self):
         """``gwstack table ... | head -1``: the reader leaves, the command

@@ -871,6 +871,11 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="max_n and max_d"):
             next(iter(rec.enumerate_nonzero(include_divisor=True)))
 
+    @pytest.mark.parametrize("cap", ["max_n", "max_d"])
+    def test_negative_caps_refused(self, engines, cap):
+        with pytest.raises(ValueError, match=f"{cap} must be nonnegative, got -1"):
+            next(iter(engines.p1b(3).enumerate_nonzero(**{cap: -1})))
+
     def test_max_n_fits_one_key(self, engines):
         most = (1 << _FIELD) - 1
         rec = engines.p1b(2)

@@ -88,13 +88,27 @@ class TestDataFileGuards:
         "edit, message",
         [
             (lambda rows: rows + ["3 -1 2,2 -1/9"], r"p1b_tables.dat:100: negative degree -1"),
-            (lambda rows: rows + ["3 0 two 1"], r"p1b_tables.dat:100: invalid literal"),
+            (lambda rows: rows + ["3 0 two 1"], r"p1b_tables.dat:100: malformed integer 'two'"),
+            # a ValueError from the row's own checks gains the line too
+            (lambda rows: rows + ["3 0 -1,6 -1/9"], r"p1b_tables.dat:100: negative multiplicity"),
             (lambda rows: rows + [rows[16]], r"p1b_tables.dat:100: duplicate row N_0\(2,2\)"),
             (lambda rows: rows[:-1], r"p1b_tables.dat: expected 46 rows for b=6, found 45"),
         ],
-        ids=["negative-degree", "unparsable", "duplicate", "row-count"],
+        ids=["negative-degree", "unparsable", "negative-multiplicity", "duplicate", "row-count"],
     )
     def test_loader_guards(self, monkeypatch, edit, message):
+        self._load_crafted(monkeypatch, edit, message)
+
+    @pytest.mark.parametrize(
+        "template", ["{} 0 2,2 -1/9", "3 {} 2,2 -1/9", "3 0 2,{} -1/9"], ids=["b", "d", "exponent"]
+    )
+    def test_loader_refuses_overlong_integers(self, monkeypatch, int_digit_limit, template):
+        row = template.format("9" * (int_digit_limit + 1))
+        message = rf"^p1b_tables.dat:100: integer of {int_digit_limit + 1} characters$"
+        self._load_crafted(monkeypatch, lambda rows: rows + [row], message)
+
+    @staticmethod
+    def _load_crafted(monkeypatch, edit, message):
         # The loader reads a crafted file under a matching checksum, so
         # each guard after the checksum is reached.
         lines = (resources.files("gwstack.data") / "p1b_tables.dat").read_text().splitlines()
@@ -132,10 +146,14 @@ class TestDataFileGuards:
             "3 1 2,2 -1/9",  # degree axiom violated
             "3 1 1,1 1/27",  # too few insertions
             "3 0 2,2 -2/18",  # not lowest terms
+            # integer fields are as strict as a record file's
+            "+3 0 2,2 -1/9",
+            "3 00 2,2 -1/9",
+            "3 0 2,0_2 -1/9",
         ],
     )
     def test_bad_rows_rejected(self, payload):
-        with pytest.raises((RecordError, ValueError)):
+        with pytest.raises(RecordError):
             _parse_row(payload, {})
 
 

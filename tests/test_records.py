@@ -92,6 +92,15 @@ class TestGWRecord:
         with pytest.raises(RecordError, match="degree must be nonnegative"):
             GWRecord.parse("3 -1 1,1,2,2 -1/9")
 
+    @pytest.mark.parametrize(
+        "template", ["{} 0 1,1 1/2", "3 {} 1,1 1/2", "3 0 1,{} 1/2"], ids=["b", "d", "exponent"]
+    )
+    def test_parse_rejects_overlong_integers(self, int_digit_limit, template):
+        # The message names the field's length, not the line it came from.
+        digits = int_digit_limit + 1
+        with pytest.raises(RecordError, match=f"^integer of {digits} characters$"):
+            GWRecord.parse(template.format("9" * digits))
+
     @given(
         st.integers(1, 9).flatmap(
             lambda b: st.tuples(

@@ -36,7 +36,11 @@ so adding or removing an insertion is an integer add.  A key holds at
 most 2^FIELD - 1 insertions, which rules out carries between fields;
 longer inputs are rejected.  Sorted insertion tuples appear only where
 keys enter or leave: ``gw`` and ``preload`` input, ``enumerate_nonzero``
-rows and ``snapshot()``.  A reduction sorts nothing: one read of the
+rows and ``snapshot()``.  ``enumerate_nonzero`` never packs a tuple: it
+builds the keys of one (n, d) as one list, each with its code, which
+grows by one add of c copies of a class as that class's count is
+chosen, and the last two classes' counts come in closed form (see
+``_bounded_multisets``).  A reduction sorts nothing: one read of the
 count vector in pivot order (pivot rank ascending, then orbifold degree
 descending, then index descending) gives its present classes, its slots
 and its split list.
@@ -347,8 +351,9 @@ class Reconstructor:
         hi = b if include_divisor else b - 1
         if hi < 1:
             return
-        _, scale, c1, dim = self._plan.grading
-        unscale = self._plan.unscale
+        plan = self._plan
+        _, scale, c1, dim = plan.grading
+        unit, unscale = plan.unit, plan.unscale
         d = 0
         while max_d is None or d <= max_d:
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
@@ -362,8 +367,8 @@ class Reconstructor:
                 n_cap = min(n_cap, max_n)
             for n in range(4, n_cap + 1):
                 total = c1 * d + dim + scale * (n - 3)
-                for key in _bounded_multisets(n, 1, hi, total):
-                    value = self._eval(_pack(key), n, d)
+                for key, code in _bounded_multisets(n, 1, hi, total, unit):
+                    value = self._eval(code, n, d)
                     if value:
                         yield InsertionKey(d, key), unscale(value, n, d)
             d += 1
@@ -596,17 +601,31 @@ class Reconstructor:
 
 
 def _bounded_multisets(
-    n: int, lo: int, hi: int, total: int
-) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing n-tuples with entries in [lo, hi] (lo <= hi) summing
-    to total, in lexicographic order.  Each level takes c copies of lo,
-    most first, for every c that leaves n - c entries in [lo + 1, hi]
-    a sum they can reach, so the recursion is hi - lo deep for any n."""
+    n: int, lo: int, hi: int, total: int, unit: Sequence[int]
+) -> list[tuple[tuple[int, ...], int]]:
+    """``(key, code)`` for every nondecreasing n-tuple ``key`` with entries
+    in [lo, hi] (lo <= hi) summing to total, in lexicographic order, with
+    ``code`` its packed count vector (``unit[k]`` is one copy of class k).
+
+    One list, built a class at a time: a partial key takes c copies of
+    class k, most first, for each c that leaves its other m - c entries
+    in [k + 1, hi] a sum they can reach, and its code gains c unit[k].
+    The last two classes are solved in closed form: hi - 1 takes
+    c = m hi - rest copies if 0 <= c <= m, and hi the other m - c."""
     if lo == hi:
-        if n * lo == total:
-            yield (lo,) * n
-        return
-    top = min(n, (n * hi - total) // (hi - lo))
-    for c in range(top, max(0, n * (lo + 1) - total) - 1, -1):
-        for tail in _bounded_multisets(n - c, lo + 1, hi, total - c * lo):
-            yield (lo,) * c + tail
+        return [((lo,) * n, n * unit[lo])] if n * lo == total else []
+    partial = [((), 0, n, total)]  # (prefix, code, entries left, their sum)
+    for k in range(lo, hi - 1):
+        u = unit[k]
+        partial = [
+            (prefix + (k,) * c, code + c * u, m - c, rest - c * k)
+            for prefix, code, m, rest in partial
+            for c in range(min(m, (m * hi - rest) // (hi - k)), max(0, m * (k + 1) - rest) - 1, -1)
+        ]
+    u, v = unit[hi - 1], unit[hi]
+    return [
+        (prefix + (hi - 1,) * c + (hi,) * (m - c), code + c * u + (m - c) * v)
+        for prefix, code, m, rest in partial
+        for c in (m * hi - rest,)
+        if 0 <= c <= m
+    ]

@@ -28,6 +28,14 @@ class RecordError(ValueError):
     """A malformed record line or rational literal."""
 
 
+def _shown(text: str) -> str:
+    """``text`` quoted for an error message, cut to its first 40
+    characters and its length if it is longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical ``p`` or ``p/q`` literal.
 
@@ -35,14 +43,14 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL.match(text)
     if m is None:
-        raise RecordError(f"malformed rational {text!r}")
+        raise RecordError(f"malformed rational {_shown(text)}")
     try:
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) is not None else 1
     except ValueError as exc:  # more digits than int() converts
         raise RecordError(f"rational of {len(text)} characters: {exc}") from None
     if gcd(abs(num), den) != 1:
-        raise RecordError(f"rational {text!r} is not in lowest terms")
+        raise RecordError(f"rational {_shown(text)} is not in lowest terms")
     return Fraction(num, den)
 
 
@@ -93,11 +101,11 @@ def parse_fields(line: str) -> tuple[int, int, tuple[int, ...], Fraction]:
     """The ``(b, d, ints, value)`` of a ``b d k1,k2,... value`` line."""
     fields = line.split()
     if len(fields) != 4:
-        raise RecordError(f"expected 4 fields, got {len(fields)}: {line!r}")
+        raise RecordError(f"expected 4 fields, got {len(fields)}: {_shown(line)}")
     ints = [fields[0], fields[1], *fields[2].split(",")]
     for text in ints:
         if not _INTEGER.fullmatch(text):
-            raise RecordError(f"malformed integer {text!r} in record {line!r}")
+            raise RecordError(f"malformed integer {_shown(text)} in record {_shown(line)}")
     try:
         b, d, *ks = map(int, ints)
     except ValueError:  # more digits than int() converts

@@ -566,6 +566,28 @@ class TestCache:
         assert "memo.rec:1: integer of" in err
         assert len(err) < 200  # the field's length, not the field
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "+" + "9" * 5000,
+            "+" + "9" * 5000 + " 0 1,1 1/2",
+            "3 0 1,+" + "9" * 5000 + " 1/2",
+            "3 0 1,1 +" + "9" * 5000,
+            "3 0 1,1 2/4" + "0" * 3000,
+        ],
+        ids=["one-field", "b", "exponent", "value", "lowest-terms"],
+    )
+    def test_malformed_field_echo_is_capped(self, run, tmp_path, line):
+        # A long malformed field, or a long rational not in lowest terms,
+        # is echoed by its first characters and its length, and so is
+        # its line.
+        path = tmp_path / "memo.rec"
+        path.write_text(line + "\n")
+        code, out, err = run("cache", "--path", str(path))
+        assert (code, out) == (3, "")
+        assert "memo.rec:1: " in err
+        assert len(err) < 300
+
     def test_corrupt_preload_blocks_compute(self, run, tmp_path):
         path = tmp_path / "memo.rec"
         # A wrong value for a golden key, whose gauged value 9 * (-2/9) is

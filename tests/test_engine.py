@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gwstack import Reconstructor, build_p1b, build_p2, validate_target
 from gwstack.engine import (
@@ -517,19 +517,42 @@ def _slots_by_sorting(order, counts):
     return tuple(slots)
 
 
+def _scan_keys(td, seed, draws):
+    """``draws`` count vectors of 4 to 13 insertions over the pivot
+    classes of ``td``, the first class in pivot order three times as
+    likely as each other one.  Every other draw holds exactly one copy of
+    the last class in pivot order, so a scan that stops one class too
+    soon misses it."""
+    order = [k for k, _ in td.plan.order]
+    pool = sorted(order) + [order[0]] * 2
+    rng = random.Random(seed)
+    for i in range(draws):
+        counts = [0] * td.basis_size
+        for _ in range(rng.randrange(4, 14)):
+            counts[rng.choice(pool)] += 1
+        if i % 2 and len(order) > 1:
+            counts[order[-1]] = 1
+            while sum(counts) < 4:
+                counts[order[0]] += 1
+        yield counts
+
+
+# P(1,7), whose pivot order runs down the class indices, and P^3 and
+# P^5, whose pivot orders run up them.
+_SCAN_TARGETS = (lambda: build_p1b(7), lambda: build_pn(3), lambda: build_pn(5))
+
+
 class TestDonorPolicy:
     """The one rule that fills the donor and third WDVV slots."""
 
     def test_slots_match_sorting(self):
-        rng = random.Random(16)
-        td = build_p1b(7)
-        order = [k for k, _ in td.plan.order]
-        for _ in range(2000):
-            counts = [0] * td.basis_size
-            for _ in range(rng.randrange(4, 14)):
-                counts[rng.choice((1, 2, 3, 4, 5, 6, 6, 6))] += 1
-            code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
-            assert td.plan.scan(code)[:3] == _slots_by_sorting(order, counts), counts
+        for seed, make in enumerate(_SCAN_TARGETS, start=16):
+            td = make()
+            order = [k for k, _ in td.plan.order]
+            for counts in _scan_keys(td, seed, 2000):
+                code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
+                got = td.plan.scan(code)[:3]
+                assert got == _slots_by_sorting(order, counts), (td.id, counts)
 
     def test_fewest_copies_examples(self):
         # P(1,7), pivot order a^6, a^5, ..., a.
@@ -583,17 +606,18 @@ class TestFold:
         assert sum(pairs.values()) >= 3 * len(pairs)
 
     def test_scan_folds_what_the_slots_leave(self):
-        # 500 keys of 4 to 13 insertions on P(1,7): the split list of a
-        # reduction is the fold of the key less its three slots.
-        rng = random.Random(23)
-        td = build_p1b(7)
-        for _ in range(500):
-            key = [rng.choice((1, 2, 3, 4, 5, 6, 6, 6)) for _ in range(rng.randrange(4, 14))]
-            pivot, donor, third, splits = td.plan.scan(_pack(key))
-            for k in (pivot, donor, third):
-                key.remove(k)
-            assert Counter(splits) == self._want(td, key), key
-            assert splits[0] == (0, 0, 0, 1) and splits[-1][0] == _pack(key)
+        # 500 keys of 4 to 13 insertions on each target of _SCAN_TARGETS:
+        # the split list of a reduction is the fold of the key less its
+        # three slots.
+        for seed, make in enumerate(_SCAN_TARGETS, start=23):
+            td = make()
+            for counts in _scan_keys(td, seed, 500):
+                key = [k for k, c in enumerate(counts) for _ in range(c)]
+                pivot, donor, third, splits = td.plan.scan(_pack(key))
+                for k in (pivot, donor, third):
+                    key.remove(k)
+                assert Counter(splits) == self._want(td, key), (td.id, key)
+                assert splits[0] == (0, 0, 0, 1) and splits[-1][0] == _pack(key)
 
 
 class TestSharedPlan:
@@ -1031,25 +1055,40 @@ class TestPackedKeys:
 
 
 class TestBoundedMultisets:
-    def test_enumeration(self):
-        assert list(_bounded_multisets(2, 1, 3, 4)) == [(1, 3), (2, 2)]
-        assert list(_bounded_multisets(0, 1, 3, 0)) == [()]
-        assert list(_bounded_multisets(3, 1, 2, 7)) == []
+    UNIT = tuple(1 << (_FIELD * k) for k in range(11))
 
-    @given(st.integers(1, 5), st.integers(0, 3), st.integers(3, 6), st.integers(0, 20))
-    def test_matches_brute_force(self, n, lo, hi, total):
-        got = list(_bounded_multisets(n, lo, hi, total))
-        assert got == sorted(got)
-        assert len(set(got)) == len(got)
-        for tup in got:
+    def test_enumeration(self):
+        def keys(*args):
+            got = _bounded_multisets(*args, self.UNIT)
+            assert all(code == _pack(key) for key, code in got)
+            return [key for key, _ in got]
+
+        assert keys(2, 1, 3, 4) == [(1, 3), (2, 2)]
+        assert keys(0, 1, 3, 0) == [()]
+        assert keys(3, 1, 2, 7) == []
+
+    # Widths 0..6 hold every (lo, hi) of lo in 0..3 and hi in 3..6, and
+    # lo + 1 == hi (the closed form alone) and lo == hi are both drawn;
+    # each of these two, and the widest, is given once with a nonempty
+    # answer.
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 6), st.integers(0, 40))
+    @example(4, 2, 0, 8)
+    @example(5, 3, 1, 17)
+    @example(6, 0, 6, 18)
+    def test_matches_brute_force(self, n, lo, width, total):
+        hi = lo + width
+        got = _bounded_multisets(n, lo, hi, total, self.UNIT)
+        keys = [key for key, _ in got]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+        for tup, code in got:
+            assert code == _pack(tup)
             assert len(tup) == n and sum(tup) == total
             assert all(lo <= v <= hi for v in tup)
             assert tuple(sorted(tup)) == tup
-        import itertools
-
         brute = {
             tup
             for tup in itertools.combinations_with_replacement(range(lo, hi + 1), n)
             if sum(tup) == total
         }
-        assert set(got) == brute
+        assert set(keys) == brute

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``compute`` -- evaluate one invariant of P(1,b);
-* ``table``   -- tabulate all nonzero invariants with n > 3;
+* ``table``   -- tabulate all nonzero invariants with n > 3 twisted insertions;
 * ``verify``  -- recompute the shipped golden tables;
 * ``ring``    -- print the multiplication table at a chosen q;
 * ``cache``   -- validate or normalize a record file.
@@ -70,12 +70,6 @@ _MAX_ORDER = 100
 # of b.
 _MAX_TABLE_ORDER = 16
 
-# Largest --max-n of a table with divisor insertions, checked before any
-# target is built.  Such a table grows with the square of --max-n: on one
-# Xeon core `table --b 3 --include-divisor --max-d 1` takes 0.6 s and
-# prints 3.7 MB at --max-n 1200, and 1.7 s and 10.6 MB at 2048.
-_MAX_DIVISOR_TABLE_N = 2048
-
 # Longest --lambda text passed to Fraction().  Fraction() also parses
 # exponent notation, and "1e10000000" costs it about 10 s, so exponents
 # are rejected as well; both checks come before Fraction() is called.
@@ -131,11 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cap on insertion count (required for b > {_MAX_TABLE_ORDER})",
     )
     table.add_argument("--max-d", type=int, default=None, help="cap on curve degree")
-    table.add_argument(
-        "--include-divisor",
-        action="store_true",
-        help="also enumerate divisor insertions (requires --max-n, --max-d, jsonl)",
-    )
     table.add_argument(
         "--format",
         choices=("human", "tsv", "jsonl"),
@@ -314,17 +303,6 @@ def _cmd_compute(args) -> int:
 
 def _cmd_table(args) -> int:
     b = _check_order(args)
-    if args.include_divisor:
-        if args.format != "jsonl":
-            args.parser.error(
-                "divisor insertions have no multiplicity-vector rendering; "
-                "use --format jsonl"
-            )
-        if args.max_n is not None and args.max_n > _MAX_DIVISOR_TABLE_N:
-            args.parser.error(
-                f"--max-n must be at most {_MAX_DIVISOR_TABLE_N} with "
-                f"--include-divisor, got {args.max_n}"
-            )
     if args.max_n is None and b > _MAX_TABLE_ORDER:
         args.parser.error(
             f"the full support is tabulated for b <= {_MAX_TABLE_ORDER} only, "
@@ -333,8 +311,8 @@ def _cmd_table(args) -> int:
     rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
-        rows = list(rec.enumerate_nonzero(args.max_n, args.max_d, args.include_divisor))
-    except ValueError as exc:  # a negative or missing cap, or --max-n past one key
+        rows = list(rec.enumerate_nonzero(args.max_n, args.max_d))
+    except ValueError as exc:  # a negative cap, or --max-n past one key
         args.parser.error(str(exc))
     if args.format == "jsonl":
         rows.sort()  # keys are unique, so this orders by (d, insertions)

@@ -114,6 +114,12 @@ def _unpack(code: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _shown_insertions(insertions) -> str:
+    """``insertions`` for an error message, cut to 40 characters and their count."""
+    text = str(insertions)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(insertions)} insertions)"
+
+
 class InsertionKey(NamedTuple):
     """A fully specified invariant: curve degree and sorted insertions."""
 
@@ -294,12 +300,12 @@ class Reconstructor:
     key with n insertions at degree d is ``td.plan.unscale(value, n,
     d)``.  Its n >= 4 zeros are the values a WDVV relation or divisor
     strip gave 0, and the identity or divisor-at-degree-0 keys that
-    ``gw``, ``enumerate_nonzero`` or ``preload`` were given; a relation
-    skips such a factor without storing it.  ``snapshot()``
-    gives the n >= 4 values as ``Fraction`` with sorted insertion
-    tuples.  A new engine copies the constants of ``td.plan``, built
-    once per target, which raises ``ValueError`` as ``validate_target``
-    does and for a target with no integer form or no associative product.
+    ``gw`` or ``preload`` were given; a relation skips such a factor
+    without storing it.  ``snapshot()`` gives the n >= 4 values as
+    ``Fraction`` with sorted insertion tuples.  A new engine copies the
+    constants of ``td.plan``, built once per target, which raises
+    ``ValueError`` as ``validate_target`` does and for a target with no
+    integer form or no associative product.
     """
 
     def __init__(self, td: TargetData) -> None:
@@ -318,21 +324,14 @@ class Reconstructor:
         return self._plan.unscale(self._eval(_pack(ins), len(ins), forced), len(ins), forced)
 
     def enumerate_nonzero(
-        self,
-        max_n: Optional[int] = None,
-        max_d: Optional[int] = None,
-        include_divisor: bool = False,
+        self, max_n: Optional[int] = None, max_d: Optional[int] = None
     ) -> Iterator[tuple[InsertionKey, Fraction]]:
-        """All nonzero invariants with more than three insertions.
-
-        Only non-identity insertions are considered: by the identity
-        axiom every invariant with n >= 4 and an identity insertion is
-        0.  Without ``include_divisor`` only the twisted classes
-        (exponents 1..b-1) are used; the support is then finite and
-        fully enumerated even with no caps.  Allowing divisor insertions
-        makes the search space infinite, so both ``max_n`` and ``max_d``
-        become mandatory.  Raises ``ValueError`` on a target with no power
-        basis, a negative cap, a missing cap with ``include_divisor``, or
+        """All nonzero invariants with more than three insertions, each
+        twisted (exponent 1..b-1): by the identity axiom an n >= 4 key with
+        the identity is 0, and by the divisor axiom one with a divisor is
+        (d deg x)^s times a twisted value or a 3-point constant, which
+        ``gw`` serves.  The support is finite, so no cap is needed.  Raises
+        ``ValueError`` on a target with no power basis, a negative cap, or
         a ``max_n`` above what one packed key holds.
         """
         td = self.td
@@ -342,13 +341,9 @@ class Reconstructor:
         for name, cap in (("max_n", max_n), ("max_d", max_d)):
             if cap is not None and cap < 0:
                 raise ValueError(f"{name} must be nonnegative, got {cap}")
-        if include_divisor and (max_n is None or max_d is None):
-            raise ValueError(
-                "max_n and max_d are required when divisor insertions are included"
-            )
         if max_n is not None and max_n > _MAX_INSERTIONS:
             raise ValueError(f"max_n must be at most {_MAX_INSERTIONS}, got {max_n}")
-        hi = b if include_divisor else b - 1
+        hi = b - 1
         if hi < 1:
             return
         plan = self._plan
@@ -358,11 +353,12 @@ class Reconstructor:
         while max_d is None or d <= max_d:
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
             # + scale (n - 3) is at most n hi, so n (scale - hi) <= slack.
-            # As hi <= scale, n = 4 is the loosest case; once it fails, stop.
+            # As hi < b <= scale (``validate_target`` checks b <= scale),
+            # n = 4 is the loosest case; once it fails, stop.
             slack = 3 * scale - c1 * d - dim
             if slack < 4 * (scale - hi):
                 return
-            n_cap = slack // (scale - hi) if hi < scale else max_n
+            n_cap = slack // (scale - hi)
             if max_n is not None:
                 n_cap = min(n_cap, max_n)
             for n in range(4, n_cap + 1):
@@ -391,7 +387,8 @@ class Reconstructor:
             n = len(ins)
             if forced != d:
                 raise ValueError(
-                    f"degree {d} is not forced by insertions {ins} on {self.td.id}"
+                    f"degree {d} is not forced by insertions {_shown_insertions(ins)} "
+                    f"on {self.td.id}"
                 )
             code = _pack(ins)
             twisted = n > 3 and not code & (plan.identity_field | plan.divisor_fields)
@@ -399,8 +396,8 @@ class Reconstructor:
                 gauged = plan.gauged(value, n, d)
                 if gauged is None:
                     raise ValueError(
-                        f"{value} is not a value of {self.td.id} at {ins}: its "
-                        f"gauged value is not an integer"
+                        f"{value} is not a value of {self.td.id} at "
+                        f"{_shown_insertions(ins)}: its gauged value is not an integer"
                     )
                 self.cache[code] = gauged
                 continue
@@ -408,7 +405,9 @@ class Reconstructor:
             if want == value:
                 continue
             if twisted:
-                raise ValueError(f"key {ins} already holds {want}, refusing to store {value}")
+                raise ValueError(
+                    f"key {_shown_insertions(ins)} already holds {want}, refusing to store {value}"
+                )
             if n <= 3:
                 source = f"the structure constants of {self.td.id}"
             elif code & plan.identity_field:
@@ -416,7 +415,8 @@ class Reconstructor:
             else:
                 source = "the divisor axiom"
             raise ValueError(
-                f"entry {ins} at degree {d} conflicts with {source}: {want}, not {value}"
+                f"entry {_shown_insertions(ins)} at degree {d} conflicts with {source}: "
+                f"{want}, not {value}"
             )
 
     def snapshot(self) -> list[tuple[int, tuple[int, ...], Fraction]]:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+from .engine import _shown_insertions
+
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 _RATIONAL = re.compile(rf"^({_INTEGER.pattern})(?:/([1-9][0-9]*))?$")
 
@@ -79,7 +81,7 @@ class GWRecord(_RecordFields):
             raise RecordError("a record needs at least two insertions")
         if any(k < 0 or k > b for k in insertions):
             raise RecordError(
-                f"insertion exponents must lie in [0, {b}]: {insertions}"
+                f"insertion exponents must lie in [0, {b}]: {_shown_insertions(insertions)}"
             )
         return tuple.__new__(cls, (b, d, tuple(sorted(insertions)), value))
 

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from gwstack import Reconstructor, build_p1b, build_p2, validate_target
 from gwstack.engine import (
     _FIELD,
-    InsertionKey,
     _bounded_multisets,
     _pack,
     _unpack,
@@ -275,6 +274,36 @@ class TestGw:
         assert len(rec.snapshot()) == 2
         for _, ins, value in rec.snapshot():
             assert value == F(1, 2) ** (len(ins) - 3) * base
+
+    @pytest.mark.parametrize("b", [2, 3, 4, 5])
+    def test_divisor_keys_follow_the_axiom(self, b):
+        # Every key of 4 to 6 insertions with a divisor x = a^b at a
+        # forced degree d <= 2 is (d/b)^s times its twisted part, or times
+        # the 3-point constant left once s divisors are stripped: a
+        # structure constant, a 4-point closed form, else the WDVV value of
+        # the twisted part.  As s >= 1, the factor makes it 0 at d = 0.
+        td = build_p1b(b)
+        rec = Reconstructor(td)
+        closed_4pt = {0: closed_4pt_deg0, 1: closed_4pt_deg1}
+        nonzero = Counter()
+        for n in range(4, 7):
+            for ins in itertools.combinations_with_replacement(range(1, b + 1), n):
+                d = td.grading.forced(ins)
+                if b not in ins or d is None or d > 2:
+                    continue
+                twisted = tuple(k for k in ins if k != b)
+                stripped = twisted + (b,) * max(0, 3 - len(twisted))
+                factor = F(d, b) ** (n - len(stripped))
+                if len(stripped) == 3:
+                    want = factor * td.base3.get((*stripped, d), 0)
+                elif len(stripped) == 4:
+                    want = factor * closed_4pt[d](b, *stripped)
+                else:
+                    want = factor * rec.gw(stripped)
+                assert rec.gw(ins) == want, ins
+                nonzero[len(stripped)] += want != 0
+        # The nonzero keys sit at d = 1; a twisted part of 5 needs b >= 6 there.
+        assert (nonzero[3], nonzero[4], nonzero[5]) == (3 * (b - 1), 2 * (b == 5), 0)
 
     def test_identity_insertion_kills(self, engines):
         assert engines.p1b(3).gw((0, 1, 1, 2)) == 0
@@ -689,21 +718,26 @@ class TestRescaling:
     def test_q_rescaled_support_scales(self, b):
         # Doubling q doubles the degree-1 constants and the pivot
         # coefficients (to 2/b), which only a gauge that rescales q, by
-        # r = 2, turns into signs.  The rows with a divisor add degree 1
-        # on P(1,3), whose twisted support sits at degree 0.
+        # r = 2, turns into signs.  The keys with a divisor, which ``gw``
+        # strips, add degree 1 on P(1,3), whose twisted support sits at
+        # degree 0.
         td = build_p1b(b)
         scaled = _rescaled(td, q=F(2))
         assert scaled.divisor_factorization[1].coeff == F(2, b)
         assert (scaled.plan.s, scaled.plan.r, scaled.plan.alpha) == (b, 2, 1)
-
-        def rows(rec):
-            yield from rec.enumerate_nonzero()
-            yield from rec.enumerate_nonzero(max_n=5, max_d=1, include_divisor=True)
-
-        want = [(key, 2**key.d * value) for key, value in rows(Reconstructor(td))]
-        got = list(rows(Reconstructor(scaled)))
-        assert got == want
-        assert {key.d for key, _ in want} == {0, 1}
+        rec, rec2 = Reconstructor(td), Reconstructor(scaled)
+        want = [(key, 2**key.d * value) for key, value in rec.enumerate_nonzero()]
+        assert list(rec2.enumerate_nonzero()) == want
+        degrees = {key.d for key, _ in want}
+        for n in (4, 5):
+            for ins in itertools.combinations_with_replacement(range(1, b + 1), n):
+                d = td.grading.forced(ins)
+                if b in ins and d is not None and d <= 1:
+                    value = rec.gw(ins)
+                    assert rec2.gw(ins) == 2**d * value, ins
+                    if value:
+                        degrees.add(d)
+        assert degrees == {0, 1}
 
     def test_gauge_of_the_shipped_targets(self):
         def signs(plan):
@@ -883,17 +917,14 @@ class TestEnumerate:
         rec = engines.p1b(5)
         assert len(list(rec.enumerate_nonzero())) == 22
         assert len(list(rec.enumerate_nonzero(max_d=0))) == 21
+        # The walk stops at the last degree that fits, not at max_d.
+        assert len(list(rec.enumerate_nonzero(max_d=10**9))) == 22
         four_point = list(rec.enumerate_nonzero(max_n=4))
         assert all(len(key.insertions) == 4 for key, _ in four_point)
         assert len(four_point) == 6
 
     def test_b1_is_empty(self, engines):
         assert list(engines.p1b(1).enumerate_nonzero()) == []
-
-    def test_include_flags_require_caps(self, engines):
-        rec = engines.p1b(2)
-        with pytest.raises(ValueError, match="max_n and max_d"):
-            next(iter(rec.enumerate_nonzero(include_divisor=True)))
 
     @pytest.mark.parametrize("cap", ["max_n", "max_d"])
     def test_negative_caps_refused(self, engines, cap):
@@ -904,19 +935,8 @@ class TestEnumerate:
         most = (1 << _FIELD) - 1
         rec = engines.p1b(2)
         with pytest.raises(ValueError, match=f"max_n must be at most {most}"):
-            next(iter(rec.enumerate_nonzero(max_n=most + 1, max_d=0, include_divisor=True)))
+            next(iter(rec.enumerate_nonzero(max_n=most + 1, max_d=0)))
         assert len(list(rec.enumerate_nonzero(max_n=most))) == 1
-
-    def test_include_divisor(self, engines):
-        rows = dict(
-            engines.p1b(2).enumerate_nonzero(
-                max_n=4, max_d=2, include_divisor=True
-            )
-        )
-        assert rows == {
-            InsertionKey(0, (1, 1, 1, 1)): F(-1, 4),
-            InsertionKey(1, (1, 2, 2, 2)): F(1, 8),
-        }
 
     def test_needs_power_basis(self, engines):
         with pytest.raises(ValueError, match="power basis"):
@@ -975,9 +995,11 @@ class TestPreload:
             for d, ins, value in rows:
                 assert rec.gw(ins, d) == fresh.gw(ins, d) == value, (b, d, ins)
             assert list(rec.enumerate_nonzero()) == list(fresh.enumerate_nonzero())
-            assert list(rec.enumerate_nonzero(max_n=6, max_d=2, include_divisor=True)) == list(
-                fresh.enumerate_nonzero(max_n=6, max_d=2, include_divisor=True)
-            )
+            for n in range(4, 7):
+                for ins in itertools.combinations_with_replacement(range(1, b + 1), n):
+                    d = rec.td.grading.forced(ins)
+                    if b in ins and d is not None and d <= 2:
+                        assert rec.gw(ins) == fresh.gw(ins), (b, ins)
 
     @pytest.mark.parametrize(
         "d, ins, axiom",

@@ -23,12 +23,15 @@ and ``table`` add ``engine``, reading or writing a record file
 adds ``golden``, which imports both.  ``ring`` adds nothing.
 
 ``compute`` and ``table`` optionally persist their memo to the record
-file named by ``--cache`` and preload it on the next run.  A record
+file named by ``--cache`` and preload it on the next run.  ``records``
+reads the file syntax only.  A record with b outside [1, ``_MAX_ORDER``]
+rejects the file before any target is built.  A record
 with an impossible degree, one that contradicts the structure constants
 or the identity and divisor axioms, a key given two different values,
 or a twisted n > 3 value that is not an integer in the target's gauge
 (see ``engine.Plan``) rejects the whole file.  Other twisted
 records are stored unchecked, so ``verify`` is their integrity check.
+A save and ``cache --emit`` write one line per key.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--b",
         required=True,
+        choices=("all", *map(str, TABLE_ORDERS)),
         metavar="B|all",
         help=f"one of {TABLE_ORDERS[0]}..{TABLE_ORDERS[-1]}, or 'all'",
     )
@@ -254,8 +258,8 @@ def _preload_records(path, engines: dict[int, Reconstructor]) -> list[GWRecord]:
 
     pairs = load_records(path)
     for lineno, recd in pairs:
-        if recd.b > _MAX_ORDER:
-            raise RecordError(f"{path}:{lineno}: b must be at most {_MAX_ORDER}, got {recd.b}")
+        if not 1 <= recd.b <= _MAX_ORDER:
+            raise RecordError(f"{path}:{lineno}: b must lie in [1, {_MAX_ORDER}], got {recd.b}")
     for lineno, recd in pairs:
         eng = engines.get(recd.b)
         if eng is None:
@@ -272,11 +276,8 @@ def _store_cache(rec: Reconstructor, path, loaded) -> None:
         return
     from .records import GWRecord, save_records
 
-    merged = {(r.b, r.insertions): r for r in loaded}
     b = rec.td.power_basis
-    for d, ins, value in rec.snapshot():
-        merged[(b, ins)] = GWRecord(b, d, ins, value)
-    save_records(path, merged.values())
+    save_records(path, [*loaded, *(GWRecord(b, *row) for row in rec.snapshot())])
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -341,18 +342,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.b == "all":
-        orders = TABLE_ORDERS
-    else:
-        try:
-            order = int(args.b)
-        except ValueError:
-            order = -1
-        if order not in TABLE_ORDERS:
-            args.parser.error(
-                f"--b must be one of {', '.join(map(str, TABLE_ORDERS))}, or 'all'"
-            )
-        orders = (order,)
+    orders = TABLE_ORDERS if args.b == "all" else (int(args.b),)
     from .golden import verify
 
     reports = [verify(b) for b in orders]

@@ -64,8 +64,6 @@ def _parse_row(payload: str, targets: dict[int, TargetData]) -> GoldenRow:
     b, d, mults, value = parse_fields(payload)
     if b < 2:
         raise RecordError(f"table rows need b >= 2, got {b}")
-    if d < 0:
-        raise RecordError(f"negative degree {d}")
     if len(mults) != b - 1:
         raise RecordError(f"multiplicity vector for b={b} needs {b - 1} slots")
     if not value:

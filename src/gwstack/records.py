@@ -8,7 +8,8 @@ each integer field is written as ``p`` is.  The reader is strict:
 a reducible fraction, a zero or negative denominator, a leading ``+``,
 or padded digits all reject the line.  Strictness keeps the formats
 canonical, so byte-level comparison of two files is a semantic
-comparison of their contents.
+comparison of their contents.  Only the syntax is checked here; the CLI
+and ``Reconstructor.preload`` check what a cache record means.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from contextlib import suppress
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
-
-from .engine import _shown_insertions
 
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 _RATIONAL = re.compile(rf"^({_INTEGER.pattern})(?:/([1-9][0-9]*))?$")
@@ -56,47 +55,20 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-class _RecordFields(NamedTuple):
+class GWRecord(NamedTuple):
+    """One record line: target order b, curve degree, insertions, value.
+
+    A plain row; the CLI and ``Reconstructor.preload`` check its meaning.
+    """
+
     b: int
     d: int
     insertions: tuple[int, ...]
     value: Fraction
 
-
-class GWRecord(_RecordFields):
-    """One computed invariant: target order b, curve degree, insertions, value.
-
-    ``insertions`` is the sorted tuple of basis exponents (0 is the
-    identity class, b the untwisted divisor class).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, b: int, d: int, insertions, value: Fraction) -> "GWRecord":
-        if b < 1:
-            raise RecordError(f"b must be positive, got {b}")
-        if d < 0:
-            raise RecordError(f"degree must be nonnegative, got {d}")
-        if len(insertions) < 2:
-            raise RecordError("a record needs at least two insertions")
-        if any(k < 0 or k > b for k in insertions):
-            raise RecordError(
-                f"insertion exponents must lie in [0, {b}]: {_shown_insertions(insertions)}"
-            )
-        return tuple.__new__(cls, (b, d, tuple(sorted(insertions)), value))
-
-    @classmethod
-    def _make(cls, iterable) -> "GWRecord":
-        # ``_replace`` builds through ``_make``; check and sort there too.
-        return cls(*iterable)
-
     def render(self) -> str:
         ks = ",".join(str(k) for k in self.insertions)
         return f"{self.b} {self.d} {ks} {self.value!s}"
-
-    @classmethod
-    def parse(cls, line: str) -> "GWRecord":
-        return cls(*parse_fields(line))
 
 
 def parse_fields(line: str) -> tuple[int, int, tuple[int, ...], Fraction]:
@@ -133,20 +105,27 @@ def load_records(path: str) -> list[tuple[int, GWRecord]]:
     """Read a record file, returning ``(lineno, record)`` pairs.
 
     Raises :class:`RecordError` with the offending line number on any
-    syntactic problem.  Semantic checks (degree consistency against a
-    target) are the caller's job.
+    syntactic problem.  Each record's insertions are sorted; semantic
+    checks are the caller's job.
     """
     try:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise RecordError(f"cannot read {path}: {exc}") from None
-    return read_lines(path, text, GWRecord.parse)
+    return read_lines(path, text, _parse_record)
+
+
+def _parse_record(line: str) -> GWRecord:
+    b, d, ks, value = parse_fields(line)
+    return GWRecord(b, d, tuple(sorted(ks)), value)
 
 
 def render_records(records) -> str:
-    """Records one per line, ordered by (b, d, n, insertions)."""
-    ordered = sorted(records, key=lambda r: (r.b, r.d, len(r.insertions), r.insertions))
+    """One line per ``(b, insertions)`` key, the last record given for it,
+    ordered by (b, d, n, insertions)."""
+    last = {(r.b, r.insertions): r for r in records}
+    ordered = sorted(last.values(), key=lambda r: (r.b, r.d, len(r.insertions), r.insertions))
     return "".join(rec.render() + "\n" for rec in ordered)
 
 

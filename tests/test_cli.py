@@ -220,10 +220,10 @@ class TestVerify:
         assert out.splitlines()[-1] == "total: 81/81 rows match"
 
     def test_unknown_order(self, run):
-        for order in ("9", "foo"):
-            code, _, err = run("verify", "--b", order)
-            assert code == 2
-            assert "--b must be one of" in err
+        for order in ("9", "foo", "02"):
+            code, out, err = run("verify", "--b", order)
+            assert (code, out) == (2, ""), order
+            assert "invalid choice" in err
 
     def test_mismatch_exits_one(self, run, monkeypatch):
         from gwstack import golden as golden_mod
@@ -398,10 +398,12 @@ class TestCache:
             assert f"memo.rec:2: entry" in err and f"conflicts with the {axiom} not 7" in err
 
     def test_emit_normalizes(self, run, tmp_path):
+        # Insertions are sorted, and a key given twice is emitted once.
         path = tmp_path / "memo.rec"
-        path.write_text("# note\n3 0 2,1,2,1 -1/9\n")
-        code, out, _ = run("cache", "--path", str(path), "--emit")
-        assert (code, out) == (0, "3 0 1,1,2,2 -1/9\n")
+        for text in ("# note\n3 0 2,1,2,1 -1/9\n", "3 0 1,1,2,2 -1/9\n3 0 2,2,1,1 -1/9\n"):
+            path.write_text(text)
+            code, out, _ = run("cache", "--path", str(path), "--emit")
+            assert (code, out) == (0, "3 0 1,1,2,2 -1/9\n"), text
 
     @pytest.mark.parametrize(
         "line, field",
@@ -432,11 +434,31 @@ class TestCache:
         for text, line in (
             ("100000 1 1,100000 1/100000\n", 1),
             ("3 0 1,1,2,2 -1/9\n100000 1 1,100000 1/100000\n", 2),
+            ("0 0 1,1 1/2\n", 1),
+            ("-3 0 1,1 1/2\n", 1),
         ):
             path.write_text(text)
             code, out, err = run("cache", "--path", str(path))
             assert (code, out) == (3, "")
-            assert f"memo.rec:{line}: b must be at most {cli._MAX_ORDER}" in err
+            assert f"memo.rec:{line}: b must lie in [1, {cli._MAX_ORDER}]" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("3 -1 1,1,2,2 -1/9", "degree -1 is not forced by insertions (1, 1, 2, 2) on P(1,3)"),
+            ("3 0 2 1/2", "at least two insertions are required"),
+            ("3 0 1,4 1/2", "basis index 4 out of range for P(1,3)"),
+            ("3 0 -1,1 1/2", "basis index -1 out of range for P(1,3)"),
+        ],
+        ids=["negative-degree", "one-insertion", "exponent-above-b", "negative-exponent"],
+    )
+    def test_rejects_records_that_are_no_invariant(self, run, tmp_path, line, message):
+        # Each line parses; the engine's preload is what refuses it.
+        path = tmp_path / "memo.rec"
+        path.write_text(line + "\n")
+        code, out, err = run("cache", "--path", str(path))
+        assert (code, out) == (3, "")
+        assert f"memo.rec:1: {message}" in err
 
     def test_rejects_oversized_insertion_count(self, run, tmp_path):
         most = (1 << _FIELD) - 1
@@ -519,7 +541,8 @@ class TestCache:
         # A long malformed field, or a long rational not in lowest terms,
         # is echoed by its first characters and its length, and so is
         # its line.  A long insertion list that parses but is out of range
-        # or forces another degree is echoed by its start and its count.
+        # is refused by the index alone, and one that forces another
+        # degree is echoed by its start and its count.
         path = tmp_path / "memo.rec"
         path.write_text(line + "\n")
         code, out, err = run("cache", "--path", str(path))

@@ -87,7 +87,10 @@ class TestDataFileGuards:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda rows: rows + ["3 -1 2,2 -1/9"], r"p1b_tables.dat:100: negative degree -1"),
+            (
+                lambda rows: rows + ["3 -1 2,2 -1/9"],
+                r"p1b_tables.dat:100: row N_-1\(2,2\) violates the degree axiom",
+            ),
             (lambda rows: rows + ["3 0 two 1"], r"p1b_tables.dat:100: malformed integer 'two'"),
             # a ValueError from the row's own checks gains the line too
             (lambda rows: rows + ["3 0 -1,6 -1/9"], r"p1b_tables.dat:100: negative multiplicity"),

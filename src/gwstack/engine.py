@@ -40,10 +40,12 @@ rows and ``snapshot()``.  ``enumerate_nonzero`` never packs a tuple: it
 builds the keys of one (n, d) as one list, each with its code, which
 grows by one add of c copies of a class as that class's count is
 chosen, and the last two classes' counts come in closed form (see
-``_bounded_multisets``).  A reduction sorts nothing: one read of the
-count vector in pivot order (pivot rank ascending, then orbifold degree
-descending, then index descending) gives its present classes, its slots
-and its split list.
+``_bounded_multisets``).  A reduction sorts nothing: ``Plan.counts``
+reads the whole count vector in one call, as the code's little-endian
+bytes unpacked one FIELD-bit field per class, and one pass over it in
+pivot order (pivot rank ascending, then orbifold degree descending,
+then index descending) gives its present classes, its slots and its
+split list.
 
 A WDVV relation is the difference of two contractions, each of which
 splits the remaining insertions between its two factors; the second
@@ -58,11 +60,13 @@ contraction is one pass over that list: a factor's key is one integer
 add away from the split's, and the excess gives its degree by one exact
 division (see ``Reconstructor._relation``).  A factor with more than
 three insertions that holds the identity, or a divisor at its degree 0,
-is 0 by the axioms and is never looked up, so a relation stores no such
-key.  Whole contractions drop their interior splits, where both factors
-have more than three insertions, at total degree 0, at total degree 1
-when the left slots hold a divisor, and when any insertion is the
-identity; the other interior splits read buckets without the identity.
+is 0 by the axioms.  A relation tests for one only where the memo lacks
+the key, and never evaluates or stores it; one in the memo holds 0, as
+``gw`` and ``preload`` store it.  Whole contractions drop their
+interior splits, where both factors have more than three insertions, at
+total degree 0, at total degree 1 when the left slots hold a divisor,
+and when any insertion is the identity; the other interior splits read
+buckets without the identity.
 
 The recursion runs on integers.  WDVV is unchanged when the classes, q
 or the whole potential are rescaled, and the target's gauge (see
@@ -85,12 +89,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm
+from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .ring import ONE, TargetData, ZERO, _noncommuting_triple, validate_target
 
 _FIELD = 16  # bits per class in a packed key
 _MASK = (1 << _FIELD) - 1
+# The struct code of one field; a width with no code is a KeyError here.
+_FIELD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}[_FIELD]
 _MAX_INSERTIONS = _MASK  # one field's largest count
 
 
@@ -149,14 +156,16 @@ class Plan:
     w[i] + w[j] and then -w[i] mod c1 (see ``Reconstructor._relation``),
     ``inner`` the same without the entries where i or j is the identity,
     ``divisor_factor`` each divisor's degree times s, ``order`` the pivot
-    classes, the only ones a reduced key holds, with their fields' bit
-    offsets in pivot order, and ``pivots`` each one's (partner, divisor,
-    q-shift, sign coeff s^shift / r^shift).
+    classes, the only ones a reduced key holds, in pivot order, and
+    ``pivots`` each one's (partner, divisor, q-shift, sign coeff s^shift
+    / r^shift).  :meth:`counts` reads a key's whole count vector, one
+    ``struct`` field per class, which :meth:`scan` walks in ``order``.
     """
 
     __slots__ = (
         "s", "r", "alpha", "grading", "unit", "identity_field", "divisor_fields",
         "constants", "buckets", "inner", "divisor_factor", "order", "pivots", "options",
+        "_read", "_width",
     )
 
     def __init__(self, td: TargetData) -> None:
@@ -209,27 +218,34 @@ class Plan:
                 f"(a_i a_k) x at (x, i, k) = {triple}"
             )
         rank = td.pivot_rank
-        order = sorted(steps, key=lambda k: (rank[k], -w[k], -k))
-        self.order = tuple((k, _FIELD * k) for k in order)
+        self.order = tuple(sorted(steps, key=lambda k: (rank[k], -w[k], -k)))
         self.options = {}
+        fields = Struct(f"<{td.basis_size}{_FIELD_CODE}")
+        self._read, self._width = fields.unpack, fields.size
+
+    def gauge(self, n: int, d: int) -> tuple[int, int]:
+        """(num, den) with alpha r^d / s^(n - 2 + d) = num / den: the
+        invariant on n insertions at degree d is num T / den."""
+        r = self.r
+        return self.alpha * r.numerator**d, self.s ** (n - 2 + d) * r.denominator**d
 
     def unscale(self, value: int, n: int, d: int) -> Fraction:
         """The invariant whose gauged value on n insertions at degree d is ``value``."""
-        r = self.r
-        return Fraction(
-            self.alpha * r.numerator**d * value, self.s ** (n - 2 + d) * r.denominator**d
-        )
+        num, den = self.gauge(n, d)
+        return Fraction(num * value, den)
 
     def gauged(self, value: Fraction, n: int, d: int) -> Optional[int]:
         """The gauged value of the invariant ``value`` on n insertions at
         degree d, or ``None`` if it is not an integer, which no
         invariant of the target has."""
-        r = self.r
-        t, rest = divmod(
-            value.numerator * self.s ** (n - 2 + d) * r.denominator**d,
-            value.denominator * self.alpha * r.numerator**d,
-        )
+        num, den = self.gauge(n, d)
+        t, rest = divmod(value.numerator * den, value.denominator * num)
         return None if rest else t
+
+    def counts(self, code: int) -> tuple[int, ...]:
+        """The count vector that ``code`` packs, class k's count at index k,
+        read in one call."""
+        return self._read(code.to_bytes(self._width, "little"))
 
     def scan(self, code: int) -> tuple[int, int, int, Sequence[tuple]]:
         """(pivot, donor, third, splits) of the reduction of the packed
@@ -242,8 +258,9 @@ class Plan:
         classes, counts = [], []
         donor = third = -1  # positions in classes
         fewest = second = _MAX_INSERTIONS + 1
-        for k, shift in self.order:
-            c = code >> shift & _MASK
+        present = self.counts(code)
+        for k in self.order:
+            c = present[k]
             if not c:
                 continue
             if not counts:
@@ -348,7 +365,7 @@ class Reconstructor:
             return
         plan = self._plan
         _, scale, c1, dim = plan.grading
-        unit, unscale = plan.unit, plan.unscale
+        unit, cache, reduce = plan.unit, self.cache, self._reduce
         d = 0
         while max_d is None or d <= max_d:
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
@@ -363,10 +380,15 @@ class Reconstructor:
                 n_cap = min(n_cap, max_n)
             for n in range(4, n_cap + 1):
                 total = c1 * d + dim + scale * (n - 3)
+                num, den = plan.gauge(n, d)
+                # Exponents 1..b-1 hold neither the identity (0) nor the
+                # divisor (b), and n >= 4: a memo miss is a reduction.
                 for key, code in _bounded_multisets(n, 1, hi, total, unit):
-                    value = self._eval(code, n, d)
+                    value = cache.get(code)
+                    if value is None:
+                        value = cache[code] = reduce(code, n, d)
                     if value:
-                        yield InsertionKey(d, key), unscale(value, n, d)
+                        yield InsertionKey(d, key), Fraction(num * value, den)
             d += 1
 
     # -- cache persistence ---------------------------------------------------
@@ -505,19 +527,21 @@ class Reconstructor:
 
         A factor with more than three insertions is 0 if it holds the
         identity, or a divisor at its degree 0; the right one holds g4, the
-        reduction's divisor, so it is 0 at every d2 = 0.  Such terms are
-        skipped before any lookup, and decided once per relation where
-        they can be.  On an interior split, 0 < a < m, both factors have
-        more than three insertions, so a contraction has no interior term
-        at beta3 = 0, or at beta3 = 1 if its left slots hold a divisor, or
-        if a slot or a delta is the identity; else its interior splits read
-        ``Plan.inner`` and test only d1 = 0 and d2 = 0.  The split a = 0
-        (a three-point left factor) and a = m (first contraction only, a
-        three-point right factor) read the full bucket and test each
-        entry.  A zero left factor skips the right one's lookup.  The
-        factors and g are gauged integers, so each
-        contraction is one integer sum; on m deltas it is a gauged value
-        on m + 3 insertions at degree beta3.
+        reduction's divisor, so it is 0 at every d2 = 0.  Such a factor is
+        tested for only where the memo lacks its key, and is then skipped,
+        never evaluated or stored; one in the memo holds 0, as ``gw`` and
+        ``preload`` store it, and adds nothing.  Where they can be, such
+        terms are decided once per relation.  On an interior split, 0 < a
+        < m, both factors have more than three insertions, so a
+        contraction has no interior term at beta3 = 0, or at beta3 = 1 if
+        its left slots hold a divisor, or if a slot or a delta is the
+        identity; else its interior splits read ``Plan.inner`` and test
+        only d1 = 0 and d2 = 0.  The split a = 0 (a three-point left
+        factor) and a = m (first contraction only, a three-point right
+        factor) read the full bucket and test each entry.  A zero left
+        factor skips the right one's lookup.  The factors and g are gauged
+        integers, so each contraction is one integer sum; on m deltas it
+        is a gauged value on m + 3 insertions at degree beta3.
         """
         plan = self._plan
         w, _, c1, dim = plan.grading
@@ -547,10 +571,10 @@ class Reconstructor:
             if t < 0 or t > top:
                 continue
             lkey = lcode + full_code + ui
-            if lkey & lid or not t and lkey & ldiv:
-                continue
             left = cache.get(lkey)
             if left is None:
+                if lkey & lid or not t and lkey & ldiv:
+                    continue
                 left = ev(lkey, 3 + m, t // c1)
             if left:
                 first += left * cache.get(rcode - full_code + uj, 0) * g
@@ -569,13 +593,13 @@ class Reconstructor:
                 t = lbase + wi
                 if t < 0 or t >= top:
                     continue
-                rkey = rcode + uj
-                if rkey & ident:
-                    continue
                 left = cache.get(lcode + ui)
                 if left:
+                    rkey = rcode + uj
                     right = cache.get(rkey)
                     if right is None:
+                        if rkey & ident:
+                            continue
                         right = ev(rkey, 3 + m, beta3 - t // c1)
                     total += left * right * g
             for code, excess, size, mult in inner if beta3 > 1 or not lcode & divs else ():
@@ -585,10 +609,10 @@ class Reconstructor:
                     if t < 0 or t >= top:
                         continue
                     lkey = lcode + code + ui
-                    if not t and lkey & divs:
-                        continue
                     left = cache.get(lkey)
                     if left is None:
+                        if not t and lkey & divs:
+                            continue
                         left = ev(lkey, 3 + size, t // c1)
                     if left:
                         rkey = rcode - code + uj

@@ -42,7 +42,7 @@ class TestMemoCache:
     def test_axiom_zeros_are_stored_without_a_reduction(self):
         # An n >= 4 key with the identity, or with the divisor at degree
         # 0, is 0 by that axiom.  A WDVV relation skips such a factor
-        # without a lookup, so the full support of P(1,5), whose
+        # that the memo lacks, so the full support of P(1,5), whose
         # relations pass many of them, neither stores nor reduces one;
         # a direct ``gw`` on one stores 0 and reduces nothing.
         b = 5
@@ -71,6 +71,69 @@ class TestMemoCache:
         assert [rec.gw(ins) for ins in keys] == [0, 0, 0]
         assert {(d, ins) for d, ins, _ in rec.snapshot()} == {(0, ins) for ins in keys}
         assert not reduced
+
+    @pytest.mark.parametrize(
+        "make", [*(lambda b=b: build_p1b(b) for b in (3, 4, 5)), build_p2], ids=["3", "4", "5", "P2"]
+    )
+    def test_relations_evaluate_no_axiom_zero(self, make):
+        # Every WDVV relation of a reduction's slot shape, (third, partner,
+        # donor, divisor) with (partner, divisor) of a pivot and any other
+        # class as third and donor, on 0 to 3 deltas of any class and at
+        # beta3 = 0..3, over the memo of the full support where there is
+        # one.  A factor with more than three insertions that holds the
+        # identity, or a divisor at degree 0, is tested for only on a memo
+        # miss, and must then be neither evaluated nor stored.  Without
+        # any one of the three tests (a = m, a = 0, interior) some target
+        # here evaluates such a factor.
+        td = make()
+        plan, one = td.plan, td.fundamental_index
+        ident, divs = plan.identity_field, plan.divisor_fields
+        zeros = []
+
+        class Recording(Reconstructor):
+            def _eval(self, code, n, d):
+                if n > 3 and (code & ident or not d and code & divs):
+                    zeros.append((d, _unpack(code)))
+                return super()._eval(code, n, d)
+
+        rec = Recording(td)
+        if td.power_basis is not None:
+            assert list(rec.enumerate_nonzero())
+        before = set(rec.cache)
+        others = [k for k in range(td.basis_size) if k != one]
+        for partner, divisor, _, _ in plan.pivots.values():
+            for third, donor in itertools.product(others, repeat=2):
+                for m in range(4):
+                    for deltas in itertools.combinations_with_replacement(range(td.basis_size), m):
+                        splits = _fold(plan, deltas)
+                        for beta3 in range(4):
+                            rec._relation(third, partner, donor, divisor, splits, beta3)
+        assert not zeros, zeros[:5]
+        for code in rec.cache.keys() - before:
+            ins = _unpack(code)
+            zero = code & ident or code & divs and td.grading.forced(ins) == 0
+            assert len(ins) <= 3 or not zero, ins
+
+    def test_stored_identity_keys_leave_rows_unchanged(self):
+        # Axiom-zero keys that ``gw`` stored first are memo hits that hold
+        # 0, so the relations that meet them add nothing: the full
+        # support is the same as on a fresh engine.  The relations do
+        # read them: the same keys holding 1 change the rows.
+        td = build_p1b(5)
+        keys = [
+            ins
+            for n in range(4, 7)
+            for ins in itertools.combinations_with_replacement(range(6), n)
+            if 0 in ins and td.grading.forced(ins) is not None
+            or 5 in ins and td.grading.forced(ins) == 0
+        ]
+        rows = list(Reconstructor(td).enumerate_nonzero())
+        stored = Reconstructor(td)
+        assert [stored.gw(ins) for ins in keys] == [0] * len(keys)
+        assert list(stored.enumerate_nonzero()) == rows
+        poisoned = Reconstructor(td)
+        poisoned.cache.update((_pack(ins), 1) for ins in keys)
+        assert list(poisoned.enumerate_nonzero()) != rows
 
     def test_contents_are_pinned(self):
         # The memo rows after the full support of P(1,2..10) and after
@@ -552,7 +615,7 @@ def _scan_keys(td, seed, draws):
     likely as each other one.  Every other draw holds exactly one copy of
     the last class in pivot order, so a scan that stops one class too
     soon misses it."""
-    order = [k for k, _ in td.plan.order]
+    order = td.plan.order
     pool = sorted(order) + [order[0]] * 2
     rng = random.Random(seed)
     for i in range(draws):
@@ -577,7 +640,7 @@ class TestDonorPolicy:
     def test_slots_match_sorting(self):
         for seed, make in enumerate(_SCAN_TARGETS, start=16):
             td = make()
-            order = [k for k, _ in td.plan.order]
+            order = td.plan.order
             for counts in _scan_keys(td, seed, 2000):
                 code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
                 got = td.plan.scan(code)[:3]
@@ -1057,6 +1120,24 @@ class TestPackedKeys:
         assert _unpack(code) == ins
         assert _unpack(_pack((3, 0, 3))) == (0, 3, 3)
         assert _unpack(0) == ()
+
+    def test_count_reader_matches_the_fields(self):
+        # ``Plan.counts`` against a shift and mask per class, on random
+        # count vectors with fields at 0, 1, 65,535 and in between, and on
+        # the vectors that are empty, full, or hold copies of the top
+        # class alone.
+        most = (1 << _FIELD) - 1
+        for td in [*map(build_p1b, range(2, 21)), build_pn(5)]:
+            size = td.basis_size
+            rng = random.Random(20261021 + size)
+            vectors = [[0] * size, [most] * size, [0] * (size - 1) + [1], [0] * (size - 1) + [most]]
+            for _ in range(100):
+                vectors.append([rng.choice((0, 0, 1, rng.randrange(2, most), most)) for _ in range(size)])
+            for counts in vectors:
+                code = sum(c << (_FIELD * k) for k, c in enumerate(counts))
+                got = td.plan.counts(code)
+                assert got == tuple(code >> (_FIELD * k) & most for k in range(size)), (td.id, counts)
+                assert list(got) == counts
 
     def test_insertion_count_is_bounded(self):
         rec = Reconstructor(build_p1b(2))

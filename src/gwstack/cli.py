@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, also when the reader of stdout closes it early
 (``gwstack table ... | head``); 1 verification mismatch; 2 usage error;
-3 unreadable or malformed file, the shipped golden table included.  All
+3 unreadable or malformed file, the shipped golden table included, or a
+``--cache`` file that cannot be written.  A command that exits 3 has
+printed nothing: ``compute`` and ``table`` save before they print.  All
 printed values are exact rationals; the output is deterministic byte for
 byte.
 
@@ -297,8 +299,8 @@ def _cmd_compute(args) -> int:
         value = rec.gw(ins, args.degree)
     except ValueError as exc:  # count, range, or the degenerate 2-point problem
         args.parser.error(str(exc))
-    print(value)
     _store_cache(rec, args.cache, loaded)
+    print(value)
     return EXIT_OK
 
 
@@ -315,6 +317,7 @@ def _cmd_table(args) -> int:
         rows = list(rec.enumerate_nonzero(args.max_n, args.max_d))
     except ValueError as exc:  # a negative cap, or --max-n past one key
         args.parser.error(str(exc))
+    _store_cache(rec, args.cache, loaded)
     if args.format == "jsonl":
         rows.sort()  # keys are unique, so this orders by (d, insertions)
         for (d, ins), value in rows:
@@ -337,7 +340,6 @@ def _cmd_table(args) -> int:
             width = max(map(len, names), default=0)
             for name, (_, _, value) in zip(names, labelled):
                 print(f"{name:<{width}} = {value!s}")
-    _store_cache(rec, args.cache, loaded)
     return EXIT_OK
 
 

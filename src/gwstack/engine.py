@@ -153,13 +153,17 @@ class Plan:
     constant by packed key (``validate_target`` puts each at its forced
     degree, d > 0 for two points), ``buckets`` the gauged nonzero
     inverse-pairing entries (unit[i], unit[j], w[i], alpha g / s) by
-    w[i] + w[j] and then -w[i] mod c1 (see ``Reconstructor._relation``),
-    ``inner`` the same without the entries where i or j is the identity,
+    -w[i] mod c1 (see ``Reconstructor._relation``), ``inner`` the same
+    without the entries where i or j is the identity,
     ``divisor_factor`` each divisor's degree times s, ``order`` the pivot
     classes, the only ones a reduced key holds, in pivot order, and
     ``pivots`` each one's (partner, divisor, q-shift, sign coeff s^shift
     / r^shift).  :meth:`counts` reads a key's whole count vector, one
     ``struct`` field per class, which :meth:`scan` walks in ``order``.
+
+    Every inverse-pairing entry has w[i] + w[j] = dim: ``validate_target``
+    makes the identity the unit, so the pairing is <1, a_i, a_j>_0, and
+    puts that constant at its forced degree.
     """
 
     __slots__ = (
@@ -202,14 +206,13 @@ class Plan:
                     f"integer gauged value with s = {s}, r = {r}, alpha = {alpha}"
                 )
             constants[sum(unit[k] for k in ins)] = t
-        buckets, inner = self.buckets, self.inner = {}, {}
+        buckets, inner = self.buckets, self.inner = [()] * c1, [()] * c1
         one = td.fundamental_index
         for i, j, g in td.pairing_inverse_entries:
             entry = ((unit[i], unit[j], w[i], int(alpha * g / s)),)
-            buckets.setdefault(w[i] + w[j], [()] * c1)[-w[i] % c1] += entry
-            by_residue = inner.setdefault(w[i] + w[j], [()] * c1)
+            buckets[-w[i] % c1] += entry
             if one not in (i, j):
-                by_residue[-w[i] % c1] += entry
+                inner[-w[i] % c1] += entry
         self.divisor_factor = {k: int(delta * s) for k, delta in td.divisor_degree.items()}
         triple = _noncommuting_triple(td)
         if triple is not None:
@@ -516,14 +519,13 @@ class Reconstructor:
         reduction solves for, and each sums over the splits, the inverse
         pairing and the degree splits d1 + d2 = beta3.
 
-        Degrees are integers throughout.  A split carries its excess e =
-        weight(A) - scale |A|; with left_base = w of the two left slots -
-        dim and right_base = w of the two right slots + e(deltas) - dim,
-        c1 d1 = left_base + e + w[i] and c1 d2 = right_base - e + w[j].
-        Their sum c1 beta3 involves neither the split nor the contraction,
-        so the relation reads one inverse-pairing bucket, and per split and
-        contraction only the entries whose w[i] makes d1 an integer; d1 is
-        then an exact division, and d2 = beta3 - d1 needs no check.
+        beta3 must be the degree at which the relation's weights add up,
+        w(g1 .. g4) + w(deltas) = c1 beta3 + dim + scale m, as ``_reduce``
+        passes it.  A split carries its excess e = weight(A) - scale |A|,
+        and c1 d1 = w of the two left slots - dim + e + w[i]; as w[i] +
+        w[j] = dim (see :class:`Plan`), d2 = beta3 - d1 for every entry.
+        So per split and contraction only the ``Plan.buckets`` entries
+        whose w[i] makes d1 an integer are read; d1 is an exact division.
 
         A factor with more than three insertions is 0 if it holds the
         identity, or a divisor at its degree 0; the right one holds g4, the
@@ -545,13 +547,9 @@ class Reconstructor:
         """
         plan = self._plan
         w, _, c1, dim = plan.grading
-        unit = plan.unit
+        unit, buckets, inner_buckets = plan.unit, plan.buckets, plan.inner
         full_code, full_excess, m, _ = splits[-1]
         top = c1 * beta3
-        fill = top - w[third] - w[partner] - w[donor] - w[divisor] - full_excess + 2 * dim
-        buckets = plan.buckets.get(fill)
-        if buckets is None:
-            return 0, 0
         cache, ev = self.cache, self._eval
         ident, divs = plan.identity_field, plan.divisor_fields
         rest = unit[divisor] + full_code
@@ -561,9 +559,8 @@ class Reconstructor:
             (unit[third] + unit[donor], unit[partner] + rest, w[third] + w[donor] - dim),
         )
         # a = m, first contraction only: the right factor has three
-        # insertions, the left one 3 + m (masked only if m > 0).
+        # insertions, the left one 3 + m.
         lcode, rcode, lbase = sides[0]
-        lid, ldiv = (ident, divs) if m else (0, 0)
         base = lbase + full_excess
         first = 0
         for ui, uj, wi, g in buckets[base % c1]:
@@ -573,7 +570,7 @@ class Reconstructor:
             lkey = lcode + full_code + ui
             left = cache.get(lkey)
             if left is None:
-                if lkey & lid or not t and lkey & ldiv:
+                if lkey & ident or not t and lkey & divs:
                     continue
                 left = ev(lkey, 3 + m, t // c1)
             if left:
@@ -585,7 +582,6 @@ class Reconstructor:
         # or a delta, and none at beta3 = 1 for a side whose left slots
         # hold a divisor; their buckets hold no identity entry.
         inner = splits[1:-1] if beta3 and not (sides[1][0] + sides[1][1]) & ident else ()
-        by_residue = plan.inner[fill]
         for lcode, rcode, lbase in sides:
             total = 0
             # a = 0: the left factor has three insertions, the right one 3 + m.
@@ -604,7 +600,7 @@ class Reconstructor:
                     total += left * right * g
             for code, excess, size, mult in inner if beta3 > 1 or not lcode & divs else ():
                 base = lbase + excess
-                for ui, uj, wi, g in by_residue[base % c1]:
+                for ui, uj, wi, g in inner_buckets[base % c1]:
                     t = base + wi
                     if t < 0 or t >= top:
                         continue

@@ -685,14 +685,13 @@ def _noncommuting_triple(td: TargetData) -> Optional[tuple[int, int, int]]:
     The product is commutative, so this says that multiplication by each
     divisor commutes with every L_k.  Where the divisors generate the
     ring, the identity is a cyclic vector of theirs, so every L_k is a
-    polynomial in them and the product is associative.  Each distinct
-    cell's integer terms are keyed once by q_degree * size + index, and
-    a side is summed only when its terms differ from the other side's.
+    polynomial in them and the product is associative.  Terms are keyed
+    by class alone: on a validated target, as ``Plan``'s is, a term's
+    class fixes its q-degree.  Sides are summed only if their terms differ.
     """
     size = td.basis_size
     _, index, ints, _ = td._product_cells
-    keyed = [tuple([(d * size, l, c) for d, l, c in cell]) for cell in ints]
-    table = [list(map(keyed.__getitem__, row)) for row in index]
+    table = [list(map(ints.__getitem__, row)) for row in index]
 
     def total(terms):
         out: dict[int, int] = {}
@@ -704,8 +703,8 @@ def _noncommuting_triple(td: TargetData) -> Optional[tuple[int, int, int]]:
         by_x = table[x]
         for i, row in enumerate(table):
             for k in range(size):
-                left = [(s + t + l, c * e) for s, m, c in by_x[i] for t, l, e in table[m][k]]
-                right = [(s + t + l, c * e) for s, m, c in row[k] for t, l, e in by_x[m]]
+                left = [(l, c * e) for _, m, c in by_x[i] for _, l, e in table[m][k]]
+                right = [(l, c * e) for _, m, c in row[k] for _, l, e in by_x[m]]
                 if left != right and total(left) != total(right):
                     return x, i, k
     return None

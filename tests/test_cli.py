@@ -575,6 +575,19 @@ class TestCache:
         assert (code, out) == (3, "")
         assert "memo.rec:2:" in err and "not a value of P(1,3)" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("compute", "--b", "3", "--insertions", "1,1,2,2"), ("table", "--b", "3")],
+        ids=["compute", "table"],
+    )
+    def test_failed_save_prints_nothing(self, run, tmp_path, argv):
+        # A command saves before it prints, so one that cannot write its
+        # --cache file exits 3 with nothing on stdout and leaves no file.
+        code, out, err = run(*argv, "--cache", str(tmp_path / "missing" / "memo.rec"))
+        assert (code, out) == (3, "")
+        assert "cannot write" in err
+        assert list(tmp_path.rglob("*")) == []
+
     def test_foreign_orders_survive_saves(self, run, tmp_path):
         memo = tmp_path / "memo.rec"
         run("compute", "--b", "2", "--insertions", "1,1,1,1", "--cache", str(memo))

@@ -29,6 +29,7 @@ from reference import (
     wdvv_residual,
     wdvv_side,
 )
+from test_ring import KERNEL_TARGETS
 
 F = Fraction
 
@@ -79,14 +80,14 @@ class TestMemoCache:
         # Every WDVV relation of a reduction's slot shape, (third, partner,
         # donor, divisor) with (partner, divisor) of a pivot and any other
         # class as third and donor, on 0 to 3 deltas of any class and at
-        # beta3 = 0..3, over the memo of the full support where there is
-        # one.  A factor with more than three insertions that holds the
-        # identity, or a divisor at degree 0, is tested for only on a memo
-        # miss, and must then be neither evaluated nor stored.  Without
-        # any one of the three tests (a = m, a = 0, interior) some target
-        # here evaluates such a factor.
+        # the one beta3 where its weights add up, if that is 0..3, over
+        # the memo of the full support where there is one.  A factor with
+        # more than three insertions that holds the identity, or a divisor
+        # at degree 0, is tested for only on a memo miss, and must then be
+        # neither evaluated nor stored.  Without any one of the three tests
+        # (a = m, a = 0, interior) some target here evaluates such a factor.
         td = make()
-        plan, one = td.plan, td.fundamental_index
+        plan, one, w = td.plan, td.fundamental_index, td.grading.weights
         ident, divs = plan.identity_field, plan.divisor_fields
         zeros = []
 
@@ -105,9 +106,10 @@ class TestMemoCache:
             for third, donor in itertools.product(others, repeat=2):
                 for m in range(4):
                     for deltas in itertools.combinations_with_replacement(range(td.basis_size), m):
-                        splits = _fold(plan, deltas)
-                        for beta3 in range(4):
-                            rec._relation(third, partner, donor, divisor, splits, beta3)
+                        slots = (third, partner, donor, divisor) + deltas
+                        beta3 = td.grading.degree(sum(w[k] for k in slots), m + 3)
+                        if beta3 is not None and beta3 <= 3:
+                            rec._relation(*slots[:4], _fold(plan, deltas), beta3)
         assert not zeros, zeros[:5]
         for code in rec.cache.keys() - before:
             ins = _unpack(code)
@@ -460,10 +462,10 @@ class TestWdvvSum:
         # the second one without its full split, which the reduction
         # solves for.  The fourth slot is a divisor, as in every
         # reduction.  Few distinct classes among up to eight deltas, so
-        # most of the 2^m subsets collapse onto one multiset split.  Both
-        # contractions can be nonzero only at the total degree beta3 with
-        # sum(weights) = c1 beta3 + dim + scale m, so draws without an
-        # integer beta3 are skipped, and one degree off it both vanish.
+        # most of the 2^m subsets collapse onto one multiset split.  A
+        # relation is called only at the total degree beta3 with
+        # sum(weights) = c1 beta3 + dim + scale m, as ``_reduce`` calls
+        # it, so draws without an integer beta3 are skipped.
         # The identity class is drawn too, in the other fixed slots and
         # among the deltas, though rarely: it kills every factor with more
         # than three insertions.  It comes from a stream of its own, so
@@ -499,29 +501,20 @@ class TestWdvvSum:
             if forced is None:
                 return None
             g1, g2, g3, g4 = fixed
-            splits = _fold(td.plan, deltas)
-            nonzero = 0
-            for beta3 in (forced - 1, forced, forced + 1):
-                if beta3 < 0:
-                    continue
-                before = set(rec.cache)
-                pair = rec._relation(*fixed, splits, beta3)
-                where = (fixed, deltas, beta3)
-                assert [type(v) for v in pair] == [int, int]
-                for code in rec.cache.keys() - before:
-                    ins = _unpack(code)
-                    zero = code & ident or code & divs and td.grading.forced(ins) == 0
-                    assert len(ins) <= 3 or not zero, (where, ins)
-                first, second = (td.plan.unscale(v, n, beta3) for v in pair)
-                assert first == wdvv_side(shared, g1, g2, g3, g4, deltas, beta3), where
-                assert second == wdvv_side(
-                    shared, g1, g3, g2, g4, deltas, beta3, skip_full=True
-                ), where
-                if beta3 == forced:
-                    nonzero += (first != 0) + (second != 0)
-                else:
-                    assert first == second == 0, where
-            return nonzero
+            before = set(rec.cache)
+            pair = rec._relation(*fixed, _fold(td.plan, deltas), forced)
+            where = (fixed, deltas, forced)
+            assert [type(v) for v in pair] == [int, int]
+            for code in rec.cache.keys() - before:
+                ins = _unpack(code)
+                zero = code & ident or code & divs and td.grading.forced(ins) == 0
+                assert len(ins) <= 3 or not zero, (where, ins)
+            first, second = (td.plan.unscale(v, n, forced) for v in pair)
+            assert first == wdvv_side(shared, g1, g2, g3, g4, deltas, forced), where
+            assert second == wdvv_side(
+                shared, g1, g3, g2, g4, deltas, forced, skip_full=True
+            ), where
+            return (first != 0) + (second != 0)
 
         checked = nonzero = with_identity = 0
         while checked < 40:
@@ -807,8 +800,7 @@ class TestRescaling:
             return {t: sign for t, (_, _, _, sign) in plan.pivots.items()}
 
         def pairing_entries(plan):
-            return [g for by_residue in plan.buckets.values() for bucket in by_residue
-                    for _, _, _, g in bucket]
+            return [g for bucket in plan.buckets for _, _, _, g in bucket]
 
         for b in (1, 2, 7):
             plan = build_p1b(b).plan
@@ -917,6 +909,78 @@ class _RankTracingReconstructor(_TracingReconstructor):
 
     def _measure(self, ins):
         return (len(ins), min(self.td.pivot_rank[k] for k in ins))
+
+
+class TestHomogeneousPairing:
+    """``validate_target`` makes the identity the unit and puts every
+    3-point constant at its forced degree, so each inverse-pairing entry
+    has w[i] + w[j] = dim.  The plan files the entries in one list by
+    residue, and ``_reduce`` calls every relation at the degree where
+    its weights add up (``_relation``'s precondition)."""
+
+    @staticmethod
+    def _check(td) -> bool:
+        """Assert the invariant on ``td``; whether its plan was built."""
+        w, _, c1, dim = td.grading
+        assert all(w[i] + w[j] == dim for i, j, _ in td.pairing_inverse_entries), td.id
+        try:
+            plan = td.plan
+        except ValueError:  # no integer gauge: the plan is refused
+            return False
+        index = {u: k for k, u in enumerate(plan.unit)}
+        assert len(plan.buckets) == len(plan.inner) == c1
+        for buckets in (plan.buckets, plan.inner):
+            for residue, bucket in enumerate(buckets):
+                for ui, uj, wi, _ in bucket:
+                    i, j = index[ui], index[uj]
+                    assert (wi, w[i] + w[j], -w[i] % c1) == (w[i], dim, residue), td.id
+        assert sum(map(len, plan.buckets)) == len(td.pairing_inverse_entries)
+        one = plan.unit[td.fundamental_index]
+        assert plan.inner == [tuple(e for e in bucket if one not in e[:2]) for bucket in plan.buckets]
+        return True
+
+    def test_shipped_and_projective_targets(self):
+        targets = [build_p1b(b) for b in range(1, 31)] + [build_p2()]
+        targets += [build_pn(n) for n in (3, 4, 5)]
+        assert all(self._check(td) for td in targets)
+
+    def test_kernel_and_rescaled_targets(self):
+        # Two kernel targets break the degree axiom on purpose, and two
+        # have no integer gauge; the rest build a plan.
+        makes = [param.values[0] for param in KERNEL_TARGETS] + [
+            lambda: _rescaled(build_p1b(3), F(2)),
+            lambda: _rescaled(build_p1b(4), F(2), F(3)),
+            lambda: _rescaled(build_p2(), F(2)),
+        ]
+        refused = built = 0
+        for make in makes:
+            td = make()
+            try:
+                validate_target(td)
+            except ValueError as exc:
+                assert "violates the degree axiom" in str(exc)
+                refused += 1
+                continue
+            built += self._check(td)
+        assert (refused, built) == (2, len(makes) - 4)
+
+    def test_reductions_call_relations_at_their_degree(self):
+        calls = []
+
+        class Spying(Reconstructor):
+            def _relation(self, third, partner, donor, divisor, splits, beta3):
+                deltas = _unpack(splits[-1][0])
+                w = self.td.grading.weights
+                wsum = sum(w[k] for k in (third, partner, donor, divisor, *deltas))
+                calls.append(self.td.grading.degree(wsum, len(deltas) + 3) == beta3)
+                return super()._relation(third, partner, donor, divisor, splits, beta3)
+
+        for b in range(2, 10):
+            for _ in Spying(build_p1b(b)).enumerate_nonzero():
+                pass
+        rec = Spying(build_p2())
+        assert [rec.gw((2,) * (3 * d - 1)) for d in range(1, 8)][-1] == 14616808192
+        assert len(calls) > 500 and all(calls)
 
 
 class TestTermination:

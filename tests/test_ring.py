@@ -238,6 +238,20 @@ class TestValidateTarget:
         broken = td._replace(base2=base2)
         _refused(broken, "divisor axiom")
 
+    def test_catches_an_inhomogeneous_pairing(self):
+        # a paired with itself on P(1,3), where w[1] + w[1] != dim: the
+        # identity is then not the unit, and the constant <1, a, a>_0 that
+        # would make it one breaks the degree axiom.  So every pairing
+        # entry of an accepted target has w[i] + w[j] = dim, as the
+        # engine's plan assumes.
+        td = build_p1b(3)
+        rows = [list(r) for r in td.pairing]
+        rows[1][1] = F(1, 3)
+        broken = td._replace(pairing=tuple(map(tuple, rows)))
+        _refused(broken, r"^the identity is not the unit of the quantum product at class 1$")
+        broken = broken._replace(base3={**td.base3, (0, 1, 1, 0): F(1, 3)})
+        _refused(broken, r"^base3 entry \(0, 1, 1, 0\) violates the degree axiom$")
+
     def test_catches_missing_factorization(self):
         # The orbifold cohomology ring of P(1,3): at q = 0 no class a^t is
         # a single-term product with x, so the divisor does not generate

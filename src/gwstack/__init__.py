@@ -17,13 +17,13 @@ import importlib
 _HOMES = {
     "Reconstructor": "engine",
     "basis_element": "ring",
-    "build_p1b": "ring",
-    "build_p2": "ring",
+    "build_p1b": "target",
+    "build_p2": "target",
     "divisor_generation_check": "ring",
     "golden_rows": "golden",
     "qmul": "ring",
     "specialize": "ring",
-    "validate_target": "ring",
+    "validate_target": "target",
     "verify": "golden",
 }
 

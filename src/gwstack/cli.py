@@ -18,11 +18,11 @@ byte.
 
 Every command runs in a fresh interpreter, and where no bytecode is
 written (``PYTHONDONTWRITEBYTECODE``) each module it imports is compiled
-from source again.  So this module imports only ``ring``, which every
+from source again.  So this module imports only ``target``, which every
 command uses, and a command imports the rest when it runs: ``compute``
 and ``table`` add ``engine``, reading or writing a record file
-(``--cache``, ``cache``) adds ``engine`` and ``records``, and ``verify``
-adds ``golden``, which imports both.  ``ring`` adds nothing.
+(``--cache``, ``cache``) adds ``engine`` and ``records``, ``verify``
+adds ``golden``, which imports both, and ``ring`` adds ``ring``.
 
 ``compute`` and ``table`` optionally persist their memo to the record
 file named by ``--cache`` and preload it on the next run.  ``records``
@@ -45,14 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .ring import (
-    TABLE_ORDERS,
-    TargetData,
-    build_p1b,
-    divisor_generation_check,
-    mults_from_insertions,
-    specialize,
-)
+from .target import TABLE_ORDERS, TargetData, build_p1b, mults_from_insertions
 
 if TYPE_CHECKING:
     from .engine import Reconstructor
@@ -358,6 +351,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ring(args) -> int:
+    from .ring import divisor_generation_check, specialize
+
     b = _check_order(args)
     lam = _parse_lambda(args)
     td = _target_for(b)

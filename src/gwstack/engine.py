@@ -92,7 +92,7 @@ from math import comb, lcm
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .ring import ONE, TargetData, ZERO, _noncommuting_triple, validate_target
+from .target import ONE, TargetData, ZERO, _noncommuting_triple, validate_target
 
 _FIELD = 16  # bits per class in a packed key
 _MASK = (1 << _FIELD) - 1
@@ -176,7 +176,7 @@ class Plan:
         """Raises as ``validate_target`` does, then ``ValueError`` naming the
         first pivot sign that is not +-1, then the first 2- or 3-point
         constant with no integer gauged value, then a triple of
-        ``ring._noncommuting_triple`` (not associative)."""
+        ``target._noncommuting_triple`` (not associative)."""
         validate_target(td)
         steps = td.divisor_factorization
         s = self.s = lcm(*(delta.denominator for delta in td.divisor_degree.values()))

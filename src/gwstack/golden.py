@@ -21,9 +21,9 @@ from typing import NamedTuple, Optional
 from .engine import InsertionKey, Reconstructor
 from .records import RecordError, parse_fields, read_lines
 # The table's orders and row counts and the multiplicity-vector converters
-# are defined in ring, which the CLI's parser needs anyway, and re-exported
+# are defined in target, which the CLI's parser needs anyway, and re-exported
 # here beside the rows they describe.
-from .ring import (
+from .target import (
     ROW_COUNTS,
     TABLE_ORDERS,
     ZERO,
@@ -80,7 +80,9 @@ def _parse_row(payload: str, targets: dict[int, TargetData]) -> GoldenRow:
 
 
 @lru_cache(maxsize=1)
-def _load_tables() -> dict[int, tuple[GoldenRow, ...]]:
+def _load_tables() -> tuple[dict[int, tuple[GoldenRow, ...]], dict[int, TargetData]]:
+    # The rows by order, and the P(1,b) that checked their degrees, which
+    # verify reuses.
     # Here, not at the top, so importing gwstack skips them; on Python 3.12+
     # importlib.resources alone loads inspect, pathlib and tempfile.
     import hashlib
@@ -107,12 +109,12 @@ def _load_tables() -> dict[int, tuple[GoldenRow, ...]]:
                 f"{_DATA_NAME}: expected {count} rows for b={b}, "
                 f"found {len(grouped.get(b, []))}"
             )
-    return {b: tuple(rows) for b, rows in grouped.items()}
+    return {b: tuple(rows) for b, rows in grouped.items()}, targets
 
 
 def golden_rows(b: int) -> tuple[GoldenRow, ...]:
     """The reference rows for one target order, in file order."""
-    tables = _load_tables()
+    tables, _ = _load_tables()
     if b not in tables:
         raise ValueError(
             f"no golden table for b={b}; available: {sorted(tables)}"
@@ -162,7 +164,9 @@ class VerifyReport(NamedTuple):
 def verify(b: int, reconstructor: Optional[Reconstructor] = None) -> VerifyReport:
     """Recompute one golden table and re-derive its support.
 
-    The nonzero support is enumerated from the 3-point constants once.
+    The nonzero support is enumerated from the 3-point constants once,
+    by ``reconstructor`` or else by an engine on the P(1,b) that checked
+    the rows' degrees.
     Each row takes its value from there, and a mismatch reports the row
     with the table's value and the engine's.  No golden value is 0, so a
     row the enumeration never produced is a mismatch that reads "engine
@@ -172,7 +176,7 @@ def verify(b: int, reconstructor: Optional[Reconstructor] = None) -> VerifyRepor
     insertion counts as a linear system.
     """
     rows = golden_rows(b)
-    rec = reconstructor if reconstructor is not None else Reconstructor(build_p1b(b))
+    rec = reconstructor if reconstructor is not None else Reconstructor(_load_tables()[1][b])
     found = dict(rec.enumerate_nonzero())
     results = tuple(RowResult(row, found.pop(row.key(), ZERO)) for row in rows)
     return VerifyReport(b=b, results=results, extra=tuple(sorted(found.items())))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from gwstack.ring import TargetData, validate_target
+from gwstack.target import TargetData, validate_target
 
 
 def forced_degree(td, insertions) -> Optional[int]:

@@ -16,7 +16,7 @@ from gwstack.engine import (
     _pack,
     _unpack,
 )
-from gwstack.ring import Grading
+from gwstack.target import Grading
 from reference import (
     _multiset_splits,
     build_pn,

@@ -195,6 +195,28 @@ class TestVerify:
             "  N_0(0,6): table -1/27, engine -1/9",
         ]
 
+    def test_verify_builds_each_target_once(self, monkeypatch, capsys):
+        # Loading the table builds the P(1,b) that check its rows' degrees,
+        # and verify runs its engines on those same targets.
+        from gwstack import cli
+
+        built = []
+
+        def spy(b):
+            built.append(b)
+            return build_p1b(b)
+
+        monkeypatch.setattr(golden_mod, "build_p1b", spy)
+        monkeypatch.setattr(cli, "build_p1b", spy)
+        golden_mod._load_tables.cache_clear()
+        try:
+            assert cli.main(["verify", "--b", "all"]) == 0
+        finally:
+            monkeypatch.undo()
+            golden_mod._load_tables.cache_clear()
+        assert built == [2, 3, 4, 5, 6]
+        assert capsys.readouterr().out.splitlines()[-1] == "total: 81/81 rows match"
+
     def test_report_lists_support_gaps(self):
         # A row the enumeration never produced is a mismatch that reads
         # engine 0, and is reported once; a value no row holds is extra.

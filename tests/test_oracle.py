@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from gwstack import Reconstructor, build_p1b, build_p2, divisor_generation_check, validate_target
-from gwstack.ring import ROW_COUNTS, _noncommuting_triple
+from gwstack.target import ROW_COUNTS, _noncommuting_triple
 from reference import build_pn, forced_degree, nonassociative_triples, rescaled, wdvv_strata
 
 F = Fraction

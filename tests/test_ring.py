@@ -18,7 +18,8 @@ from gwstack import (
     validate_target,
 )
 from gwstack.cli import _MAX_ORDER
-from gwstack.ring import DivisorStep, Grading, QRingElem, TargetData, _invert
+from gwstack.ring import QRingElem
+from gwstack.target import DivisorStep, Grading, TargetData, _invert
 import reference as ref
 from reference import qreduce
 

@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K1,K2,...",
         help="comma-separated basis exponents in [0, b] (0 identity, b divisor)",
     )
-    compute.add_argument(
-        "--degree",
-        type=int,
-        default=None,
-        help="curve degree; defaults to the degree forced by the insertions",
-    )
     _add_cache_option(compute)
     compute.set_defaults(handler=_cmd_compute, parser=compute)
 
@@ -122,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"cap on insertion count (required for b > {_MAX_TABLE_ORDER})",
     )
-    table.add_argument("--max-d", type=int, default=None, help="cap on curve degree")
     table.add_argument(
         "--format",
         choices=("human", "tsv", "jsonl"),
@@ -284,12 +277,10 @@ def _cmd_compute(args) -> int:
         ins = [int(part) for part in args.insertions.split(",")]
     except ValueError:
         args.parser.error(f"--insertions must be comma-separated integers, got {args.insertions!r}")
-    if args.degree is not None and args.degree < 0:
-        args.parser.error(f"--degree must be nonnegative, got {args.degree}")
     rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
-        value = rec.gw(ins, args.degree)
+        value = rec.gw(ins)
     except ValueError as exc:  # count, range, or the degenerate 2-point problem
         args.parser.error(str(exc))
     _store_cache(rec, args.cache, loaded)
@@ -307,7 +298,7 @@ def _cmd_table(args) -> int:
     rec = _engine_for(b)
     loaded = _preload_cache(rec, args.cache)
     try:
-        rows = list(rec.enumerate_nonzero(args.max_n, args.max_d))
+        rows = list(rec.enumerate_nonzero(args.max_n))
     except ValueError as exc:  # a negative cap, or --max-n past one key
         args.parser.error(str(exc))
     _store_cache(rec, args.cache, loaded)

@@ -87,7 +87,7 @@ is one :class:`Plan` (``td.plan``), built once per ``TargetData``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import comb, lcm
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -344,23 +344,24 @@ class Reconstructor:
         return self._plan.unscale(self._eval(_pack(ins), len(ins), forced), len(ins), forced)
 
     def enumerate_nonzero(
-        self, max_n: Optional[int] = None, max_d: Optional[int] = None
+        self, max_n: Optional[int] = None
     ) -> Iterator[tuple[InsertionKey, Fraction]]:
         """All nonzero invariants with more than three insertions, each
         twisted (exponent 1..b-1): by the identity axiom an n >= 4 key with
         the identity is 0, and by the divisor axiom one with a divisor is
         (d deg x)^s times a twisted value or a 3-point constant, which
-        ``gw`` serves.  The support is finite, so no cap is needed.  Raises
-        ``ValueError`` on a target with no power basis, a negative cap, or
-        a ``max_n`` above what one packed key holds.
+        ``gw`` serves.  The support is finite, so no cap is needed.  Under
+        ``max_n`` the memo gains no key of more insertions, as a reduction's
+        factors have fewer.  Raises ``ValueError`` on a target with no
+        ``power_basis``, or a negative ``max_n`` or one above what one
+        packed key holds.
         """
         td = self.td
         b = td.power_basis
         if b is None:
             raise ValueError(f"{td.id} has no power basis to enumerate over")
-        for name, cap in (("max_n", max_n), ("max_d", max_d)):
-            if cap is not None and cap < 0:
-                raise ValueError(f"{name} must be nonnegative, got {cap}")
+        if max_n is not None and max_n < 0:
+            raise ValueError(f"max_n must be nonnegative, got {max_n}")
         if max_n is not None and max_n > _MAX_INSERTIONS:
             raise ValueError(f"max_n must be at most {_MAX_INSERTIONS}, got {max_n}")
         hi = b - 1
@@ -369,12 +370,11 @@ class Reconstructor:
         plan = self._plan
         _, scale, c1, dim = plan.grading
         unit, cache, reduce = plan.unit, self.cache, self._reduce
-        d = 0
-        while max_d is None or d <= max_d:
+        for d in count():
             # On a power basis weights[k] == k; the exponent sum c1 d + dim
             # + scale (n - 3) is at most n hi, so n (scale - hi) <= slack.
-            # As hi < b <= scale (``validate_target`` checks b <= scale),
-            # n = 4 is the loosest case; once it fails, stop.
+            # As hi < b <= scale (``power_basis`` holds b <= scale), n = 4
+            # is the loosest case; once it fails, stop.
             slack = 3 * scale - c1 * d - dim
             if slack < 4 * (scale - hi):
                 return
@@ -392,7 +392,6 @@ class Reconstructor:
                         value = cache[code] = reduce(code, n, d)
                     if value:
                         yield InsertionKey(d, key), Fraction(num * value, den)
-            d += 1
 
     # -- cache persistence ---------------------------------------------------
 

@@ -145,6 +145,14 @@ def divisor_generation_check(td: TargetData, lam) -> bool:
     which leaves the span as it is.  From the identity on, a vector
     independent of the kept rows is kept, with a positive pivot, and its
     products with the divisors are queued, each over its entries' gcd.
+
+    On a target that obeys the degree axiom (``td.grading``), one lam != 0
+    decides every q != 0, as Theorem 2 needs.  Each product term
+    a_i a_j -> c q^d a_l has weights[i] + weights[j] = weights[l] + c1 d,
+    so scaling each a_l by t^weights[l] carries the ring at q = lam t^c1
+    onto the ring at q = lam, and each divisor onto a multiple of itself.
+    With t a complex c1-th root of mu / lam, the divisors generate at
+    q = mu exactly when they do at q = lam; a rank over Q is the same over C.
     """
     lam = Fraction(lam)
     _, index, ints, _ = td._product_cells

@@ -101,7 +101,6 @@ class _TargetFields(NamedTuple):
     base3: Mapping[tuple[int, int, int, int], Fraction]
     base2: Mapping[tuple[int, int, int], Fraction]
     basis_names: tuple[str, ...]
-    power_basis: Optional[int] = None
 
 
 class TargetData(_TargetFields):
@@ -111,7 +110,7 @@ class TargetData(_TargetFields):
     and the mapping fields are never mutated after construction.
     Instances compare and hash by identity, since the mapping fields are
     not hashable.  ``_replace`` gives a new instance with some fields
-    changed.  The data derived from the fields (``grading``,
+    changed.  The data derived from the fields (``grading``, ``power_basis``,
     ``pairing_inverse_entries``, ``products``, ``divisor_factorization``,
     ``pivot_rank``, the engine's ``plan`` and the checks of
     :func:`validate_target`, which ``plan`` runs first) is computed on
@@ -119,12 +118,6 @@ class TargetData(_TargetFields):
     its own; a refusal is not cached.
     ``divisor_degree`` maps each divisor class to its degree; every
     consumer takes the divisors in its key order.
-
-    ``power_basis`` is set to b for targets whose basis class k is the
-    k-th power of a single degree-lowest generator subject to the
-    relation b * a^(b+1) = q; it unlocks enumeration over exponents and
-    the multiplicity-vector file formats, whose layout
-    ``validate_target`` checks.  ``None`` otherwise.
     """
 
     __eq__ = object.__eq__
@@ -148,6 +141,20 @@ class TargetData(_TargetFields):
             c1=c1.numerator * scale // c1.denominator,
             dim=dim.numerator * scale // dim.denominator,
         )
+
+    @cached_property
+    def power_basis(self) -> Optional[int]:
+        """b when the basis is laid out as P(1,b)'s powers a^0..a^b, else ``None``.
+
+        That layout is b + 1 classes of weights 0..b over a grading scale
+        of at least b, the identity first and x = a^b as the only divisor.
+        Enumeration over exponents and the multiplicity-vector formats
+        read class k as a^k, of weight k.
+        """
+        weights, scale, _, _ = self.grading
+        b = len(weights) - 1
+        layout = weights == tuple(range(b + 1)) and b <= scale and self.fundamental_index == 0
+        return b if layout and list(self.divisor_degree) == [b] else None
 
     @cached_property
     def _pairing_rows(self) -> tuple[dict[int, Fraction], ...]:
@@ -303,16 +310,8 @@ class TargetData(_TargetFields):
             if self.divisor_degree[div] <= 0:
                 raise ValueError(f"divisor {div} needs a positive degree")
 
-        # A power basis a^0..a^b: enumeration and the multiplicity vectors
-        # take class k for a^k, of weight k, and x = a^b for the one divisor.
-        weights, scale, c1, dim = self.grading
-        b = self.power_basis
-        if b is not None and not (weights == tuple(range(b + 1)) and b <= scale
-                                  and fund == 0 and list(self.divisor_degree) == [b]):
-            raise ValueError(f"power_basis {b} needs weights 0..{b} with scale >= {b}, "
-                             f"the identity 0 and the divisor {b} alone")
-
         # Degree homogeneity: every stored constant sits at its forced degree.
+        weights, scale, c1, dim = self.grading
         for (i, j, k, d), val in self.base3.items():
             if not val:
                 raise ValueError("zero entries must be omitted from base3")
@@ -409,7 +408,6 @@ def build_p1b(b: int) -> TargetData:
         base3=base3,
         base2=base2,
         basis_names=names,
-        power_basis=b,
     )
     validate_target(td)
     return td
@@ -474,7 +472,6 @@ def build_p2() -> TargetData:
         base3=base3,
         base2=base2,
         basis_names=("1", "h", "h^2"),
-        power_basis=None,
     )
     validate_target(td)
     return td
@@ -565,10 +562,10 @@ def validate_target(td: TargetData) -> None:
     structural axiom the reconstruction engine relies on: degree
     homogeneity of every stored constant, the identity as the unit of
     the quantum product (at any basis index), divisor constants
-    matching the 2-point data, one name per class, the layout that
-    ``power_basis`` promises, and a divisor factorization for every
-    class that is neither the identity nor a divisor whose partner
-    chains end (see :attr:`TargetData.divisor_factorization` and
+    matching the 2-point data, one name per class, and a divisor
+    factorization for every class that is neither the identity nor a
+    divisor whose partner chains end (see
+    :attr:`TargetData.divisor_factorization` and
     :attr:`TargetData.pivot_rank`).  Every engine's ``Plan`` runs them
     first.  They run once per instance; a refused target is checked again.
     """

@@ -55,18 +55,6 @@ class TestCompute:
         code, out, err = run("compute", "--b", "3", "--insertions", "1,1,2,2")
         assert (code, out, err) == (0, "-1/9\n", "")
 
-    def test_explicit_degree(self, run):
-        code, out, _ = run(
-            "compute", "--b", "5", "--insertions", "4,4,4,4", "--degree", "1"
-        )
-        assert (code, out) == (0, "1/125\n")
-
-    def test_wrong_degree_is_zero(self, run):
-        code, out, _ = run(
-            "compute", "--b", "5", "--insertions", "4,4,4,4", "--degree", "2"
-        )
-        assert (code, out) == (0, "0\n")
-
     def test_insertion_order_is_irrelevant(self, run):
         assert run("compute", "--b", "3", "--insertions", "2,1,2,1")[1] == "-1/9\n"
 
@@ -79,7 +67,10 @@ class TestCompute:
         assert run("compute", "--b", "3", "--insertions", "1,7")[0] == 2
         assert run("compute", "--b", "3", "--insertions", "2")[0] == 2
         assert run("compute", "--b", "3", "--insertions", "1,x")[0] == 2
-        assert run("compute", "--b", "3", "--insertions", "1,1", "--degree=-1")[0] == 2
+        # The insertions fix the degree, so there is no flag to give one.
+        code, out, err = run("compute", "--b", "5", "--insertions", "4,4,4,4", "--degree", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --degree 1" in err
         assert run("compute", "--b", "3", "--insertions", "0,0")[0] == 2  # degenerate
 
     def test_oversized_order_fails_before_building(self, run, no_build):
@@ -140,12 +131,13 @@ class TestTable:
     def test_absent_flags_and_negative_caps_exit_two(self, run):
         for argv in (
             # a divisor row is a ``compute``: the divisor axiom strips it
-            "table --b 3 --include-divisor --max-n 4 --max-d 1 --format jsonl",
+            "table --b 3 --include-divisor --max-n 4 --format jsonl",
             # identity insertions add no nonzero row, so there is no flag
-            "table --b 2 --include-fundamental --max-n 4 --max-d 1 --format jsonl",
-            # negative caps printed an empty table with exit 0
+            "table --b 2 --include-fundamental --max-n 4 --format jsonl",
+            # the support is finite in the degree, so there is no cap on it
+            "table --b 3 --max-d 1",
+            # a negative cap printed an empty table with exit 0
             "table --b 3 --max-n -1",
-            "table --b 3 --max-d -1",
         ):
             assert run(*argv.split())[:2] == (2, ""), argv
 
@@ -153,7 +145,7 @@ class TestTable:
         too_big = str(cli._MAX_TABLE_ORDER + 1)
         for argv in (
             ("table", "--b", too_big),
-            ("table", "--b", too_big, "--max-d", "1", "--format", "tsv"),
+            ("table", "--b", too_big, "--format", "tsv"),
         ):
             code, out, err = run(*argv)
             assert (code, out) == (2, ""), argv

@@ -1043,17 +1043,25 @@ class TestEnumerate:
     def test_caps(self, engines):
         rec = engines.p1b(5)
         assert len(list(rec.enumerate_nonzero())) == 22
-        assert len(list(rec.enumerate_nonzero(max_d=0))) == 21
-        # The walk stops at the last degree that fits, not at max_d.
-        assert len(list(rec.enumerate_nonzero(max_d=10**9))) == 22
         four_point = list(rec.enumerate_nonzero(max_n=4))
         assert all(len(key.insertions) == 4 for key, _ in four_point)
         assert len(four_point) == 6
 
+    @pytest.mark.parametrize("b", range(3, 12))
+    def test_max_n_is_closed(self, b):
+        # A reduction's factors have fewer insertions than its key, so a
+        # capped walk stores no key past the cap and finds every row below it.
+        full = list(Reconstructor(build_p1b(b)).enumerate_nonzero())
+        for cap in range(4, 9):
+            rec = Reconstructor(build_p1b(b))
+            rows = list(rec.enumerate_nonzero(max_n=cap))
+            assert max((len(ins) for _, ins, _ in rec.snapshot()), default=0) <= cap
+            assert rows == [(key, value) for key, value in full if len(key.insertions) <= cap]
+
     def test_b1_is_empty(self, engines):
         assert list(engines.p1b(1).enumerate_nonzero()) == []
 
-    @pytest.mark.parametrize("cap", ["max_n", "max_d"])
+    @pytest.mark.parametrize("cap", ["max_n"])
     def test_negative_caps_refused(self, engines, cap):
         with pytest.raises(ValueError, match=f"{cap} must be nonnegative, got -1"):
             next(iter(engines.p1b(3).enumerate_nonzero(**{cap: -1})))
@@ -1062,7 +1070,7 @@ class TestEnumerate:
         most = (1 << _FIELD) - 1
         rec = engines.p1b(2)
         with pytest.raises(ValueError, match=f"max_n must be at most {most}"):
-            next(iter(rec.enumerate_nonzero(max_n=most + 1, max_d=0)))
+            next(iter(rec.enumerate_nonzero(max_n=most + 1)))
         assert len(list(rec.enumerate_nonzero(max_n=most))) == 1
 
     def test_needs_power_basis(self, engines):

@@ -332,20 +332,6 @@ class TestValidateTarget:
                 id="doubled-divisor",
             ),
             pytest.param(
-                # P^2's weights 0, 1, 2 sit over the scale 1: enumeration
-                # over exponents would find no cap on the insertion count.
-                build_p2, lambda td: {"power_basis": 2},
-                r"power_basis 2 needs weights 0\.\.2 with scale >= 2, the identity 0 "
-                r"and the divisor 2 alone",
-                id="power-basis-scale",
-            ),
-            pytest.param(
-                # P(1,4) read as a power basis of order 3 would enumerate
-                # one row of its support instead of 9.
-                P1B4, lambda td: {"power_basis": 3},
-                r"power_basis 3 needs weights 0\.\.3 with scale >= 3", id="power-basis-order",
-            ),
-            pytest.param(
                 P1B4, lambda td: {"basis_names": ("1", "a")},
                 "2 basis names for 5 classes", id="basis-names",
             ),
@@ -372,7 +358,6 @@ def _permuted(td, perm):
         base3={key(k): v for k, v in td.base3.items()},
         base2={key(k): v for k, v in td.base2.items()},
         basis_names=tuple(td.basis_names[k] for k in old),
-        power_basis=None,
     )
 
 
@@ -595,6 +580,44 @@ KERNEL_TARGETS = [
     pytest.param(_dense_target, id="dense"),
     pytest.param(_cancelling_target, id="cancel"),
 ]
+
+
+class TestPowerBasis:
+    """``power_basis`` is read off the grading: b + 1 classes of weights
+    0..b over a scale of at least b, the identity first and a^b the only
+    divisor.  Rescaling the constants or changing the pairing keeps it."""
+
+    @pytest.mark.parametrize(
+        "b, build",
+        [
+            (3, lambda: ref.rescaled(build_p1b(3), F(2))),
+            (5, lambda: ref.rescaled(build_p1b(5), F(2))),
+            (3, lambda: ref.rescaled(build_p1b(3), q=F(2))),
+            (5, lambda: ref.rescaled(build_p1b(5), q=F(2))),
+            (4, lambda: ref.rescaled(build_p1b(4), F(2), F(3))),
+            (4, lambda: ref.rescaled(
+                build_p1b(4), lam=F(-2, 3), q=F(3, 7), classes={1: F(-5, 2), 2: F(7, 4), 4: F(3)}
+            )),
+            (3, _dense_target),
+        ],
+        ids=["P(1,3)-lam2", "P(1,5)-lam2", "P(1,3)-q2", "P(1,5)-q2", "P(1,4)-lam2-q3",
+             "P(1,4)-mixed-signs", "dense"],
+    )
+    def test_p1b_layouts(self, b, build):
+        assert build().power_basis == b
+
+    def test_p1b_up_to_the_cli_cap(self):
+        for b in range(1, _MAX_ORDER + 1):
+            assert build_p1b(b).power_basis == b
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_p2, *(partial(ref.build_pn, n) for n in range(2, 5)),
+         lambda: _permuted(build_p1b(3), TestIdentityOffIndexZero.PERM), _cancelling_target],
+        ids=["P2", "P2-by-hand", "P3", "P4", "P(1,3)-permuted", "cancel"],
+    )
+    def test_other_layouts(self, build):
+        assert build().power_basis is None
 
 
 class TestIntegerProducts:
@@ -928,3 +951,18 @@ class TestDivisorGeneration:
         assert divisor_generation_check(build_p1b(1), 0) is True
         assert divisor_generation_check(build_p2(), 0) is True
         assert divisor_generation_check(build_p2(), 5) is True
+
+    # Theorem 2 on the family: the degree axiom makes the verdict the same
+    # at every q != 0 (see ``divisor_generation_check``), so one lambda
+    # decides them all.
+    NONZERO_LAMS = (F(1), F(-7, 3), F(1, 9), F(10**40 + 7, 3**50))
+
+    def test_one_verdict_for_every_nonzero_q_on_p1b(self):
+        for b in range(1, _MAX_ORDER + 1):
+            td = build_p1b(b)
+            assert all(divisor_generation_check(td, lam) for lam in self.NONZERO_LAMS), b
+
+    @pytest.mark.parametrize("build", KERNEL_TARGETS)
+    def test_one_verdict_for_every_nonzero_q(self, build):
+        td = build()
+        assert len({divisor_generation_check(td, lam) for lam in self.NONZERO_LAMS}) == 1
